@@ -36,6 +36,7 @@ import numpy as np
 __all__ = [
     "GATE_EPS",
     "ArcGateParams",
+    "GateBuffers",
     "GateEval",
     "GateGrad",
     "GateTape",
@@ -49,6 +50,7 @@ __all__ = [
     "positive_map",
     "positive_map_grad",
     "preset",
+    "random_raw",
     "raw_from_effective",
 ]
 
@@ -209,7 +211,12 @@ class GateGrad:
 
 @dataclass
 class GateTape:
-    """Forward intermediates kept for the backward pass."""
+    """Forward intermediates kept for the backward pass.
+
+    ``eff`` is the 7-tuple of floats the tape was evaluated with, or the
+    ``(k, 7)`` matrix whose rows were broadcast over a 1-D ``x``; in that case
+    every other array is ``(k, x.size)``.
+    """
 
     x: np.ndarray
     z: np.ndarray
@@ -221,7 +228,36 @@ class GateTape:
     e: np.ndarray            # exp(-|t|)
     v: np.ndarray
     f: np.ndarray
-    eff: tuple[float, float, float, float, float, float, float]
+    eff: tuple[float, float, float, float, float, float, float] | np.ndarray
+
+
+class GateBuffers:
+    """Caller-owned arrays that :func:`batch_eval` and :func:`batch_vjp` write into.
+
+    Without buffers every call allocates its outputs, so a caller may keep
+    any number of tapes alive.  A caller that holds one tape at a time can
+    pass the same buffers to every call and allocate nothing per call: each
+    ``batch_eval`` overwrites the previous tape and each ``batch_vjp`` the
+    previous results.
+    """
+
+    _ARRAYS = ("z", "theta", "psmall", "u", "log_odds", "t", "e", "v", "f")
+    __slots__ = ("shape", "scratch", *_ARRAYS)
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = tuple(shape)
+        for name in self._ARRAYS:
+            setattr(self, name, np.empty(self.shape))
+        self.scratch = tuple(np.empty(self.shape) for _ in range(4))
+
+    def rows(self, k: int) -> "GateBuffers":
+        """Views of the first ``k`` rows, for a ``(k, n)`` batch that has shrunk."""
+        view = object.__new__(GateBuffers)
+        view.shape = (k, *self.shape[1:])
+        for name in self._ARRAYS:
+            setattr(view, name, getattr(self, name)[:k])
+        view.scratch = tuple(s[:k] for s in self.scratch)
+        return view
 
 
 def _check_effective(a: float, p: float) -> None:
@@ -237,72 +273,146 @@ def _check_finite_scalars(**named: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def batch_eval(x: np.ndarray, eff: Sequence[float]) -> GateTape:
+def _clip(a: np.ndarray, lo: float, hi: float) -> None:
+    # np.clip's elementwise rule, NaN included, without its per-call wrapper cost
+    np.minimum(np.maximum(a, lo, out=a), hi, out=a)
+
+
+def _columns(eff) -> tuple:
+    """The seven parameters: floats, or ``(k, 1)`` columns of a ``(k, 7)`` matrix."""
+    return tuple(eff.T[:, :, None]) if isinstance(eff, np.ndarray) else eff
+
+
+def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTape:
     """Evaluate the gate elementwise over ``x`` for effective parameters ``eff``.
 
     ``eff`` is (a, c, p, alpha, beta, gamma, delta) with a, p already
-    positive-mapped.  Returns the tape consumed by :func:`batch_vjp`.
+    positive-mapped, or a ``(k, 7)`` array of such rows: each row is
+    evaluated over the whole 1-D ``x``, giving ``(k, x.size)`` tape arrays.
+    ``buffers`` of that shape receive the tape instead of fresh arrays.
+    Returns the tape consumed by :func:`batch_vjp`.
     """
-    a, c, p, alpha, beta, gamma, delta = (float(t) for t in eff)
     x = np.asarray(x, dtype=np.float64)
+    if isinstance(eff, np.ndarray) and eff.ndim == 2:
+        if eff.shape[1] != 7 or x.ndim != 1:
+            raise ValueError(f"a (k, 7) parameter matrix needs a 1-D grid, got "
+                             f"{eff.shape} over {x.shape}")
+        eff = eff.astype(np.float64)
+        shape = (eff.shape[0], x.size)
+    else:
+        eff = tuple(map(float, eff))
+        shape = x.shape
+    a, c, p, alpha, beta, gamma, delta = _columns(eff)
+    if buffers is None:
+        buffers = GateBuffers(shape)
+    elif buffers.shape != shape:
+        raise ValueError(f"buffers of shape {buffers.shape} cannot hold a {shape} tape")
+    b = buffers
     with np.errstate(over="ignore", under="ignore"):
-        z = np.clip(a * (x - c), -_Z_CAP, _Z_CAP)
-        az = np.abs(z)
-        theta = np.arctan(az)
-        psmall = np.arctan2(1.0, az)
-        pos = z >= 0.0
-        u = np.where(pos, 0.5 + theta / np.pi, psmall / np.pi)
-        log_odds = np.log1p(2.0 * theta / psmall)
-        np.negative(log_odds, where=~pos, out=log_odds)
-        t = p * log_odds
-        e = np.exp(-np.abs(t))
-        side = np.arctan(e) / _HALF_PI
-        v = np.where(t >= 0.0, 1.0 - side, side)
-        u = np.clip(u, GATE_EPS, 1.0 - GATE_EPS)
-        v = np.clip(v, GATE_EPS, 1.0 - GATE_EPS)
-        f = (alpha * x + beta) * v + (gamma * x + delta)
+        z = np.subtract(x, c, out=b.z)
+        z *= a
+        _clip(z, -_Z_CAP, _Z_CAP)
+        az = np.abs(z, out=b.scratch[0])
+        step = b.scratch[1]
+        theta = np.arctan(az, out=b.theta)
+        psmall = np.arctan2(1.0, az, out=b.psmall)
+        # Branches are selected arithmetically, exactly: on either side of
+        # zero the wanted value is the max (u) or a distance (v) of finite,
+        # non-negative terms.  np.where and masked ufuncs cost ten simple
+        # passes when signs are mixed.
+        u = np.divide(theta, np.pi, out=b.u)
+        u += 0.5                                              # >= 1/2 >= psmall / pi
+        u *= np.heaviside(z, 1.0, out=step)                   # zeroed where z < 0
+        np.maximum(u, np.divide(psmall, np.pi, out=az), out=u)
+        log_odds = np.multiply(2.0, theta, out=b.log_odds)
+        log_odds /= psmall
+        np.log1p(log_odds, out=log_odds)
+        log_odds *= np.sign(z, out=step)                      # odd in z; 0 at 0
+        t = np.multiply(p, log_odds, out=b.t)
+        e = np.abs(t, out=b.e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        side = np.arctan(e, out=b.scratch[0])
+        side /= _HALF_PI
+        v = np.heaviside(t, 1.0, out=b.v)
+        v -= side
+        np.abs(v, out=v)
+        _clip(u, GATE_EPS, 1.0 - GATE_EPS)
+        _clip(v, GATE_EPS, 1.0 - GATE_EPS)
+        f = np.multiply(alpha, x, out=b.f)
+        f += beta
+        f *= v
+        linear = np.multiply(gamma, x, out=b.scratch[0])
+        linear += delta
+        f += linear
     return GateTape(x=x, z=z, theta=theta, psmall=psmall, u=u,
-                    log_odds=log_odds, t=t, e=e, v=v, f=f,
-                    eff=(a, c, p, alpha, beta, gamma, delta))
+                    log_odds=log_odds, t=t, e=e, v=v, f=f, eff=eff)
 
 
-def _partials(tape: GateTape) -> tuple[np.ndarray, ...]:
-    """Elementwise partials of F w.r.t. (x, a, c, p); the affine four are closed-form."""
-    a, c, p, alpha, beta, _gamma, _delta = tape.eff
+def _partials(tape: GateTape, scratch: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Elementwise partials of F w.r.t. (x, a, c, p), written into the four ``scratch`` arrays.
+
+    The affine four are closed-form.
+    """
+    a, c, p, alpha, beta, gamma, _delta = _columns(tape.eff)
+    s0, s1, s2, s3 = scratch
     with np.errstate(over="ignore", under="ignore"):
-        s = tape.e / (1.0 + tape.e * tape.e)      # w / (1 + w^2), even in t
-        dvdt = s / _HALF_PI
-        pbig = _HALF_PI + tape.theta              # pi * max(u, 1 - u)
-        dLdz = (1.0 / pbig + 1.0 / tape.psmall) / (1.0 + tape.z * tape.z)
-        dvdz = dvdt * (p * dLdz)
-        lever = alpha * tape.x + beta
-        d_x = alpha * tape.v + lever * dvdz * a + _gamma
-        d_a = lever * dvdz * (tape.x - c)
-        d_c = -(lever * dvdz * a)
-        d_p = lever * dvdt * tape.log_odds
+        dvdt = np.multiply(tape.e, tape.e, out=s0)
+        dvdt += 1.0
+        np.divide(tape.e, dvdt, out=dvdt)             # w / (1 + w^2), even in t
+        dvdt /= _HALF_PI
+        dvdz = np.add(_HALF_PI, tape.theta, out=s1)   # pi * max(u, 1 - u)
+        np.divide(1.0, dvdz, out=dvdz)
+        dvdz += np.divide(1.0, tape.psmall, out=s2)
+        zz = np.multiply(tape.z, tape.z, out=s2)
+        zz += 1.0
+        dvdz /= zz                                    # dlog_odds/dz
+        dvdz *= p
+        dvdz *= dvdt
+        lever = np.multiply(alpha, tape.x, out=s2)
+        lever += beta
+        d_p = np.multiply(lever, dvdt, out=s3)
+        d_p *= tape.log_odds
+        ld = np.multiply(lever, dvdz, out=s2)
+        d_a = np.subtract(tape.x, c, out=s1)
+        d_a *= ld
+        d_c = np.multiply(ld, a, out=s2)              # negated once d_x has used it
+        d_x = np.multiply(alpha, tape.v, out=s0)
+        d_x += d_c
+        d_x += gamma
+        np.negative(d_c, out=d_c)
     return d_x, d_a, d_c, d_p
 
 
-def batch_vjp(tape: GateTape, cotangent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def batch_vjp(tape: GateTape, cotangent: np.ndarray,
+              buffers: GateBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Backward through one gate application.
 
-    Returns ``(d_x, d_eff)`` where ``d_x`` matches the shape of the input and
-    ``d_eff`` is the 7-vector of cotangent-weighted sums over all elements,
-    ordered (a, c, p, alpha, beta, gamma, delta).  Effective-parameter
-    gradients; the positive-map chain factor is the caller's job.
+    Returns ``(d_x, d_eff)`` where ``d_x`` matches the shape of the tape and
+    ``d_eff`` holds the cotangent-weighted sums ordered (a, c, p, alpha,
+    beta, gamma, delta): one 7-vector summed over all elements, or for a
+    ``(k, 7)`` tape a ``(k, 7)`` matrix summed along each row.
+    Effective-parameter gradients; the positive-map chain factor is the
+    caller's job.  ``buffers`` receive ``d_x`` and the temporaries instead
+    of fresh arrays.
     """
     g = np.asarray(cotangent, dtype=np.float64)
-    d_x, d_a, d_c, d_p = _partials(tape)
-    d_eff = np.array([
-        float(np.sum(g * d_a)),
-        float(np.sum(g * d_c)),
-        float(np.sum(g * d_p)),
-        float(np.sum(g * tape.x * tape.v)),
-        float(np.sum(g * tape.v)),
-        float(np.sum(g * tape.x)),
-        float(np.sum(g)),
-    ])
-    return g * d_x, d_eff
+    if buffers is None:
+        scratch = tuple(np.empty(tape.f.shape) for _ in range(4))
+    else:
+        scratch = buffers.scratch
+    rows = isinstance(tape.eff, np.ndarray)
+    d_eff = np.empty(tape.eff.shape if rows else 7)
+    axis = -1 if rows else None
+    d_x, d_a, d_c, d_p = _partials(tape, scratch)
+    for j, partial in ((0, d_a), (1, d_c), (2, d_p)):
+        np.add.reduce(np.multiply(g, partial, out=partial), axis=axis, out=d_eff[..., j])
+    gx = np.multiply(g, tape.x, out=d_a)
+    np.add.reduce(gx, axis=axis, out=d_eff[..., 5])
+    np.add.reduce(np.multiply(gx, tape.v, out=gx), axis=axis, out=d_eff[..., 3])
+    np.add.reduce(np.multiply(g, tape.v, out=d_c), axis=axis, out=d_eff[..., 4])
+    np.add.reduce(g, axis=axis, out=d_eff[..., 6])
+    return np.multiply(g, d_x, out=d_x), d_eff
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +484,7 @@ def grad(x: float, params: ArcGateParams) -> GateGrad:
                           gamma=eff[5], delta=eff[6])
     _check_effective(eff[0], eff[2])
     tape = batch_eval(np.array([float(x)]), eff)
-    d_x, d_a, d_c, d_p = _partials(tape)
+    d_x, d_a, d_c, d_p = _partials(tape, tuple(np.empty(1) for _ in range(4)))
     xv = float(tape.x[0]) * float(tape.v[0])
     return GateGrad(
         f=float(tape.f[0]),
@@ -433,6 +543,21 @@ def preset(kind: str, arg: float | None = None) -> ArcGateParams:
             raise ValueError(f"leaky slope must be in (0, 1), got {slope!r}")
         return ArcGateParams.from_effective(1e4, 0.0, 1e4, 1.0, 0.0, slope, 0.0)
     raise ValueError(f"unknown preset kind {kind!r}; expected one of {PRESET_KINDS}")
+
+
+def random_raw(rng: np.random.Generator) -> np.ndarray:
+    """A seeded random raw vector: the random gate init and the fitter's restarts.
+
+    Steepness and sharpness are uniform in raw space between the preimages
+    of 0.5 and 8; c and the affine offsets are uniform in [-0.5, 0.5] and
+    alpha in [0.5, 1.5].
+    """
+    lo = raw_from_effective(0.5)
+    hi = raw_from_effective(8.0)
+    a_raw, p_raw = rng.uniform(lo, hi, size=2)
+    c, beta, gamma, delta = rng.uniform(-0.5, 0.5, size=4)
+    alpha = rng.uniform(0.5, 1.5)
+    return np.array([a_raw, c, p_raw, alpha, beta, gamma, delta])
 
 
 def _require_arg(kind: str, arg: float | None) -> float:

@@ -183,12 +183,7 @@ def _strategy_raw(strategy: str, rng: np.random.Generator) -> np.ndarray:
     if strategy == "identity":
         return core.preset("identity").raw_vector()
     if strategy == "random":
-        lo = core.raw_from_effective(0.5)
-        hi = core.raw_from_effective(8.0)
-        a_raw, p_raw = rng.uniform(lo, hi, size=2)
-        c, beta, gamma, delta = rng.uniform(-0.5, 0.5, size=4)
-        alpha = rng.uniform(0.5, 1.5)
-        return np.array([a_raw, c, p_raw, alpha, beta, gamma, delta])
+        return core.random_raw(rng)
     raise ValueError(f"unknown init strategy {strategy!r}")
 
 

@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from arcgate import cli, idx
+from arcgate import cli, core, idx
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,24 @@ def test_missing_subcommand_is_usage_error():
 
 def test_gradcheck_passes():
     assert run_cli("gradcheck", "--samples", 50, "--seed", 1) == 0
+
+
+@pytest.mark.parametrize("seed", [18, 1456708897])
+def test_gradcheck_passes_on_steep_draws(seed):
+    # each seed has a draw (a near 35, x near c) where a plain central
+    # difference at the default step misses the analytic partial by > 1e-5
+    assert run_cli("gradcheck", "--seed", seed) == 0
+
+
+def test_gradcheck_catches_a_wrong_partial(monkeypatch):
+    exact = core.grad
+
+    def skewed(x, params):
+        g = exact(x, params)
+        return dataclasses.replace(g, d_a=g.d_a * (1.0 + 1e-4))
+
+    monkeypatch.setattr(core, "grad", skewed)
+    assert run_cli("gradcheck", "--samples", 50, "--seed", 1) == 1
 
 
 def test_fit_identity_writes_csv(tmp_path):

@@ -139,6 +139,54 @@ class TestEvalFBatch:
             eval_F_batch([0.0, 1.0, math.nan, 3.0], soft_relu())
 
 
+class TestBatchRows:
+    """A (k, 7) parameter matrix evaluates each row as its own 7-vector would."""
+
+    FIELDS = ("z", "theta", "psmall", "u", "log_odds", "t", "e", "v", "f")
+
+    @staticmethod
+    def rows_and_cotangent(k=5, n=301):
+        rng = np.random.default_rng(4)
+        eff = np.array([ArcGateParams.from_raw_vector(core.random_raw(rng)).effective()
+                        for _ in range(k)])
+        grid = np.linspace(-6.0, 6.0, n)
+        return grid, eff, rng.normal(size=(k, n))
+
+    def test_rows_bit_identical_to_one_vector_each(self):
+        grid, eff, cot = self.rows_and_cotangent()
+        tape = core.batch_eval(grid, eff)
+        d_x, d_eff = core.batch_vjp(tape, cot)
+        assert d_x.shape == cot.shape and d_eff.shape == eff.shape
+        for r in range(len(eff)):
+            one = core.batch_eval(grid, tuple(eff[r]))
+            one_dx, one_deff = core.batch_vjp(one, cot[r])
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(tape, name)[r], getattr(one, name)), name
+            assert np.array_equal(d_x[r], one_dx)
+            assert np.array_equal(d_eff[r], one_deff)
+
+    def test_buffers_match_fresh_arrays(self):
+        grid, eff, cot = self.rows_and_cotangent()
+        buffers = core.GateBuffers((len(eff), grid.size))
+        for k in (len(eff), 2):
+            fresh = core.batch_eval(grid, eff[:k])
+            fresh_vjp = core.batch_vjp(fresh, cot[:k])
+            rows = buffers.rows(k)
+            tape = core.batch_eval(grid, eff[:k], rows)
+            assert tape.f is rows.f
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(tape, name), getattr(fresh, name)), name
+            d_x, d_eff = core.batch_vjp(tape, cot[:k], rows)
+            assert np.array_equal(d_x, fresh_vjp[0]) and np.array_equal(d_eff, fresh_vjp[1])
+
+    def test_rejects_bad_shapes(self):
+        grid, eff, _ = self.rows_and_cotangent()
+        with pytest.raises(ValueError, match="1-D grid"):
+            core.batch_eval(grid.reshape(7, 43), eff)
+        with pytest.raises(ValueError, match="buffers"):
+            core.batch_eval(grid, eff, core.GateBuffers((2, grid.size)))
+
+
 class TestGrad:
     def test_affine_partials_are_exact(self):
         params = ArcGateParams.from_effective(4.0, 0.3, 1.5, 0.7, -0.2, 0.4, 1.1)

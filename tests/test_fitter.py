@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,21 @@ import pytest
 from arcgate import core, fitter
 from arcgate.fitter import FitResult, FitTarget, fit, write_fit_csv
 from arcgate.zoo import ActivationKind
+from fit_oracle import sequential_fit
+
+DATA = Path(__file__).parent / "data"
+CAPS = (10.0, 100.0, 1000.0)
+
+
+def capped_relu_fit(cap, fitter_fn):
+    target = FitTarget.from_kind(ActivationKind("relu"), -5, 5, 1001)
+    return fitter_fn(target, core.preset("relu_like", cap), budget=2500, seed=2,
+                     effective_cap=cap)
+
+
+@pytest.fixture(scope="module")
+def capped_fits():
+    return [capped_relu_fit(cap, fit) for cap in CAPS]
 
 
 class TestFitTarget:
@@ -54,13 +70,8 @@ class TestFit:
         assert res.l_inf_error >= res.l2_error / math.sqrt(tgt.grid.size) - 1e-15
         assert res.l_inf_error >= 0 and res.l2_error >= 0
 
-    def test_effective_cap_monotone_toward_hard_rectifier(self):
-        results = []
-        for cap in (10.0, 100.0, 1000.0):
-            tgt = FitTarget.from_kind(ActivationKind("relu"), -5, 5, 1001)
-            res = fit(tgt, core.preset("relu_like", cap), budget=2500, seed=2,
-                      effective_cap=cap)
-            results.append(res.l_inf_error)
+    def test_effective_cap_monotone_toward_hard_rectifier(self, capped_fits):
+        results = [res.l_inf_error for res in capped_fits]
         assert results[0] > results[1]
         # the on-grid error saturates at float rounding for large caps
         assert results[1] >= results[2]
@@ -124,3 +135,49 @@ class TestReplicateClassics:
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
         assert rows[1][0] == "samples.csv"
+
+    def test_csv_matches_saved_output(self, table, tmp_path):
+        # written by the sequential fitter before descents were batched
+        path = tmp_path / "fits.csv"
+        write_fit_csv(table, path)
+        assert path.read_bytes() == (DATA / "fit_classics_n201_b300_seed0.csv").read_bytes()
+
+
+class TestSequentialOracle:
+    """The batched fitter returns exactly what the sequential loop returns."""
+
+    def test_replicate_classics(self, table):
+        expected = [
+            (kind, sequential_fit(FitTarget.from_kind(kind, -6, 6, 201), core.preset(*args),
+                                  budget=300, seed=i)[0])
+            for i, (kind, args) in enumerate(fitter.CLASSIC_TARGETS)]
+        assert table == expected
+
+    def test_restarts_stopping_at_different_iterations(self):
+        target = FitTarget.from_kind(ActivationKind("leaky_relu", 0.01), -6, 6, 201)
+        init = core.preset("leaky", 0.01)
+        expected, log = sequential_fit(target, init, budget=300, seed=5)
+        assert [iters for _, _, iters in log] == [297, 300, 300]
+        assert fit(target, init, budget=300, seed=5) == expected
+
+    def test_non_finite_target_exhausts_retries(self):
+        target = FitTarget(np.linspace(-1, 1, 20), np.full(20, np.nan), "broken")
+        expected, log = sequential_fit(target, core.preset("identity"), budget=50, seed=0)
+        assert len(log) == 18 and all(iters is None for _, _, iters in log)
+        assert fit(target, core.preset("identity"), budget=50, seed=0) == expected
+
+    def test_blow_ups_recover_at_different_rates(self):
+        grid = np.linspace(-1, 1, 20)
+        target = FitTarget(grid, 1e150 * grid, "huge")
+        init = core.preset("identity")
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, log = sequential_fit(target, init, budget=30, seed=0, lr=1e154)
+            got = fit(target, init, budget=30, seed=0, lr=1e154)
+        # restart 0 blows up six times; restarts 1 and 2 succeed on attempts 4 and 3
+        assert [(r, a) for r, a, iters in log if iters is not None] == [(1, 4), (2, 3)]
+        assert got == expected
+
+    def test_effective_caps(self, capped_fits):
+        expected = [capped_relu_fit(cap, lambda *a, **k: sequential_fit(*a, **k)[0])
+                    for cap in CAPS]
+        assert capped_fits == expected
