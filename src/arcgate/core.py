@@ -215,15 +215,17 @@ class GateTape:
 
     ``eff`` is the 7-tuple of floats the tape was evaluated with, or the
     ``(k, 7)`` matrix whose rows were broadcast over a 1-D ``x``; in that case
-    every other array is ``(k, x.size)``.
+    every other array is ``(k, x.size)``.  The transition value ``u`` is not
+    kept: no gradient reads it, and :func:`eval_F` derives it from ``z``,
+    ``theta`` and ``psmall`` (``theta/pi + 1/2`` where ``z >= 0``, else
+    ``psmall/pi``).
     """
 
     x: np.ndarray
-    z: np.ndarray
+    z: np.ndarray            # a * (x - c), clipped to +-_Z_CAP
     theta: np.ndarray        # arctan(|z|)
     psmall: np.ndarray       # arctan2(1, |z|) = pi * min(u, 1 - u)
-    u: np.ndarray
-    log_odds: np.ndarray
+    log_odds: np.ndarray     # log(u / (1 - u))
     t: np.ndarray            # p * log_odds
     e: np.ndarray            # exp(-|t|)
     v: np.ndarray
@@ -241,7 +243,7 @@ class GateBuffers:
     previous results.
     """
 
-    _ARRAYS = ("z", "theta", "psmall", "u", "log_odds", "t", "e", "v", "f")
+    _ARRAYS = ("z", "theta", "psmall", "log_odds", "t", "e", "v", "f")
     __slots__ = ("shape", "scratch", *_ARRAYS)
 
     def __init__(self, shape: tuple[int, ...]):
@@ -313,21 +315,15 @@ def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTa
         z *= a
         _clip(z, -_Z_CAP, _Z_CAP)
         az = np.abs(z, out=b.scratch[0])
-        step = b.scratch[1]
         theta = np.arctan(az, out=b.theta)
         psmall = np.arctan2(1.0, az, out=b.psmall)
-        # Branches are selected arithmetically, exactly: on either side of
-        # zero the wanted value is the max (u) or a distance (v) of finite,
-        # non-negative terms.  np.where and masked ufuncs cost ten simple
-        # passes when signs are mixed.
-        u = np.divide(theta, np.pi, out=b.u)
-        u += 0.5                                              # >= 1/2 >= psmall / pi
-        u *= np.heaviside(z, 1.0, out=step)                   # zeroed where z < 0
-        np.maximum(u, np.divide(psmall, np.pi, out=az), out=u)
+        # Branches are selected arithmetically, exactly: a sign factor for
+        # log_odds and a distance of finite, non-negative terms for v.
+        # np.where and masked ufuncs cost ten simple passes when signs are mixed.
         log_odds = np.multiply(2.0, theta, out=b.log_odds)
         log_odds /= psmall
         np.log1p(log_odds, out=log_odds)
-        log_odds *= np.sign(z, out=step)                      # odd in z; 0 at 0
+        log_odds *= np.sign(z, out=b.scratch[1])              # odd in z; 0 at 0
         t = np.multiply(p, log_odds, out=b.t)
         e = np.abs(t, out=b.e)
         np.negative(e, out=e)
@@ -337,7 +333,6 @@ def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTa
         v = np.heaviside(t, 1.0, out=b.v)
         v -= side
         np.abs(v, out=v)
-        _clip(u, GATE_EPS, 1.0 - GATE_EPS)
         _clip(v, GATE_EPS, 1.0 - GATE_EPS)
         f = np.multiply(alpha, x, out=b.f)
         f += beta
@@ -345,7 +340,7 @@ def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTa
         linear = np.multiply(gamma, x, out=b.scratch[0])
         linear += delta
         f += linear
-    return GateTape(x=x, z=z, theta=theta, psmall=psmall, u=u,
+    return GateTape(x=x, z=z, theta=theta, psmall=psmall,
                     log_odds=log_odds, t=t, e=e, v=v, f=f, eff=eff)
 
 
@@ -461,7 +456,11 @@ def eval_F(x: float, params: ArcGateParams) -> GateEval:
                           gamma=eff[5], delta=eff[6])
     _check_effective(eff[0], eff[2])
     tape = batch_eval(np.array([float(x)]), eff)
-    return GateEval(u=float(tape.u[0]), v=float(tape.v[0]),
+    if tape.z[0] >= 0.0:
+        u = float(tape.theta[0]) / math.pi + 0.5
+    else:
+        u = float(tape.psmall[0]) / math.pi
+    return GateEval(u=min(max(u, GATE_EPS), 1.0 - GATE_EPS), v=float(tape.v[0]),
                     f=float(tape.f[0]), log_odds=float(tape.log_odds[0]))
 
 

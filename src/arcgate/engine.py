@@ -3,10 +3,18 @@
 Everything is float64 numpy.  Given the same seed, initialization, batch
 order, and every update are reproducible bit-for-bit, which the experiment
 runners rely on for byte-identical reports.
+
+A model keeps all trainable values in one :class:`Arena`: dense weights
+first (the only values weight decay touches), then biases and learnable gate
+vectors, with each layer's arrays as views into it.  ``backward`` writes a
+gradient vector with the same layout, and ``adamw_step`` updates the arena in
+chunks that stay in cache.  ``train`` allocates one set of
+:class:`StepBuffers` and reuses it on every step.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass, field
@@ -21,8 +29,9 @@ from .zoo import ActivationKind
 
 __all__ = [
     "GRANULARITIES", "INIT_STRATEGIES",
-    "AdamState", "ActivationLayer", "DenseLayer", "MLPModel", "ModelSpec",
-    "ModelFormatError", "NonFiniteGradientError", "Slot", "TrainingDivergedError",
+    "AdamState", "ActivationLayer", "Arena", "DenseLayer", "MLPModel", "ModelSpec",
+    "ModelFormatError", "NonFiniteGradientError", "Slot", "StepBuffers",
+    "TrainingDivergedError",
     "TraceRow", "TrainConfig",
     "adamw_step", "backward", "build_model", "evaluate", "forward",
     "load_model", "predict", "save_model", "softmax_cross_entropy", "train",
@@ -124,50 +133,72 @@ class ActivationLayer:
 
 
 class MLPModel:
+    """Dense layers with optional gate layers between them.
+
+    The structure is checked when the model is built: at least one dense
+    layer, chained widths, every gate directly after a dense layer, and a
+    dense final layer.  All trainable values live in one :class:`Arena`;
+    each layer's ``w``, ``b`` and learnable ``raw`` are views into it, and
+    layers that shared one raw vector share one region.
+    """
+
     def __init__(self, layers: Sequence[DenseLayer | ActivationLayer]):
         self.layers = list(layers)
-        self._check_shapes()
+        self._check_structure()
+        slots: list[Slot] = []
+        self._slot_of: list = [None] * len(self.layers)   # layer index -> slot index(es)
+        gate_slot: dict[int, int] = {}
+        for i, layer in enumerate(self.layers):
+            if isinstance(layer, DenseLayer):
+                self._slot_of[i] = (len(slots), len(slots) + 1)
+                slots.append(Slot(layer.w, True, f"dense{i}.w"))
+                slots.append(Slot(layer.b, False, f"dense{i}.b"))
+            elif layer.baseline is None and layer.granularity != "fixed":
+                if id(layer.raw) not in gate_slot:
+                    gate_slot[id(layer.raw)] = len(slots)
+                    slots.append(Slot(layer.raw, False, f"act{i}.raw"))
+                self._slot_of[i] = gate_slot[id(layer.raw)]
+        self.arena = Arena(slots)
+        views = [s.array for s in self.arena.slots]
+        for i, layer in enumerate(self.layers):
+            if isinstance(layer, DenseLayer):
+                layer.w, layer.b = (views[k] for k in self._slot_of[i])
+            elif self._slot_of[i] is not None:
+                layer.raw = views[self._slot_of[i]]
 
-    def _check_shapes(self):
+    def _check_structure(self):
+        if not any(isinstance(l, DenseLayer) for l in self.layers):
+            raise ValueError("model has no dense layer")
+        if not isinstance(self.layers[-1], DenseLayer):
+            raise ValueError("the final layer must be dense")
         width = None
-        for layer in self.layers:
+        previous = None
+        for i, layer in enumerate(self.layers):
             if isinstance(layer, DenseLayer):
                 if width is not None and layer.w.shape[0] != width:
                     raise ValueError(f"dense input width {layer.w.shape[0]} does not "
                                      f"match previous output width {width}")
                 width = layer.w.shape[1]
+            elif not isinstance(previous, DenseLayer):
+                raise ValueError(f"gate layer {i} does not follow a dense layer")
+            previous = layer
 
     @property
     def in_dim(self) -> int:
-        return next(l.w.shape[0] for l in self.layers if isinstance(l, DenseLayer))
+        return self.layers[0].w.shape[0]
 
     def activation_layers(self) -> list[ActivationLayer]:
         return [l for l in self.layers if isinstance(l, ActivationLayer)]
 
     def trainables(self) -> list["Slot"]:
         """Optimizer slots in deterministic order; a shared gate vector appears once."""
-        slots: list[Slot] = []
-        seen: set[int] = set()
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, DenseLayer):
-                slots.append(Slot(layer.w, True, f"dense{i}.w"))
-                slots.append(Slot(layer.b, False, f"dense{i}.b"))
-            elif layer.baseline is None and layer.granularity != "fixed":
-                if id(layer.raw) not in seen:
-                    seen.add(id(layer.raw))
-                    slots.append(Slot(layer.raw, False, f"act{i}.raw"))
-        return slots
+        return list(self.arena.slots)
 
     def learnable_activation_parameter_count(self) -> int:
         """Traversal count of gate parameters that receive gradients."""
-        seen: set[int] = set()
-        count = 0
-        for layer in self.activation_layers():
-            if layer.baseline is None and layer.granularity != "fixed" \
-                    and id(layer.raw) not in seen:
-                seen.add(id(layer.raw))
-                count += layer.raw.size
-        return count
+        gate_slots = {k for layer, k in zip(self.layers, self._slot_of)
+                      if isinstance(layer, ActivationLayer) and k is not None}
+        return sum(self.arena.slots[k].array.size for k in gate_slots)
 
 
 @dataclass
@@ -175,6 +206,39 @@ class Slot:
     array: np.ndarray
     decay: bool
     label: str
+
+
+class Arena:
+    """Trainable values in one contiguous float64 vector; each slot is a view into it.
+
+    Slots flagged for decay are laid out first, so decoupled weight decay
+    acts on the prefix ``values[:n_decay]``.  ``slots`` keeps the order it
+    was given (the order gradients are reported in); building the arena
+    copies each given array into its region.
+    """
+
+    def __init__(self, slots: Sequence[Slot]):
+        layout = [s for s in slots if s.decay] + [s for s in slots if not s.decay]
+        offsets, size = {}, 0
+        for s in layout:
+            offsets[id(s)] = size
+            size += s.array.size
+        self.n_decay = sum(s.array.size for s in slots if s.decay)
+        self._regions = [(offsets[id(s)], s.array.shape) for s in slots]
+        self.values = np.empty(size)
+        self.slots = [Slot(view, s.decay, s.label)
+                      for s, view in zip(slots, self.views(self.values))]
+        for old, new in zip(slots, self.slots):
+            new.array[...] = old.array
+
+    @property
+    def size(self) -> int:
+        return self.values.size
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Arrays shaped like the slots over ``flat``, a vector with this arena's layout."""
+        return [flat[start:start + math.prod(shape)].reshape(shape)
+                for start, shape in self._regions]
 
 
 def _strategy_raw(strategy: str, rng: np.random.Generator) -> np.ndarray:
@@ -214,74 +278,112 @@ def build_model(spec: ModelSpec, config: TrainConfig,
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def forward(model: MLPModel, batch: np.ndarray) -> tuple[np.ndarray, list]:
-    """Logits plus the per-layer cache consumed by :func:`backward`."""
+class StepBuffers:
+    """Arrays one training step writes into, for batches of ``n_rows`` rows.
+
+    Per layer index: ``gates[i]`` receives gate layer i's tape, ``out[i]``
+    dense layer i's output and ``d_in[i]`` its input gradient (never formed
+    for layer 0).  ``grad`` is the gradient arena, laid out like
+    ``model.arena``.  Entries that do not apply to a layer are None.  Each
+    step overwrites the previous one's tapes, outputs and gradients.
+    """
+
+    def __init__(self, model: MLPModel, n_rows: int):
+        self.n_rows = n_rows
+        self.grad = np.empty(model.arena.size)
+        self.gates: list[core.GateBuffers | None] = []
+        self.out: list[np.ndarray | None] = []
+        self.d_in: list[np.ndarray | None] = []
+        width = model.in_dim
+        for i, layer in enumerate(model.layers):
+            dense = isinstance(layer, DenseLayer)
+            gate = not dense and layer.baseline is None
+            self.gates.append(core.GateBuffers((n_rows, width)) if gate else None)
+            self.d_in.append(np.empty((n_rows, width)) if dense and i > 0 else None)
+            if dense:
+                width = layer.w.shape[1]
+            self.out.append(np.empty((n_rows, width)) if dense else None)
+
+    def rows(self, k: int) -> "StepBuffers":
+        """Views of the first ``k`` rows (sharing ``grad``), for a short last batch."""
+        view = copy.copy(self)
+        view.n_rows = k
+        view.gates = [None if b is None else b.rows(k) for b in self.gates]
+        view.out = [None if a is None else a[:k] for a in self.out]
+        view.d_in = [None if a is None else a[:k] for a in self.d_in]
+        return view
+
+
+def forward(model: MLPModel, batch: np.ndarray,
+            buffers: StepBuffers | None = None) -> tuple[np.ndarray, list]:
+    """Logits plus the per-layer cache consumed by :func:`backward`.
+
+    With ``buffers`` every layer writes into them instead of fresh arrays,
+    so the logits and the cache live until the next buffered call.
+    """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ValueError(f"batch shape {x.shape} does not match input width {model.in_dim}")
     cache: list = []
-    for layer in model.layers:
+    for i, layer in enumerate(model.layers):
         if isinstance(layer, DenseLayer):
             cache.append(x)
-            x = x @ layer.w + layer.b
+            if buffers is None:
+                x = x @ layer.w + layer.b
+            else:
+                x = np.matmul(x, layer.w, out=buffers.out[i])
+                x += layer.b
         elif layer.baseline is not None:
             cache.append(x)
             x = zoo.act_batch(layer.baseline, x)
         else:
-            tape = core.batch_eval(x, layer.effective_params())
+            tape = core.batch_eval(x, layer.effective_params(),
+                                   None if buffers is None else buffers.gates[i])
             cache.append(tape)
             x = tape.f
     return x, cache
 
 
-def backward(model: MLPModel, cache: list, grad_logits: np.ndarray) -> list[np.ndarray]:
-    """Gradients aligned with ``model.trainables()``.
+def backward(model: MLPModel, cache: list, grad_logits: np.ndarray,
+             buffers: StepBuffers | None = None) -> list[np.ndarray]:
+    """Gradients aligned with ``model.trainables()``: views into one gradient arena.
 
     Gate-parameter gradients are w.r.t. the raw vectors (positive-map chain
-    applied); shared vectors accumulate contributions across layers.
+    applied); a shared vector is assigned by the last layer using it and
+    accumulates the earlier layers' contributions.  The gradient w.r.t. the
+    input batch is never formed.  With ``buffers`` the arena is
+    ``buffers.grad`` and the temporaries are written into the buffers too.
     """
     if len(cache) != len(model.layers):
         raise ValueError("cache does not match model (stale or from another model)")
+    grads = model.arena.views(np.empty(model.arena.size) if buffers is None else buffers.grad)
     g = np.asarray(grad_logits, dtype=np.float64)
-    by_id: dict[int, np.ndarray] = {}
-    dense_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
+    written: set[int] = set()
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         entry = cache[i]
+        slot = model._slot_of[i]
         if isinstance(layer, DenseLayer):
-            x_in = entry
-            dense_grads[i] = (x_in.T @ g, g.sum(axis=0))
-            g = g @ layer.w.T
+            np.matmul(entry.T, g, out=grads[slot[0]])
+            np.add.reduce(g, axis=0, out=grads[slot[1]])
+            if i > 0:
+                g = g @ layer.w.T if buffers is None else \
+                    np.matmul(g, layer.w.T, out=buffers.d_in[i])
         elif layer.baseline is not None:
             g = g * zoo.act_grad_batch(layer.baseline, entry)
         else:
             if not isinstance(entry, GateTape):
                 raise ValueError("cache does not match model (stale or from another model)")
-            g, d_eff = core.batch_vjp(entry, g)
-            if layer.granularity != "fixed":
-                d_raw = _chain_raw(layer.raw, d_eff)
-                key = id(layer.raw)
-                if key in by_id:
-                    by_id[key] += d_raw
+            g, d_eff = core.batch_vjp(entry, g, None if buffers is None else buffers.gates[i])
+            if slot is not None:
+                d_eff[0] *= core.positive_map_grad(layer.raw[0])
+                d_eff[2] *= core.positive_map_grad(layer.raw[2])
+                if slot in written:
+                    grads[slot] += d_eff
                 else:
-                    by_id[key] = d_raw
-
-    grads: list[np.ndarray] = []
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, DenseLayer):
-            grads.extend(dense_grads[i])
-        elif layer.baseline is None and layer.granularity != "fixed":
-            if id(layer.raw) in by_id:
-                grads.append(by_id.pop(id(layer.raw)))
+                    grads[slot][...] = d_eff
+                    written.add(slot)
     return grads
-
-
-def _chain_raw(raw: np.ndarray, d_eff: np.ndarray) -> np.ndarray:
-    d_raw = d_eff.copy()
-    d_raw[0] *= core.positive_map_grad(raw[0])
-    d_raw[2] *= core.positive_map_grad(raw[2])
-    return d_raw
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -301,44 +403,79 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 # optimizer
 # ---------------------------------------------------------------------------
 
+# Elements per AdamW pass: six 256 KiB vectors (parameters, gradient, both
+# moments, two scratch) stay in a core's L2 cache between the passes.
+_ADAM_CHUNK = 1 << 15
+
+
 @dataclass
 class AdamState:
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    """AdamW moments laid out like the arena, plus two chunk-sized scratch vectors."""
+
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = min(_ADAM_CHUNK, self.m.size)
+        self.scratch = (np.empty(n), np.empty(n))
 
     @classmethod
-    def init_like(cls, slots: Sequence[Slot]) -> "AdamState":
-        return cls(m=[np.zeros_like(s.array) for s in slots],
-                   v=[np.zeros_like(s.array) for s in slots])
+    def init_like(cls, arena: Arena) -> "AdamState":
+        return cls(m=np.zeros(arena.size), v=np.zeros(arena.size))
 
 
-def adamw_step(slots: Sequence[Slot], grads: Sequence[np.ndarray], state: AdamState,
+def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
                lr: float, weight_decay: float, step: int,
                betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> AdamState:
-    """One decoupled-decay Adam update, in place.
+    """One decoupled-decay Adam update of the whole arena, in place.
 
-    Decay multiplies the parameter directly (never routed through the
-    moments) and only touches slots flagged for decay — dense weights; biases
-    and gate raw parameters are exempt.
+    ``grad`` is a vector with the arena's layout.  Decay multiplies the
+    parameter directly (never routed through the moments) and only touches
+    slots flagged for decay: dense weights; biases and gate raw parameters
+    are exempt.  Nothing is updated if any gradient is NaN/Inf.
     """
     if step < 1:
         raise ValueError("step count starts at 1")
+    # Any NaN/Inf makes the sum non-finite; an overflowing finite sum falls
+    # through to the exact per-slot test, which then finds nothing.
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(grad)
+    if not math.isfinite(total):
+        for slot, g in zip(arena.slots, arena.views(grad)):
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteGradientError(
+                    f"non-finite gradient for {slot.label} at step {step}: "
+                    f"max|g|={np.max(np.abs(g))!r}")
     b1, b2 = betas
     bc1 = 1.0 - b1 ** step
     bc2 = 1.0 - b2 ** step
-    for i, (slot, g) in enumerate(zip(slots, grads)):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(
-                f"non-finite gradient for {slot.label} at step {step}: "
-                f"max|g|={np.max(np.abs(g))!r}")
-        m, v = state.m[i], state.v[i]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        if slot.decay and weight_decay > 0.0:
-            slot.array *= 1.0 - lr * weight_decay
-        slot.array -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    keep = 1.0 - lr * weight_decay
+    n_decay = arena.n_decay
+    for lo, hi, decay in ((0, n_decay, weight_decay > 0.0), (n_decay, arena.size, False)):
+        for start in range(lo, hi, _ADAM_CHUNK):
+            stop = min(start + _ADAM_CHUNK, hi)
+            g = grad[start:stop]
+            m = state.m[start:stop]
+            v = state.v[start:stop]
+            p = arena.values[start:stop]
+            s1, s2 = (s[:stop - start] for s in state.scratch)
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=s1)
+            v *= b2
+            s1 = np.multiply(g, g, out=s1)
+            s1 *= 1.0 - b2
+            v += s1
+            if decay:
+                p *= keep
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            den = np.divide(v, bc2, out=s1)
+            np.sqrt(den, out=den)
+            den += eps
+            upd = np.divide(m, bc1, out=s2)
+            upd *= lr
+            upd /= den
+            p -= upd
     return state
 
 
@@ -367,11 +504,12 @@ def train(model_spec: ModelSpec, dataset, config: TrainConfig) -> tuple[MLPModel
     model = build_model(model_spec, config, np.random.default_rng(init_ss))
     shuffle_rng = np.random.default_rng(shuffle_ss)
 
-    slots = model.trainables()
-    state = AdamState.init_like(slots)
+    state = AdamState.init_like(model.arena)
+    n = x_train.shape[0]
+    full = StepBuffers(model, min(config.batch_size, n))
+    tail = full.rows(n % config.batch_size or full.n_rows)
     step = 0
     trace: list[TraceRow] = []
-    n = x_train.shape[0]
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
@@ -379,13 +517,14 @@ def train(model_spec: ModelSpec, dataset, config: TrainConfig) -> tuple[MLPModel
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            logits, cache = forward(model, xb)
+            buffers = full if len(idx) == full.n_rows else tail
+            logits, cache = forward(model, xb, buffers)
             loss, grad_logits = softmax_cross_entropy(logits, yb)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, step + 1, loss)
-            grads = backward(model, cache, grad_logits)
+            backward(model, cache, grad_logits, buffers)
             step += 1
-            adamw_step(slots, grads, state, config.learning_rate,
+            adamw_step(model.arena, buffers.grad, state, config.learning_rate,
                        config.weight_decay, step)
             loss_sum += loss * len(idx)
             correct += int(np.sum(np.argmax(logits, axis=1) == yb))
@@ -447,7 +586,13 @@ def save_model(model: MLPModel, path) -> None:
 
 
 def load_model(path) -> MLPModel:
-    """Read an ``AGM1`` container; global-shared gate vectors are re-tied."""
+    """Read an ``AGM1`` container; global-shared gate vectors are re-tied.
+
+    Raises :class:`ModelFormatError` for a malformed container, non-finite
+    weights or gate values, global-shared layers whose stored vectors
+    differ, a bad baseline slope, or a layer structure :class:`MLPModel`
+    rejects.
+    """
     data = Path(path).read_bytes()
     view = memoryview(data)
     if bytes(view[:4]) != _MAGIC:
@@ -465,12 +610,14 @@ def load_model(path) -> MLPModel:
     (n_layers,) = struct.unpack("<I", take(4))
     layers: list[DenseLayer | ActivationLayer] = []
     shared: np.ndarray | None = None
-    for _ in range(n_layers):
+    for k in range(n_layers):
         (tag,) = struct.unpack("<B", take(1))
         if tag == 0:
             rows, cols = struct.unpack("<II", take(8))
             w = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols).copy()
             b = np.frombuffer(take(cols * 8), dtype="<f8").copy()
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ModelFormatError(f"{path}: layer {k} has non-finite dense weights")
             layers.append(DenseLayer(w, b))
         elif tag == 1:
             (gran_code,) = struct.unpack("<B", take(1))
@@ -481,17 +628,28 @@ def load_model(path) -> MLPModel:
                 raise ModelFormatError(f"{path}: unknown granularity code {gran_code}")
             if base_code not in _BASELINE_TAGS:
                 raise ModelFormatError(f"{path}: unknown baseline code {base_code}")
+            if not np.isfinite(raw).all():
+                raise ModelFormatError(f"{path}: layer {k} has non-finite gate values")
             granularity = GRANULARITIES[gran_code]
             base_tag = _BASELINE_TAGS[base_code]
-            baseline = None if base_tag is None else ActivationKind(
-                base_tag, slope if base_tag == "leaky_relu" else 0.01)
+            try:
+                baseline = None if base_tag is None else ActivationKind(
+                    base_tag, slope if base_tag == "leaky_relu" else 0.01)
+            except ValueError as exc:
+                raise ModelFormatError(f"{path}: layer {k}: {exc}") from exc
             if granularity == "global_shared":
                 if shared is None:
                     shared = raw
+                elif raw.tobytes() != shared.tobytes():
+                    raise ModelFormatError(f"{path}: layer {k} stores a global_shared gate "
+                                           f"vector that differs from the first one")
                 raw = shared
             layers.append(ActivationLayer(raw, granularity, baseline))
         else:
             raise ModelFormatError(f"{path}: unknown layer tag {tag}")
     if off != len(data):
         raise ModelFormatError(f"{path}: {len(data) - off} trailing bytes")
-    return MLPModel(layers)
+    try:
+        return MLPModel(layers)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

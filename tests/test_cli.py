@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from agm1_files import BAD_MODELS
 from arcgate import cli, core, idx
 
 
@@ -192,6 +193,17 @@ def test_out_dir_env_var(tmp_path, monkeypatch, idx_files):
 def test_runtime_failure_exit_code(tmp_path):
     missing = tmp_path / "nope.agm"
     assert run_cli("report", "--model", missing, "--out", tmp_path / "x.csv") == 1
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODELS))
+def test_report_on_a_bad_model_file_fails_with_a_message(tmp_path, name, capsys):
+    blob, message = BAD_MODELS[name]
+    path = tmp_path / f"{name}.agm"
+    path.write_bytes(blob)
+    assert run_cli("report", "--model", path, "--out", tmp_path / "x.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_plot_sensitivity_and_fit_figures(tmp_path):

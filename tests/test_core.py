@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from arcgate import core
 from arcgate.core import ArcGateParams, eval_F, eval_F_batch, eval_u, eval_v, grad, preset
+from train_oracle import u_from_tape
 
 # high-precision oracle values (mpmath, 50 digits)
 V_AT_ODDS3 = 0.7951672353008665          # (2/pi) * atan(3)
@@ -120,6 +121,22 @@ class TestEvalF:
         with pytest.raises(ValueError):
             eval_F(math.inf, soft_relu())
 
+    def test_u_matches_the_array_formula_on_edge_points(self):
+        # raw a and p from deep saturation to 40; x at +-0, +-1e8, c and c +- 1 ulp
+        raws = (-40.0, -8.0, -1.0, 0.0, 0.5, 3.0, 12.0, 40.0)
+        checked = 0
+        for a_raw in raws:
+            for p_raw in raws[::2]:
+                for c in (0.0, 0.3, -2.5, 1e-300, -7e7):
+                    params = ArcGateParams(a_raw, c, p_raw, 1.0, 0.5, 0.1, -0.2)
+                    xs = np.array([0.0, -0.0, 1e8, -1e8, c, math.nextafter(c, math.inf),
+                                   math.nextafter(c, -math.inf), c + 1e-3, c - 1e-3, 7.0, -7.0])
+                    want = u_from_tape(core.batch_eval(xs, params.effective()))
+                    got = np.array([eval_F(x, params).u for x in xs])
+                    assert got.tobytes() == want.tobytes(), (a_raw, p_raw, c)
+                    checked += xs.size
+        assert checked == 1760
+
 
 class TestEvalFBatch:
     def test_trivial_rows(self):
@@ -142,7 +159,7 @@ class TestEvalFBatch:
 class TestBatchRows:
     """A (k, 7) parameter matrix evaluates each row as its own 7-vector would."""
 
-    FIELDS = ("z", "theta", "psmall", "u", "log_odds", "t", "e", "v", "f")
+    FIELDS = ("z", "theta", "psmall", "log_odds", "t", "e", "v", "f")
 
     @staticmethod
     def rows_and_cotangent(k=5, n=301):

@@ -1,13 +1,19 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
+from agm1_files import BAD_MODELS
 from arcgate import core, engine, zoo
-from arcgate.engine import (ActivationLayer, AdamState, DenseLayer, MLPModel,
-                            ModelSpec, Slot, TrainConfig, adamw_step, backward,
-                            build_model, evaluate, forward, load_model,
+from arcgate.engine import (ActivationLayer, AdamState, Arena, DenseLayer, MLPModel,
+                            ModelSpec, Slot, StepBuffers, TrainConfig, adamw_step,
+                            backward, build_model, evaluate, forward, load_model,
                             save_model, softmax_cross_entropy, train)
+from train_oracle import per_slot_adamw_step
+
+DESK_SPEC = ModelSpec(784, (256, 128, 64), 10)
 
 
 def tiny_model(seed=11, granularity="layer_wise", strategy="soft_relu",
@@ -20,7 +26,8 @@ def tiny_model(seed=11, granularity="layer_wise", strategy="soft_relu",
 class TestForward:
     def test_identity_network_passes_batch_through(self):
         layers = [DenseLayer(np.eye(4), np.zeros(4)),
-                  ActivationLayer(core.preset("identity").raw_vector())]
+                  ActivationLayer(core.preset("identity").raw_vector()),
+                  DenseLayer(np.eye(4), np.zeros(4))]
         model = MLPModel(layers)
         batch = np.random.default_rng(0).normal(0, 1, (6, 4))
         logits, _ = forward(model, batch)
@@ -29,7 +36,8 @@ class TestForward:
     def test_zero_weights_pass_gated_biases_through(self):
         bias = np.array([0.0, 1.0, -2.0])
         layers = [DenseLayer(np.zeros((2, 3)), bias),
-                  ActivationLayer(core.preset("soft_relu_init").raw_vector())]
+                  ActivationLayer(core.preset("soft_relu_init").raw_vector()),
+                  DenseLayer(np.eye(3), np.zeros(3))]
         model = MLPModel(layers)
         logits, _ = forward(model, np.ones((4, 2)))
         expected = core.eval_F_batch(bias, core.preset("soft_relu_init"))
@@ -65,6 +73,43 @@ class TestForward:
                                   capture_output=True, text=True).stdout.strip()
                    for _ in range(2)}
         assert len(digests) == 1
+
+
+class TestModelStructure:
+    @pytest.mark.parametrize("layers, message", [
+        ([], "no dense layer"),
+        ([ActivationLayer(core.preset("identity").raw_vector())], "no dense layer"),
+        ([DenseLayer(np.eye(2), np.zeros(2)),
+          ActivationLayer(core.preset("identity").raw_vector())], "final layer must be dense"),
+        ([ActivationLayer(core.preset("identity").raw_vector()),
+          DenseLayer(np.eye(2), np.zeros(2))], "gate layer 0 does not follow"),
+        ([DenseLayer(np.eye(2), np.zeros(2)),
+          ActivationLayer(core.preset("identity").raw_vector()),
+          ActivationLayer(core.preset("identity").raw_vector()),
+          DenseLayer(np.eye(2), np.zeros(2))], "gate layer 2 does not follow"),
+        ([DenseLayer(np.eye(2), np.zeros(2)), DenseLayer(np.eye(3), np.zeros(3))],
+         "does not match previous output width"),
+    ])
+    def test_rejected_when_built(self, layers, message):
+        with pytest.raises(ValueError, match=message):
+            MLPModel(layers)
+
+    @pytest.mark.parametrize("granularity", engine.GRANULARITIES)
+    def test_trainables_are_views_into_one_arena(self, granularity):
+        model = tiny_model(granularity=granularity)
+        arena = model.arena
+        for slot in model.trainables():
+            assert np.shares_memory(slot.array, arena.values)
+        dense = [l for l in model.layers if isinstance(l, DenseLayer)]
+        assert arena.n_decay == sum(l.w.size for l in dense)
+        assert all(np.shares_memory(l.w, arena.values[:arena.n_decay]) for l in dense)
+        assert not any(np.shares_memory(l.b, arena.values[:arena.n_decay]) for l in dense)
+        acts = model.activation_layers()
+        if granularity == "fixed":
+            assert not any(np.shares_memory(a.raw, arena.values) for a in acts)
+        else:
+            assert all(np.shares_memory(a.raw, arena.values) for a in acts)
+        assert arena.size == sum(s.array.size for s in model.trainables())
 
 
 class TestBackward:
@@ -144,6 +189,26 @@ class TestBackward:
         acc = sum(grads2[i] for i, s in enumerate(slots2) if "act" in s.label)
         assert np.allclose(shared_grad, acc, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("granularity, strategy", [
+        ("layer_wise", "soft_relu"), ("global_shared", "random"),
+        ("fixed", "identity"), ("layer_wise", "relu_baseline")])
+    def test_buffered_step_matches_allocating(self, granularity, strategy):
+        model = tiny_model(granularity=granularity, strategy=strategy)
+        full = StepBuffers(model, 6)
+        rng = np.random.default_rng(3)
+        for buffers in (full, full.rows(4), full):
+            x = rng.normal(0, 1, (buffers.n_rows, 3))
+            y = rng.integers(0, 3, buffers.n_rows)
+            logits, cache = forward(model, x)
+            got_logits, got_cache = forward(model, x, buffers)
+            assert np.array_equal(got_logits, logits)
+            _, gl = softmax_cross_entropy(logits, y)
+            grads = backward(model, cache, gl)
+            got = backward(model, got_cache, gl, buffers)
+            assert all(np.shares_memory(g, buffers.grad) for g in got)
+            for a, b in zip(got, grads):
+                assert np.array_equal(a, b)
+
     def test_stale_cache_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError):
@@ -152,35 +217,176 @@ class TestBackward:
 
 class TestAdamW:
     def test_zero_grad_zero_decay_is_noop(self):
-        slots = [Slot(np.array([2.5]), True, "w")]
-        state = AdamState.init_like(slots)
-        adamw_step(slots, [np.array([0.0])], state, lr=0.1, weight_decay=0.0, step=1)
-        assert slots[0].array[0] == 2.5
+        arena = Arena([Slot(np.array([2.5]), True, "w")])
+        state = AdamState.init_like(arena)
+        adamw_step(arena, np.array([0.0]), state, lr=0.1, weight_decay=0.0, step=1)
+        assert arena.slots[0].array[0] == 2.5
 
     def test_first_step_magnitude(self):
-        slots = [Slot(np.array([0.0]), False, "w")]
-        state = AdamState.init_like(slots)
-        adamw_step(slots, [np.array([1.0])], state, lr=0.1, weight_decay=0.0, step=1)
-        assert slots[0].array[0] == pytest.approx(-0.1, rel=1e-7)
+        arena = Arena([Slot(np.array([0.0]), False, "w")])
+        state = AdamState.init_like(arena)
+        adamw_step(arena, np.array([1.0]), state, lr=0.1, weight_decay=0.0, step=1)
+        assert arena.slots[0].array[0] == pytest.approx(-0.1, rel=1e-7)
 
     def test_decoupled_decay(self):
-        slots = [Slot(np.array([1.0]), True, "w")]
-        state = AdamState.init_like(slots)
-        adamw_step(slots, [np.array([0.0])], state, lr=0.1, weight_decay=0.01, step=1)
-        assert slots[0].array[0] == pytest.approx(0.999, rel=1e-14)
+        arena = Arena([Slot(np.array([1.0]), True, "w")])
+        state = AdamState.init_like(arena)
+        adamw_step(arena, np.array([0.0]), state, lr=0.1, weight_decay=0.01, step=1)
+        assert arena.slots[0].array[0] == pytest.approx(0.999, rel=1e-14)
 
     def test_decay_skips_exempt_slots(self):
-        slots = [Slot(np.array([1.0]), False, "b")]
-        state = AdamState.init_like(slots)
-        adamw_step(slots, [np.array([0.0])], state, lr=0.1, weight_decay=0.01, step=1)
-        assert slots[0].array[0] == 1.0
+        arena = Arena([Slot(np.array([1.0]), False, "b")])
+        state = AdamState.init_like(arena)
+        adamw_step(arena, np.array([0.0]), state, lr=0.1, weight_decay=0.01, step=1)
+        assert arena.slots[0].array[0] == 1.0
 
     def test_non_finite_gradient_aborts(self):
-        slots = [Slot(np.array([1.0]), True, "w")]
-        state = AdamState.init_like(slots)
+        arena = Arena([Slot(np.array([1.0]), True, "w")])
+        state = AdamState.init_like(arena)
         with pytest.raises(engine.NonFiniteGradientError):
-            adamw_step(slots, [np.array([math.nan])], state, lr=0.1,
+            adamw_step(arena, np.array([math.nan]), state, lr=0.1,
                        weight_decay=0.0, step=1)
+
+
+def _gradient_bank(size, seed):
+    """Three gradient vectors whose entries span many magnitudes and both signs."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(0.0, 1.0, size) * 10.0 ** rng.uniform(-9.0, 2.0, size)
+            for _ in range(3)]
+
+
+class TestArenaAdamW:
+    """The arena AdamW against the per-slot loop it replaced, bit for bit."""
+
+    STEPS = 200
+
+    def run_both(self, model, weight_decay, lr=1e-3):
+        arena = model.arena
+        oracle = [Slot(s.array.copy(), s.decay, s.label) for s in arena.slots]
+        m_ref = [np.zeros_like(s.array) for s in oracle]
+        v_ref = [np.zeros_like(s.array) for s in oracle]
+        state = AdamState.init_like(arena)
+        bank = _gradient_bank(arena.size, seed=arena.size)
+        for step in range(1, self.STEPS + 1):
+            grad = bank[step % 3]
+            adamw_step(arena, grad, state, lr, weight_decay, step)
+            per_slot_adamw_step(oracle, arena.views(grad), m_ref, v_ref, lr,
+                                weight_decay, step)
+        for slot, ref, m, v, got_m, got_v in zip(arena.slots, oracle, m_ref, v_ref,
+                                                 arena.views(state.m), arena.views(state.v)):
+            assert slot.array.tobytes() == ref.array.tobytes(), slot.label
+            assert got_m.tobytes() == m.tobytes() and got_v.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    @pytest.mark.parametrize("granularity, strategy", [
+        ("layer_wise", "soft_relu"), ("global_shared", "random"),
+        ("fixed", "soft_relu"), ("layer_wise", "relu_baseline")])
+    def test_tiny_model(self, granularity, strategy, weight_decay):
+        self.run_both(tiny_model(granularity=granularity, strategy=strategy), weight_decay)
+
+    @pytest.mark.parametrize("granularity, strategy, weight_decay", [
+        ("layer_wise", "soft_relu", 1e-2), ("global_shared", "random", 0.0),
+        ("fixed", "soft_relu", 1e-2), ("layer_wise", "relu_baseline", 0.0)])
+    def test_desk_model_spanning_several_chunks(self, granularity, strategy, weight_decay):
+        model = tiny_model(granularity=granularity, strategy=strategy, spec=DESK_SPEC)
+        assert model.arena.n_decay > 2 * engine._ADAM_CHUNK
+        self.run_both(model, weight_decay)
+
+    @pytest.mark.parametrize("granularity", ["layer_wise", "global_shared"])
+    def test_non_finite_gradient_names_its_slot(self, granularity):
+        model = tiny_model(granularity=granularity)
+        before = model.arena.values.copy()
+        state = AdamState.init_like(model.arena)
+        for k, slot in enumerate(model.trainables()):
+            for bad in (math.nan, math.inf, -math.inf):
+                grad = np.ones(model.arena.size)
+                model.arena.views(grad)[k].flat[-1] = bad
+                with pytest.raises(engine.NonFiniteGradientError,
+                                   match=rf"non-finite gradient for {slot.label} at step 3"):
+                    adamw_step(model.arena, grad, state, 0.1, 0.01, 3)
+        assert model.arena.values.tobytes() == before.tobytes()
+        assert not state.m.any() and not state.v.any()
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_overflowing_finite_gradient_is_not_rejected(self):
+        model = tiny_model()
+        oracle = [Slot(s.array.copy(), s.decay, s.label) for s in model.arena.slots]
+        m_ref = [np.zeros_like(s.array) for s in oracle]
+        v_ref = [np.zeros_like(s.array) for s in oracle]
+        grad = np.full(model.arena.size, 1e308)
+        state = AdamState.init_like(model.arena)
+        adamw_step(model.arena, grad, state, 1e-3, 1e-2, 1)
+        per_slot_adamw_step(oracle, model.arena.views(grad), m_ref, v_ref, 1e-3, 1e-2, 1)
+        for slot, ref in zip(model.arena.slots, oracle):
+            assert slot.array.tobytes() == ref.array.tobytes()
+
+
+# SHA-256 of the AGM1 file and the per-epoch train losses of each training
+# below, recorded with the per-slot optimizer and allocating kernel that the
+# arena engine replaced.  Training must keep reproducing them exactly.
+SAVED_ONE_EPOCH = {
+    ("soft_relu", "fixed"): ("af8d4db3056280510ec7f325303046d79793ee4e4138be533b5cdb3d589b4af9",
+                             (2.3955166263817125,)),
+    ("soft_relu", "global_shared"): ("382ca00f9419d0ff88627fe763185ca6c7c88d0238a00186e074b668530fb998",
+                                     (2.394819436760662,)),
+    ("soft_relu", "layer_wise"): ("a5d343d45f96ad1e7b8c48a72ab05c3afe8a9bebe8583ddc9a229d69b239dd7e",
+                                  (2.3948151428658253,)),
+    ("identity", "fixed"): ("121276d8463c421216b247b2e45dd40ba3d6341ed50ea747c37dca4bbdd1334d",
+                            (2.677546286470112,)),
+    ("identity", "global_shared"): ("4596effdf31f45e54fad305993d66749eeed8954d47f66ab07794e32e6e96fd7",
+                                    (2.6768658323823447,)),
+    ("identity", "layer_wise"): ("57b3599cb966a186429c97a88c4f4e0f391cc71d5f1a821a415112c4daca874e",
+                                 (2.6769105698508247,)),
+    ("random", "fixed"): ("0196cd8e9fa452b7fef42ce132b87044c09a5db36cbfdbe4947aaa3e175cd9c7",
+                          (2.5187876965871814,)),
+    ("random", "global_shared"): ("848041166c304849cb59a0ac6061f4fd42ddb010560cb296f825ea4bce569739",
+                                  (2.2844846972859263,)),
+    ("random", "layer_wise"): ("2e9b9dfce2a282f81f2a1d666f9ce3bbf8d8035841f134971e6f51c55b1a6e14",
+                               (2.518478912119206,)),
+    ("relu_baseline", "fixed"): ("4c809e2e53a98994f7afa4a34739b1edbdd95af389c20f0ea3b69a5957f3df58",
+                                 (2.4304991557264453,)),
+    ("relu_baseline", "global_shared"): ("4c809e2e53a98994f7afa4a34739b1edbdd95af389c20f0ea3b69a5957f3df58",
+                                         (2.4304991557264453,)),
+    ("relu_baseline", "layer_wise"): ("4c809e2e53a98994f7afa4a34739b1edbdd95af389c20f0ea3b69a5957f3df58",
+                                      (2.4304991557264453,)),
+}
+
+# 600 rows with batch 64 end on a short batch of 24 rows.
+SAVED_TWO_EPOCHS_SHORT_BATCH = {
+    ("soft_relu", "layer_wise"): ("9ad61c9930bdcf89ee08e89e9c4bc4ee5d118050825c9b0e21334858223d9678",
+                                  (2.3876397539645304, 2.2739782650258036)),
+    ("random", "global_shared"): ("21674ccac5b5ff138203e00938a4392d95486c2611512f6ec9c1ff03e3516238",
+                                  (2.368863904839777, 2.284296388052243)),
+    ("identity", "fixed"): ("63addadb3f5dd0984955b7b2b01e0a1b48266d744184c8e3eb73068aa9ccd532",
+                            (2.9275313501061064, 2.5479365836750496)),
+    ("relu_baseline", "layer_wise"): ("5285dc757be21ad5189af8a05e23d81f8754a5fb8eed35ea283af792537fd147",
+                                      (2.408092887931601, 2.2813016920535767)),
+}
+
+
+class TestSavedBytes:
+    @staticmethod
+    def train_digest(dataset, rows, epochs, seed, init, granularity, tmp_path):
+        data = (dataset.x_train[:rows], dataset.y_train[:rows],
+                dataset.x_test[:rows], dataset.y_test[:rows])
+        config = TrainConfig(epochs=epochs, batch_size=64, seed=seed,
+                             init_strategy=init, granularity=granularity)
+        model, trace = train(DESK_SPEC, data, config)
+        path = tmp_path / "model.agm1"
+        save_model(model, path)
+        return (hashlib.sha256(path.read_bytes()).hexdigest(),
+                tuple(row.train_loss for row in trace))
+
+    @pytest.mark.parametrize("init, granularity", sorted(SAVED_ONE_EPOCH))
+    def test_one_epoch_desk_training(self, desk_dataset, tmp_path, init, granularity):
+        got = self.train_digest(desk_dataset, 640, 1, 3, init, granularity, tmp_path)
+        assert got == SAVED_ONE_EPOCH[init, granularity]
+
+    @pytest.mark.parametrize("init, granularity", sorted(SAVED_TWO_EPOCHS_SHORT_BATCH))
+    def test_two_epochs_with_a_short_batch(self, desk_dataset, tmp_path, init, granularity):
+        got = self.train_digest(desk_dataset, 600, 2, 5, init, granularity, tmp_path)
+        assert got == SAVED_TWO_EPOCHS_SHORT_BATCH[init, granularity]
 
 
 def perceptron_separable(x, y, iters=2000):
@@ -343,7 +549,8 @@ class TestPersistence:
     def test_baseline_and_slope_survive(self, tmp_path):
         layers = [DenseLayer(np.eye(2), np.zeros(2)),
                   ActivationLayer(core.preset("soft_relu_init").raw_vector(),
-                                  "fixed", zoo.ActivationKind("leaky_relu", 0.07))]
+                                  "fixed", zoo.ActivationKind("leaky_relu", 0.07)),
+                  DenseLayer(np.eye(2), np.zeros(2))]
         path = tmp_path / "m.agm"
         save_model(MLPModel(layers), path)
         back = load_model(path)
@@ -355,6 +562,14 @@ class TestPersistence:
         path = tmp_path / "junk.agm"
         path.write_bytes(b"NOPE" + bytes(16))
         with pytest.raises(engine.ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", sorted(BAD_MODELS))
+    def test_hand_made_bad_files_rejected(self, tmp_path, name):
+        blob, message = BAD_MODELS[name]
+        path = tmp_path / f"{name}.agm"
+        path.write_bytes(blob)
+        with pytest.raises(engine.ModelFormatError, match=re.escape(message)):
             load_model(path)
 
     def test_truncated_rejected(self, tmp_path, blob_dataset):
