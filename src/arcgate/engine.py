@@ -319,26 +319,24 @@ def forward(model: MLPModel, batch: np.ndarray,
     """Logits plus the per-layer cache consumed by :func:`backward`.
 
     With ``buffers`` every layer writes into them instead of fresh arrays,
-    so the logits and the cache live until the next buffered call.
+    so the logits and the cache live only until the next buffered call.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ValueError(f"batch shape {x.shape} does not match input width {model.in_dim}")
+    none = [None] * len(model.layers)
+    out, gates = (none, none) if buffers is None else (buffers.out, buffers.gates)
     cache: list = []
     for i, layer in enumerate(model.layers):
         if isinstance(layer, DenseLayer):
             cache.append(x)
-            if buffers is None:
-                x = x @ layer.w + layer.b
-            else:
-                x = np.matmul(x, layer.w, out=buffers.out[i])
-                x += layer.b
+            x = np.matmul(x, layer.w, out=out[i])
+            x += layer.b
         elif layer.baseline is not None:
             cache.append(x)
             x = zoo.act_batch(layer.baseline, x)
         else:
-            tape = core.batch_eval(x, layer.effective_params(),
-                                   None if buffers is None else buffers.gates[i])
+            tape = core.batch_eval(x, layer.effective_params(), gates[i])
             cache.append(tape)
             x = tape.f
     return x, cache
@@ -356,7 +354,12 @@ def backward(model: MLPModel, cache: list, grad_logits: np.ndarray,
     """
     if len(cache) != len(model.layers):
         raise ValueError("cache does not match model (stale or from another model)")
-    grads = model.arena.views(np.empty(model.arena.size) if buffers is None else buffers.grad)
+    if buffers is None:
+        none = [None] * len(model.layers)
+        grad, d_in, gates = np.empty(model.arena.size), none, none
+    else:
+        grad, d_in, gates = buffers.grad, buffers.d_in, buffers.gates
+    grads = model.arena.views(grad)
     g = np.asarray(grad_logits, dtype=np.float64)
     written: set[int] = set()
     for i in range(len(model.layers) - 1, -1, -1):
@@ -367,14 +370,13 @@ def backward(model: MLPModel, cache: list, grad_logits: np.ndarray,
             np.matmul(entry.T, g, out=grads[slot[0]])
             np.add.reduce(g, axis=0, out=grads[slot[1]])
             if i > 0:
-                g = g @ layer.w.T if buffers is None else \
-                    np.matmul(g, layer.w.T, out=buffers.d_in[i])
+                g = np.matmul(g, layer.w.T, out=d_in[i])
         elif layer.baseline is not None:
             g = g * zoo.act_grad_batch(layer.baseline, entry)
         else:
             if not isinstance(entry, GateTape):
                 raise ValueError("cache does not match model (stale or from another model)")
-            g, d_eff = core.batch_vjp(entry, g, None if buffers is None else buffers.gates[i])
+            g, d_eff = core.batch_vjp(entry, g, gates[i])
             if slot is not None:
                 d_eff[0] *= core.positive_map_grad(layer.raw[0])
                 d_eff[2] *= core.positive_map_grad(layer.raw[2])
