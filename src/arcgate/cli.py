@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from dataclasses import replace
@@ -225,82 +224,14 @@ def _out_path(raw: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_gradcheck(opts) -> int:
-    worst_gate = _gate_gradcheck(opts["samples"], opts["seed"], opts["tol"])
-    worst_net = _net_gradcheck(opts["seed"])
+    worst_gate = core.gate_gradcheck(opts["samples"], opts["seed"])
+    worst_net = engine.net_gradcheck(opts["seed"])
     print(f"gate gradient suite: worst relative error {worst_gate:.3e} "
           f"({opts['samples']} draws)", file=sys.stderr)
     print(f"network gradient suite: worst relative error {worst_net:.3e}", file=sys.stderr)
     ok = worst_gate < opts["tol"] and worst_net < 1e-4
     print("PASS" if ok else "FAIL", file=sys.stderr)
     return 0 if ok else 1
-
-
-def _gate_gradcheck(samples: int, seed: int, tol: float) -> float:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        a = rng.uniform(0.1, 50.0)
-        p = rng.uniform(0.2, 5.0)
-        c = rng.uniform(-3.0, 3.0)
-        x = c + rng.uniform(-10.0, 10.0)
-        alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, 4)
-        params = core.ArcGateParams.from_effective(a, c, p, alpha, beta, gamma, delta)
-        g = core.grad(x, params)
-        vals = [x, a, c, p, alpha, beta, gamma, delta]
-        partials = [g.d_x, g.d_a, g.d_c, g.d_p, g.d_alpha, g.d_beta, g.d_gamma, g.d_delta]
-        for i, ana in enumerate(partials):
-            h = 1e-5 * max(1.0, abs(vals[i]))
-            # Richardson extrapolation cancels the h^2 truncation term, which on
-            # steep draws (large a, x near c) exceeds the tolerance by itself
-            fd = (4.0 * _central_difference(vals, i, h / 2)
-                  - _central_difference(vals, i, h)) / 3.0
-            err = abs(fd - ana)
-            if err > 1e-8:
-                worst = max(worst, err / max(abs(ana), 1e-300))
-    return worst
-
-
-def _central_difference(vals: list[float], i: int, h: float) -> float:
-    """(F(vals + h e_i) - F(vals - h e_i)) / 2h over (x, a, c, p, alpha, beta, gamma, delta)."""
-    hi, lo = vals.copy(), vals.copy()
-    hi[i] += h
-    lo[i] -= h
-    return (core.eval_F(hi[0], core.ArcGateParams.from_effective(*hi[1:])).f
-            - core.eval_F(lo[0], core.ArcGateParams.from_effective(*lo[1:])).f) / (2 * h)
-
-
-def _net_gradcheck(seed: int) -> float:
-    spec = ModelSpec(in_dim=4, hidden=(8, 6), n_classes=3)
-    config = TrainConfig(seed=seed)
-    model = engine.build_model(spec, config,
-                               np.random.default_rng(np.random.SeedSequence(seed)))
-    rng = np.random.default_rng(seed + 1)
-    x = rng.normal(0.0, 1.0, (12, 4))
-    y = rng.integers(0, 3, 12)
-    logits, cache = engine.forward(model, x)
-    _, grad_logits = engine.softmax_cross_entropy(logits, y)
-    grads = engine.backward(model, cache, grad_logits)
-
-    def loss_now() -> float:
-        lg, _ = engine.forward(model, x)
-        return engine.softmax_cross_entropy(lg, y)[0]
-
-    worst = 0.0
-    for slot, g in zip(model.trainables(), grads):
-        flat, gflat = slot.array.ravel(), g.ravel()
-        for k in range(flat.size):
-            h = 1e-6 * max(1.0, abs(flat[k]))
-            keep = flat[k]
-            flat[k] = keep + h
-            up = loss_now()
-            flat[k] = keep - h
-            down = loss_now()
-            flat[k] = keep
-            fd = (up - down) / (2 * h)
-            err = abs(fd - gflat[k])
-            if err > 1e-9:
-                worst = max(worst, err / max(abs(gflat[k]), 1e-300))
-    return worst
 
 
 def _cmd_fit(opts) -> int:
@@ -329,15 +260,23 @@ def _cmd_fit(opts) -> int:
 
 
 def _read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """``x,value`` rows; blank and ``#`` lines are skipped, and the first other row may be a header."""
     xs, ys = [], []
     with open(path, newline="") as f:
-        for row in csv.reader(f):
+        reader = csv.reader(f)
+        header_allowed = True
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
+            first, header_allowed = header_allowed, False
+            if len(row) < 2:
+                raise ValueError(f"{path}:{reader.line_num}: expected x,value, got {row!r}")
             try:
                 x, y = float(row[0]), float(row[1])
             except ValueError:
-                continue  # header
+                if first:
+                    continue  # header
+                raise ValueError(f"{path}:{reader.line_num}: not a number pair: {row!r}") from None
             xs.append(x)
             ys.append(y)
     return np.array(xs), np.array(ys)

@@ -46,6 +46,7 @@ __all__ = [
     "eval_F_batch",
     "eval_u",
     "eval_v",
+    "gate_gradcheck",
     "grad",
     "positive_map",
     "positive_map_grad",
@@ -330,7 +331,8 @@ def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTa
         np.exp(e, out=e)
         side = np.arctan(e, out=b.scratch[0])
         side /= _HALF_PI
-        v = np.heaviside(t, 1.0, out=b.v)
+        # heaviside(t, 1) as a comparison; a NaN t steps to 0, but side keeps v NaN
+        v = np.greater_equal(t, 0.0, out=b.v)
         v -= side
         np.abs(v, out=v)
         _clip(v, GATE_EPS, 1.0 - GATE_EPS)
@@ -496,6 +498,57 @@ def grad(x: float, params: ArcGateParams) -> GateGrad:
         d_gamma=float(tape.x[0]),
         d_delta=1.0,
     )
+
+
+# ---------------------------------------------------------------------------
+# gradient self-check
+# ---------------------------------------------------------------------------
+
+def gate_gradcheck(samples: int, seed: int) -> float:
+    """Worst relative error of :func:`grad` against finite differences of F.
+
+    Each of ``samples`` seeded draws picks effective parameters and an input
+    and checks all eight partials against ``(4 D(h/2) - D(h)) / 3``, where
+    ``D(s) = (F(v + s) - F(v - s)) / 2s`` and ``h = 1e-5 * max(1, |v|)``.
+    The Richardson extrapolation cancels the h^2 truncation term, which on
+    steep draws (large a, x near c) exceeds 1e-5 by itself.  Errors within
+    the absolute floor 1e-8 are not counted.  Per draw, the four shifted
+    inputs are one kernel call and the 28 shifted parameter rows another; a
+    shifted a or p reaches F through its raw preimage, exactly as through
+    ``ArcGateParams.from_effective``.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        a = rng.uniform(0.1, 50.0)
+        p = rng.uniform(0.2, 5.0)
+        c = rng.uniform(-3.0, 3.0)
+        x = c + rng.uniform(-10.0, 10.0)
+        alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, 4)
+        params = ArcGateParams.from_effective(a, c, p, alpha, beta, gamma, delta)
+        g = grad(x, params)
+        vals = np.array([x, a, c, p, alpha, beta, gamma, delta])
+        h = 1e-5 * np.maximum(1.0, np.abs(vals))
+        half = h / 2
+        shifted = np.stack([vals + half, vals - half, vals + h, vals - h], axis=1)
+        eff = params.effective()
+        rows = np.empty((7, 4, 7))       # 4 shifts of each parameter, the rest at eff
+        rows[...] = eff
+        for j, col in enumerate(shifted[1:]):
+            if j in (0, 2):
+                col = [positive_map(raw_from_effective(v)) for v in col]
+            rows[j, :, j] = col
+        f = np.concatenate([batch_eval(shifted[0], eff).f,
+                            batch_eval(np.array([x]), rows.reshape(28, 7)).f.ravel()])
+        f = f.reshape(8, 4)
+        fd = (4.0 * ((f[:, 0] - f[:, 1]) / (2 * half))
+              - (f[:, 2] - f[:, 3]) / (2 * h)) / 3.0
+        partials = (g.d_x, g.d_a, g.d_c, g.d_p, g.d_alpha, g.d_beta, g.d_gamma, g.d_delta)
+        for est, ana in zip(fd.tolist(), partials):
+            err = abs(est - ana)
+            if err > 1e-8:
+                worst = max(worst, err / max(abs(ana), 1e-300))
+    return worst
 
 
 # ---------------------------------------------------------------------------

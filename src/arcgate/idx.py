@@ -3,11 +3,14 @@
 The IDX layout is the classic big-endian one: images carry magic
 0x00000803 followed by count/rows/cols u32s and raw bytes; labels carry
 magic 0x00000801, a count, and one byte per item.  Reading is bit-exact
-and every malformed-file condition raises its own exception type.
+and every malformed-file condition raises its own exception type.  The
+payload size the header declares is checked against the file size before
+anything is read, and bytes after the payload are rejected.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import NamedTuple
@@ -52,7 +55,7 @@ class Dataset(NamedTuple):
 
     @property
     def n_classes(self) -> int:
-        return int(max(self.y_train.max(), self.y_test.max())) + 1
+        return int(max(np.max(self.y_train, initial=-1), np.max(self.y_test, initial=-1))) + 1
 
 
 def _read_exact(f, n: int, what: str, path) -> bytes:
@@ -61,6 +64,17 @@ def _read_exact(f, n: int, what: str, path) -> bytes:
         raise IdxTruncatedError(f"{path}: truncated while reading {what} "
                                 f"(wanted {n} bytes, got {len(data)})")
     return data
+
+
+def _read_payload(f, n: int, what: str, path) -> bytes:
+    """The ``n`` bytes after the header, which must end the file; sized before reading."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left < n:
+        raise IdxTruncatedError(f"{path}: truncated {what}: the header promises {n} "
+                                f"bytes, the file holds {left}")
+    if left > n:
+        raise IdxFormatError(f"{path}: {left - n} trailing bytes after the {what}")
+    return _read_exact(f, n, what, path)
 
 
 def read_idx_images(path) -> np.ndarray:
@@ -72,7 +86,7 @@ def read_idx_images(path) -> np.ndarray:
             raise IdxMagicError(f"{path}: bad image magic 0x{magic:08x}, "
                                 f"expected 0x{IMAGE_MAGIC:08x}")
         count, rows, cols = struct.unpack(">III", _read_exact(f, 12, "header", path))
-        raw = _read_exact(f, count * rows * cols, "pixel data", path)
+        raw = _read_payload(f, count * rows * cols, "pixel data", path)
     pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
     return (pixels / 255.0).reshape(count, rows * cols)
 
@@ -86,7 +100,7 @@ def read_idx_labels(path) -> np.ndarray:
             raise IdxMagicError(f"{path}: bad label magic 0x{magic:08x}, "
                                 f"expected 0x{LABEL_MAGIC:08x}")
         count, = struct.unpack(">I", _read_exact(f, 4, "count", path))
-        raw = _read_exact(f, count, "label data", path)
+        raw = _read_payload(f, count, "label data", path)
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from agm1_files import BAD_MODELS
 from arcgate import cli, core, idx
 
+DATA = Path(__file__).with_name("data")
 
 @pytest.fixture(scope="module")
 def idx_files(tmp_path_factory):
@@ -56,6 +58,14 @@ def test_gradcheck_catches_a_wrong_partial(monkeypatch):
     assert run_cli("gradcheck", "--samples", 50, "--seed", 1) == 1
 
 
+@pytest.mark.parametrize("seed", [0, 1, 18])
+def test_gradcheck_stderr_matches_saved_bytes(seed, capsys):
+    # written by `arcgate gradcheck --seed S` when both suites still lived in the CLI
+    assert run_cli("gradcheck", "--seed", seed) == 0
+    want = (DATA / f"gradcheck_seed{seed}.stderr").read_bytes()
+    assert capsys.readouterr().err.encode() == want
+
+
 def test_fit_identity_writes_csv(tmp_path):
     out = tmp_path / "fit.csv"
     assert run_cli("fit", "--target", "identity", "--budget", 300,
@@ -89,6 +99,31 @@ def test_fit_file_target(tmp_path):
     assert rows[1][0] == "samples.csv"
 
 
+@pytest.mark.parametrize("lines, lineno", [
+    (["x,value", "0.0,0.0", "x,value", "1.0,1.0"], 3),
+    (["# comment", "", "x,value", "0.0,0.0", "1.0,oops"], 5),
+    (["0.0,0.0", "x,value"], 2),
+    (["x,value", "0.5"], 2),
+    (["0.5"], 1),
+])
+def test_fit_sample_file_rejects_a_bad_row(tmp_path, capsys, lines, lineno):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"samples.csv:{lineno}: "):
+        cli._read_samples(str(samples))
+    assert run_cli("fit", "--target", f"file:{samples}", "--budget", 10,
+                   "--out", tmp_path / "fit.csv") == 1
+    assert f"samples.csv:{lineno}: " in capsys.readouterr().err
+    assert not (tmp_path / "fit.csv").exists()
+
+
+def test_fit_sample_file_header_and_comments(tmp_path):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("# made by hand\nx,value\n\n0.0,0.0\n# mid\n1.5,2.5\n")
+    xs, ys = cli._read_samples(str(samples))
+    assert xs.tolist() == [0.0, 1.5] and ys.tolist() == [0.0, 2.5]
+
+
 def test_fit_unknown_target_fails(tmp_path):
     assert run_cli("fit", "--target", "swish", "--out", tmp_path / "x.csv") == 1
 
@@ -98,6 +133,19 @@ def test_train_missing_paths_is_usage_error(capsys):
         run_cli("train")
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_train_on_an_empty_test_split_fails(tmp_path, idx_files, capsys):
+    idx.write_idx_images(tmp_path / "imgs", np.zeros((0, 28, 28), dtype=np.uint8))
+    idx.write_idx_labels(tmp_path / "labels", [])
+    assert run_cli("train",
+                   "--images", idx_files["train_images"],
+                   "--labels", idx_files["train_labels"],
+                   "--test-images", tmp_path / "imgs",
+                   "--test-labels", tmp_path / "labels",
+                   "--epochs", 1, "--out", tmp_path / "m.agm") == 1
+    assert "error: empty test set" in capsys.readouterr().err
+    assert not (tmp_path / "m.agm").exists()
 
 
 def test_train_report_sweep_plot_pipeline(tmp_path, idx_files):

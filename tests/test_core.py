@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from arcgate import core
 from arcgate.core import ArcGateParams, eval_F, eval_F_batch, eval_u, eval_v, grad, preset
+from gradcheck_oracle import _gate_gradcheck
 from train_oracle import u_from_tape
 
 # high-precision oracle values (mpmath, 50 digits)
@@ -202,6 +204,93 @@ class TestBatchRows:
             core.batch_eval(grid.reshape(7, 43), eff)
         with pytest.raises(ValueError, match="buffers"):
             core.batch_eval(grid, eff, core.GateBuffers((2, grid.size)))
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal bit for bit (so -0 differs from +0), except that any NaN matches any NaN."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestStep:
+    """batch_eval's step gives the v and f bits of the np.heaviside(t, 1) formula."""
+
+    # (t it lands on, x, (a, c, p)); alpha..delta are fixed below
+    CASES = [
+        ("+0", 0.0, (1.0, 0.0, 1.0)),
+        ("-0", 0.0, (1.0, 0.0, -1.0)),
+        ("+inf", 5.0, (1.0, 0.0, 1e308)),
+        ("-inf", -5.0, (1.0, 0.0, 1e308)),
+        ("nan", 0.0, (1.0, 0.0, math.inf)),         # inf * 0
+        ("nan", math.nan, (1.0, 0.0, 1.0)),
+        ("+subnormal", 1.0, (1.0, 0.0, 1e-310)),
+        ("-subnormal", -1.0, (1.0, 0.0, 1e-310)),
+    ]
+
+    @staticmethod
+    def heaviside_formula(tape):
+        _a, _c, _p, alpha, beta, gamma, delta = tape.eff
+        side = np.arctan(np.exp(-np.abs(tape.t))) / (math.pi / 2)
+        v = np.clip(np.abs(np.heaviside(tape.t, 1.0) - side), core.GATE_EPS, 1.0 - core.GATE_EPS)
+        return v, (alpha * tape.x + beta) * v + (gamma * tape.x + delta)
+
+    @pytest.mark.parametrize("kind, x, acp", CASES)
+    def test_edge_t_matches_heaviside(self, kind, x, acp):
+        with np.errstate(invalid="ignore"):
+            tape = core.batch_eval(np.array([x]), (*acp, 0.75, -0.5, 0.25, 1.5))
+            v, f = self.heaviside_formula(tape)
+        t = tape.t[0]
+        landed = {"+0": t == 0 and not np.signbit(t), "-0": t == 0 and np.signbit(t),
+                  "+inf": t == math.inf, "-inf": t == -math.inf, "nan": math.isnan(t),
+                  "+subnormal": 0 < t < np.finfo(float).tiny,
+                  "-subnormal": 0 > t > -np.finfo(float).tiny}[kind]
+        assert landed, t
+        assert same_bits(tape.v, v) and same_bits(tape.f, f)
+
+
+class TestGateGradcheck:
+    """gate_gradcheck returns exactly the one-draw-at-a-time oracle's worst error."""
+
+    @pytest.mark.parametrize("skew", [False, True], ids=["exact", "skewed"])
+    @pytest.mark.parametrize("seed", [0, 18, 1456708897, 42])
+    def test_matches_the_oracle(self, seed, skew, monkeypatch):
+        if skew:
+            exact = core.grad
+
+            def skewed(x, params):
+                g = exact(x, params)
+                return dataclasses.replace(g, d_a=g.d_a * (1.0 + 1e-4),
+                                           d_p=g.d_p * (1.0 - 3e-5))
+
+            monkeypatch.setattr(core, "grad", skewed)
+        want = _gate_gradcheck(1000, seed, 1e-5)
+        assert (want > 1e-5) == skew
+        assert core.gate_gradcheck(1000, seed).hex() == want.hex()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_every_shifted_value_matches_the_oracle(self, seed, monkeypatch):
+        # 32 F values per draw: 4 shifts of x, then of each parameter in order
+        batch_eval, eval_F = core.batch_eval, core.eval_F
+        batched, scalar = [], []
+
+        def recording_batch_eval(x, eff, buffers=None):
+            tape = batch_eval(x, eff, buffers)
+            batched.append(tape.f.ravel().copy())
+            return tape
+
+        def recording_eval_F(x, params):
+            result = eval_F(x, params)
+            scalar.append(result.f)
+            return result
+
+        monkeypatch.setattr(core, "batch_eval", recording_batch_eval)
+        core.gate_gradcheck(300, seed)
+        monkeypatch.setattr(core, "batch_eval", batch_eval)
+        monkeypatch.setattr(core, "eval_F", recording_eval_F)
+        _gate_gradcheck(300, seed, 1e-5)
+        # every third kernel call is grad's own
+        shifted = np.concatenate([f for k, f in enumerate(batched) if k % 3])
+        assert shifted.tobytes() == np.array(scalar).tobytes()
 
 
 class TestGrad:

@@ -466,6 +466,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ModelSpec(2, (4,), 2), empty, TrainConfig(epochs=1))
 
+    def test_empty_test_split_rejected(self, blob_dataset, monkeypatch):
+        data = (blob_dataset.x_train, blob_dataset.y_train,
+                np.zeros((0, 2)), np.zeros(0, dtype=int))
+        monkeypatch.setattr(engine, "forward", None)   # rejected before any step
+        with pytest.raises(ValueError, match="empty test set"):
+            train(ModelSpec(2, (4,), 2), data, TrainConfig(epochs=1))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_epoch_and_step(self):
         # overflow-scale features push the logits to inf once the first Adam
@@ -517,6 +524,11 @@ class TestEvaluate:
         for l1, l2 in zip(m1.layers, m2.layers):
             if isinstance(l1, DenseLayer):
                 assert np.array_equal(l1.w, l2.w)
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_split_rejected(self, trained):
+        with pytest.raises(ValueError, match="empty split"):
+            evaluate(trained, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
     def test_negative_sigma_rejected(self, trained, blob_dataset):
         with pytest.raises(ValueError):

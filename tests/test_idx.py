@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,41 @@ def test_truncated_file_is_truncation_error(tmp_path):
     (tmp_path / "stub").write_bytes(whole[:10])
     with pytest.raises(idx.IdxTruncatedError):
         idx.read_idx_images(tmp_path / "stub")
+
+
+@pytest.mark.parametrize("reader, header", [
+    (idx.read_idx_images, struct.pack(">IIII", idx.IMAGE_MAGIC, 0xFFFFFFFF, 28, 28)),
+    (idx.read_idx_labels, struct.pack(">II", idx.LABEL_MAGIC, 0xFFFFFFFF)),
+])
+def test_forged_count_fails_before_reading(tmp_path, reader, header):
+    path = tmp_path / "forged"
+    path.write_bytes(header + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(idx.IdxTruncatedError, match="the file holds 64"):
+            reader(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_trailing_byte_is_format_error(tmp_path):
+    write_images(tmp_path / "imgs", np.zeros((2, 3, 3), dtype=np.uint8))
+    idx.write_idx_labels(tmp_path / "labels", [1, 2])
+    for name, reader in (("imgs", idx.read_idx_images), ("labels", idx.read_idx_labels)):
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(idx.IdxFormatError, match="1 trailing bytes") as exc:
+            reader(path)
+        assert not isinstance(exc.value, idx.IdxTruncatedError)
+
+
+def test_empty_files_read_as_zero_items(tmp_path):
+    write_images(tmp_path / "imgs", np.zeros((0, 3, 3), dtype=np.uint8))
+    idx.write_idx_labels(tmp_path / "labels", [])
+    x, y = idx.load_idx(tmp_path / "imgs", tmp_path / "labels")
+    assert x.shape == (0, 9) and y.shape == (0,)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=6),
