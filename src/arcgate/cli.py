@@ -20,21 +20,14 @@ import numpy as np
 
 from . import core, engine, experiments, fitter, idx, svg
 from .engine import ModelSpec, TrainConfig
-from .zoo import ActivationKind
 
 __all__ = ["main", "run"]
 
-_FIT_TARGETS = ("relu", "sigmoid", "tanh", "silu", "gelu", "leaky", "identity")
-
-_FIT_INITS = {
-    "relu": ("relu_like", 1e4),
-    "sigmoid": ("sigmoid_like", None),
-    "tanh": ("tanh_like", None),
-    "silu": ("soft_relu_init", None),
-    "gelu": ("soft_relu_init", None),
-    "leaky": ("leaky", 0.01),
-    "identity": ("identity", None),
-}
+# fit target name -> (kind, preset arguments), from the fitter's classic
+# table; the command line calls leaky_relu "leaky"
+_FIT_CLASSICS = {("leaky" if kind.tag == "leaky_relu" else kind.tag): (kind, preset_args)
+                 for kind, preset_args in fitter.CLASSIC_TARGETS}
+_FIT_TARGETS = tuple(_FIT_CLASSICS)
 
 
 def _parse_sigmas(text: str) -> list[float]:
@@ -243,11 +236,10 @@ def _cmd_fit(opts) -> int:
         target = fitter.FitTarget(grid, values, label)
         row_key: object = label
         init = core.preset("soft_relu_init")
-    elif target_name in _FIT_TARGETS:
-        kind = (ActivationKind("leaky_relu", 0.01) if target_name == "leaky"
-                else ActivationKind(target_name))
+    elif target_name in _FIT_CLASSICS:
+        kind, preset_args = _FIT_CLASSICS[target_name]
         target = fitter.FitTarget.from_kind(kind, lo, hi, opts["points"])
-        init = core.preset(*_FIT_INITS[target_name])
+        init = core.preset(*preset_args)
         row_key, label = kind, kind.tag
     else:
         raise ValueError(f"unknown fit target {target_name!r}")
@@ -300,10 +292,10 @@ def _load_dataset(opts) -> idx.Dataset:
 
 
 def _cmd_train(opts) -> int:
+    config = _train_config(opts)
     x_train, y_train = idx.load_idx(opts["images"], opts["labels"])
     x_test, y_test = idx.load_idx(opts["test_images"], opts["test_labels"])
     dataset = idx.Dataset(x_train, y_train, x_test, y_test)
-    config = _train_config(opts)
     spec = ModelSpec(in_dim=x_train.shape[1], hidden=(256, 128, 64),
                      n_classes=dataset.n_classes)
     model, trace = engine.train(spec, dataset, config)
@@ -320,8 +312,8 @@ def _cmd_sweep(opts) -> int:
     sigmas = sorted(float(s) for s in opts["sigmas"])
     out = _out_path(opts["out"])
     if opts["full"]:
-        dataset = _load_dataset(opts)
         config = _train_config({**opts, "init": "soft_relu", "granularity": "layer_wise"})
+        dataset = _load_dataset(opts)
         report = experiments.noise_sweep(dataset, sigmas, config, seed=opts["seed"])
         experiments.write_sweep_csv(report, out)
         for s, gain in report.gains:
@@ -347,8 +339,8 @@ def _cmd_sweep(opts) -> int:
 
 def _cmd_ablate(opts) -> int:
     study = opts["study"]
-    dataset = _load_dataset(opts)
     config = _train_config(opts)
+    dataset = _load_dataset(opts)
     out = _out_path(opts["out"])
     if study == "init":
         rows = experiments.init_ablation(dataset, config, seed=opts["seed"])

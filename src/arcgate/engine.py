@@ -87,6 +87,8 @@ class TrainConfig:
     granularity: str = "layer_wise"
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.weight_decay < 0:

@@ -5,6 +5,13 @@ per-layer parameter report, and the parametric sensitivity curves.  Every
 runner is deterministic given its seed and embeds its configuration digest
 in the CSV it writes, so re-running reproduces files byte for byte.
 
+The study runners in one process share trainings by content key: the model
+spec, every ``TrainConfig`` field and a SHA-256 digest of the four dataset
+arrays.  Only a training's summary is kept (final test accuracy and
+learnable activation parameter count, or a divergence mark), never the
+model, so an ablation that needs only those numbers reads them instead of
+training the same configuration again.
+
 Accuracy numbers here are desk-scale analogs: they preserve the structural
 comparisons (which variant beats which) but not the absolute values of
 full-size benchmarks.
@@ -15,7 +22,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -51,6 +59,64 @@ def _spec_for(dataset) -> ModelSpec:
     x_train, y_train = np.asarray(dataset[0]), np.asarray(dataset[1])
     n_classes = int(max(y_train.max(), np.asarray(dataset[3]).max())) + 1
     return ModelSpec(in_dim=x_train.shape[1], hidden=(256, 128, 64), n_classes=n_classes)
+
+
+def _write_csv(path, comment: str, columns: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        f.write(f"# {comment}\n")
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
+# training summaries shared by the study runners
+# ---------------------------------------------------------------------------
+
+_SUMMARY_CAP = 256      # entries; the oldest is evicted first
+
+# (spec fields, config fields, dataset digest) -> (final test accuracy,
+# learnable activation parameter count), or None for a diverged run
+_summaries: OrderedDict[tuple, tuple[float, int] | None] = OrderedDict()
+
+
+def _dataset_digest(dataset) -> str:
+    """SHA-256 over the dtype, shape and bytes of the four dataset arrays."""
+    h = hashlib.sha256()
+    for i in range(4):
+        a = np.ascontiguousarray(dataset[i])
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a)
+    return h.hexdigest()
+
+
+def _summary_key(spec: ModelSpec, config: TrainConfig, data_digest: str) -> tuple:
+    return astuple(spec), astuple(config), data_digest
+
+
+def _train_recorded(spec: ModelSpec, dataset, config: TrainConfig,
+                    data_digest: str) -> MLPModel | None:
+    """``train``, recording the run's summary; ``None`` when it diverged."""
+    key = _summary_key(spec, config, data_digest)
+    try:
+        model, trace = train(spec, dataset, config)
+    except TrainingDivergedError:
+        model, summary = None, None
+    else:
+        summary = (trace[-1].test_acc, model.learnable_activation_parameter_count())
+    _summaries[key] = summary
+    while len(_summaries) > _SUMMARY_CAP:
+        _summaries.popitem(last=False)
+    return model
+
+
+def _summary(spec: ModelSpec, dataset, config: TrainConfig,
+             data_digest: str) -> tuple[float, int] | None:
+    """The recorded summary of this training; trains only if none is recorded."""
+    key = _summary_key(spec, config, data_digest)
+    if key not in _summaries:
+        _train_recorded(spec, dataset, config, data_digest)
+    return _summaries[key]
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +155,7 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
     spec = _spec_for(dataset)
     noise_seeds = {s: seed * 1000 + i for i, s in enumerate(sigmas)}
     digest = _digest(spec, config, sigmas, seed)
+    data_digest = _dataset_digest(dataset)
 
     rows: list[SweepRow] = []
     models: dict[str, MLPModel] = {}
@@ -96,10 +163,11 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
     for label, cfg in (("arcgate", replace(config, seed=seed, init_strategy="soft_relu",
                                             granularity="layer_wise")),
                        ("relu", replace(config, seed=seed, init_strategy="relu_baseline"))):
-        try:
-            models[label], _ = train(spec, dataset, cfg)
-        except TrainingDivergedError:
+        model = _train_recorded(spec, dataset, cfg, data_digest)
+        if model is None:
             partial = True
+        else:
+            models[label] = model
 
     test = (dataset[2], dataset[3])
     for s in sigmas:
@@ -115,14 +183,12 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# config_digest={report.config_digest} seed={report.seed} "
-                f"noise_seeds={sorted(report.noise_seeds.items())!r} "
-                f"partial={report.partial}\n")
-        writer = csv.writer(f)
-        writer.writerow(["model", "sigma", "accuracy", "seed"])
-        for row in report.rows:
-            writer.writerow([row.model, repr(row.sigma), repr(row.accuracy), report.seed])
+    _write_csv(path, f"config_digest={report.config_digest} seed={report.seed} "
+                     f"noise_seeds={sorted(report.noise_seeds.items())!r} "
+                     f"partial={report.partial}",
+               ["model", "sigma", "accuracy", "seed"],
+               ([row.model, repr(row.sigma), repr(row.accuracy), report.seed]
+                for row in report.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -139,25 +205,19 @@ def init_ablation(dataset, config: TrainConfig | None = None, seed: int = 0) -> 
     """One row per initialization strategy, all sharing seed and architecture."""
     config = config or TrainConfig()
     spec = _spec_for(dataset)
+    data_digest = _dataset_digest(dataset)
     rows = []
     for strategy in ("relu_baseline", "identity", "random", "soft_relu"):
         cfg = replace(config, seed=seed, init_strategy=strategy)
-        try:
-            model, _ = train(spec, dataset, cfg)
-            acc = evaluate(model, (dataset[2], dataset[3]), 0.0, 0)
-        except TrainingDivergedError:
-            acc = math.nan
+        acc, _ = _summary(spec, dataset, cfg, data_digest) or (math.nan, -1)
         rows.append(InitRow(strategy, acc))
     return rows
 
 
 def write_init_csv(rows: list[InitRow], path, config: TrainConfig, seed: int) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# config_digest={_digest(config, seed)} seed={seed}\n")
-        writer = csv.writer(f)
-        writer.writerow(["strategy", "test_accuracy", "epochs", "seed"])
-        for row in rows:
-            writer.writerow([row.strategy, repr(row.test_accuracy), config.epochs, seed])
+    _write_csv(path, f"config_digest={_digest(config, seed)} seed={seed}",
+               ["strategy", "test_accuracy", "epochs", "seed"],
+               ([row.strategy, repr(row.test_accuracy), config.epochs, seed] for row in rows))
 
 
 @dataclass(frozen=True)
@@ -172,28 +232,21 @@ def granularity_ablation(dataset, config: TrainConfig | None = None,
     """Fixed vs global-shared vs layer-wise gate parameters; counts by traversal."""
     config = config or TrainConfig()
     spec = _spec_for(dataset)
+    data_digest = _dataset_digest(dataset)
     rows = []
     for granularity in ("fixed", "global_shared", "layer_wise"):
         cfg = replace(config, seed=seed, init_strategy="soft_relu", granularity=granularity)
-        try:
-            model, _ = train(spec, dataset, cfg)
-            count = model.learnable_activation_parameter_count()
-            acc = evaluate(model, (dataset[2], dataset[3]), 0.0, 0)
-        except TrainingDivergedError:
-            count, acc = -1, math.nan
+        acc, count = _summary(spec, dataset, cfg, data_digest) or (math.nan, -1)
         rows.append(GranularityRow(granularity, count, acc))
     return rows
 
 
 def write_granularity_csv(rows: list[GranularityRow], path,
                           config: TrainConfig, seed: int) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# config_digest={_digest(config, seed)} seed={seed}\n")
-        writer = csv.writer(f)
-        writer.writerow(["granularity", "learnable_activation_params", "test_accuracy", "seed"])
-        for row in rows:
-            writer.writerow([row.granularity, row.learnable_activation_params,
-                             repr(row.test_accuracy), seed])
+    _write_csv(path, f"config_digest={_digest(config, seed)} seed={seed}",
+               ["granularity", "learnable_activation_params", "test_accuracy", "seed"],
+               ([row.granularity, row.learnable_activation_params, repr(row.test_accuracy), seed]
+                for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +298,6 @@ def write_layer_csv(report: LayerReport, path) -> None:
 # sensitivity curves
 # ---------------------------------------------------------------------------
 
-def _curve_csv(path, labels: list[str], columns: list[np.ndarray], digest: str) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# config_digest={digest}\n")
-        writer = csv.writer(f)
-        writer.writerow(["x"] + labels)
-        for i, x in enumerate(_SENSITIVITY_GRID):
-            writer.writerow([repr(float(x))] + [repr(float(col[i])) for col in columns])
-
-
 def sensitivity_curves(out_dir, fit_budget: int = 5000, seed: int = 0) -> dict[str, Path]:
     """Write the six sensitivity CSVs into ``out_dir``; returns name -> path.
 
@@ -292,7 +336,9 @@ def sensitivity_curves(out_dir, fit_budget: int = 5000, seed: int = 0) -> dict[s
     for name, configs in sweeps.items():
         path = out_dir / f"sensitivity_{name}.csv"
         labels, cols = curves(configs)
-        _curve_csv(path, labels, cols, _digest(name, configs))
+        _write_csv(path, f"config_digest={_digest(name, configs)}", ["x"] + labels,
+                   ([repr(float(x))] + [repr(float(col[i])) for col in cols]
+                    for i, x in enumerate(grid)))
         paths[name] = path
 
     classics_path = out_dir / "sensitivity_classics.csv"

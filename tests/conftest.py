@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from arcgate import idx
+from arcgate import experiments, idx
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_recorded_trainings():
+    """Each test module starts with no recorded study trainings, so none passes
+    on trainings another module made."""
+    experiments._summaries.clear()
 
 
 @pytest.fixture(scope="session")

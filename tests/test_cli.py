@@ -227,6 +227,24 @@ def test_malformed_sigma_list_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+def test_train_with_zero_epochs_fails_with_a_message(tmp_path, idx_files, capsys):
+    assert run_cli("train",
+                   "--images", idx_files["train_images"],
+                   "--labels", idx_files["train_labels"],
+                   "--test-images", idx_files["test_images"],
+                   "--test-labels", idx_files["test_labels"],
+                   "--epochs", 0, "--out", tmp_path / "m.agm") == 1
+    assert "error: epochs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.agm").exists()
+
+
+@pytest.mark.parametrize("study", ["init", "granularity"])
+def test_ablate_with_negative_epochs_fails_with_a_message(study, tmp_path, capsys):
+    assert run_cli("ablate", study, "--epochs", -2, "--out", tmp_path / "x.csv") == 1
+    assert "error: epochs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_ablate_unknown_study_fails(tmp_path):
     assert run_cli("ablate", "nonsense", "--out", tmp_path / "x.csv") == 1
 

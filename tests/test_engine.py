@@ -460,6 +460,11 @@ class TestTrain:
         a, b = model.activation_layers()
         assert not np.array_equal(a.raw, b.raw)
 
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_fewer_than_one_epoch_rejected(self, epochs):
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            TrainConfig(epochs=epochs)
+
     def test_empty_dataset_rejected(self):
         empty = (np.zeros((0, 2)), np.zeros(0, dtype=int),
                  np.zeros((0, 2)), np.zeros(0, dtype=int))

@@ -1,10 +1,12 @@
 import csv
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arcgate import core, engine, experiments
+from arcgate import core, engine, experiments, idx
 from arcgate.engine import ModelSpec, TrainConfig
 from arcgate.experiments import (granularity_ablation, init_ablation,
                                  layer_evolution_report, noise_sweep,
@@ -12,6 +14,7 @@ from arcgate.experiments import (granularity_ablation, init_ablation,
                                  write_init_csv, write_sweep_csv)
 
 FAST = TrainConfig(epochs=2, learning_rate=1e-3, seed=0)
+DATA = Path(__file__).with_name("data")
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +113,136 @@ class TestGranularityAblation:
         with open(path, newline="") as f:
             lines = f.read().splitlines()
         assert lines[1] == "granularity,learnable_activation_params,test_accuracy,seed"
+
+
+# The saved files were written before the study runners shared trainings.
+STUDY_SEED = 6
+STUDIES = {
+    "sweep": (lambda data: noise_sweep(data, sigmas=(0.0, 0.2, 0.5), config=FAST,
+                                       seed=STUDY_SEED),
+              write_sweep_csv),
+    "init": (lambda data: init_ablation(data, FAST, seed=STUDY_SEED),
+             lambda rows, path: write_init_csv(rows, path, FAST, STUDY_SEED)),
+    "granularity": (lambda data: granularity_ablation(data, FAST, seed=STUDY_SEED),
+                    lambda rows, path: write_granularity_csv(rows, path, FAST, STUDY_SEED)),
+}
+
+
+def saved_study(name):
+    return (DATA / f"study_{name}_small_fast_seed{STUDY_SEED}.csv").read_bytes()
+
+
+def written(name, result, tmp_path):
+    path = tmp_path / f"{name}.csv"
+    STUDIES[name][1](result, path)
+    return path.read_bytes()
+
+
+def count_trainings(monkeypatch):
+    """Route the runners' ``train`` through a wrapper; returns the configs it saw."""
+    configs = []
+
+    def counting(spec, dataset, config):
+        configs.append(config)
+        return engine.train(spec, dataset, config)
+
+    monkeypatch.setattr(experiments, "train", counting)
+    return configs
+
+
+@pytest.fixture(scope="module")
+def fresh_trainings(small_dataset):
+    """(init, granularity) -> (final test accuracy, parameter count), trained directly."""
+    spec = experiments._spec_for(small_dataset)
+    out = {}
+    for init, granularity in [("relu_baseline", "layer_wise"), ("identity", "layer_wise"),
+                              ("random", "layer_wise"), ("soft_relu", "layer_wise"),
+                              ("soft_relu", "fixed"), ("soft_relu", "global_shared")]:
+        cfg = replace(FAST, seed=STUDY_SEED, init_strategy=init, granularity=granularity)
+        model, trace = engine.train(spec, small_dataset, cfg)
+        out[init, granularity] = (trace[-1].test_acc,
+                                  model.learnable_activation_parameter_count())
+    return out
+
+
+class TestSharedTrainings:
+    # the sweep always trains its two models, because it evaluates them under
+    # noise; an ablation trains only configurations no earlier runner trained
+    @pytest.mark.parametrize("order, trainings", [(("sweep", "init", "granularity"), 6),
+                                                  (("granularity", "init", "sweep"), 8),
+                                                  (("sweep",), 2), (("init",), 4),
+                                                  (("granularity",), 3)])
+    def test_rows_match_a_fresh_training_and_saved_bytes(self, order, trainings,
+                                                         small_dataset, fresh_trainings,
+                                                         monkeypatch, tmp_path):
+        experiments._summaries.clear()
+        configs = count_trainings(monkeypatch)
+        results = {name: STUDIES[name][0](small_dataset) for name in order}
+        if "sweep" in results:
+            clean = {r.model: r.accuracy for r in results["sweep"].rows if r.sigma == 0.0}
+            assert clean == {"arcgate": fresh_trainings["soft_relu", "layer_wise"][0],
+                             "relu": fresh_trainings["relu_baseline", "layer_wise"][0]}
+        if "init" in results:
+            for row in results["init"]:
+                assert row.test_accuracy == fresh_trainings[row.strategy, "layer_wise"][0]
+        if "granularity" in results:
+            for row in results["granularity"]:
+                acc, count = fresh_trainings["soft_relu", row.granularity]
+                assert (row.test_accuracy, row.learnable_activation_params) == (acc, count)
+        for name, result in results.items():
+            assert written(name, result, tmp_path) == saved_study(name), name
+        assert len(configs) == trainings
+
+    def test_changed_pixel_forces_a_retrain(self, small_dataset, monkeypatch):
+        data = idx.Dataset(*(a.copy() for a in small_dataset))
+        experiments._summaries.clear()
+        configs = count_trainings(monkeypatch)
+        first = granularity_ablation(data, FAST, seed=STUDY_SEED)
+        assert len(configs) == 3
+        assert granularity_ablation(data, FAST, seed=STUDY_SEED) == first
+        assert len(configs) == 3
+        data.x_train[0, 0] = 1.0 - data.x_train[0, 0]
+        granularity_ablation(data, FAST, seed=STUDY_SEED)
+        assert len(configs) == 6
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_configuration_still_gives_nan_rows(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.5, 1.0, (64, 8)) * 1e300
+        y = rng.integers(0, 2, 64)
+        diverging = TrainConfig(epochs=1, batch_size=16, learning_rate=1e12, seed=0)
+        experiments._summaries.clear()
+        configs = count_trainings(monkeypatch)
+        for _ in range(2):
+            grans = granularity_ablation((x, y, x, y), diverging, seed=0)
+            assert all(math.isnan(r.test_accuracy) and r.learnable_activation_params == -1
+                       for r in grans)
+            inits = init_ablation((x, y, x, y), diverging, seed=0)
+            assert all(math.isnan(r.test_accuracy) for r in inits)
+        # soft_relu/layer_wise is shared; the second round trains nothing
+        assert len(configs) == 6
+
+    def test_never_holds_more_than_its_cap(self, small_dataset, monkeypatch):
+        model = engine.build_model(ModelSpec(2, (3,), 2), FAST, np.random.default_rng(0))
+        configs = []
+
+        def fake_train(spec, dataset, config):
+            configs.append(config)
+            return model, [engine.TraceRow(1, 0.0, 0.0, 0.5)]
+
+        monkeypatch.setattr(experiments, "train", fake_train)
+        experiments._summaries.clear()
+        cap = experiments._SUMMARY_CAP
+        last = cap // 4 + 2
+        for seed in range(last + 1):
+            init_ablation(small_dataset, FAST, seed=seed)
+            assert len(experiments._summaries) <= cap
+        assert len(experiments._summaries) == cap
+        configs.clear()
+        init_ablation(small_dataset, FAST, seed=last)      # newest: all recorded
+        assert configs == []
+        init_ablation(small_dataset, FAST, seed=0)         # oldest: evicted
+        assert len(configs) == 4
 
 
 def test_desk_scale_ablation_beats_double_chance(desk_dataset):
