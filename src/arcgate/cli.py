@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -62,7 +63,7 @@ _OPTIONS: dict[str, dict] = {
         "target": ("--target", str, None, "one of %s or file:PATH" % (_FIT_TARGETS,)),
         "range": ("--range", float, (-6.0, 6.0), "fit window LO HI"),
         "points": ("--points", int, 1001, "grid size"),
-        "budget": ("--budget", int, 5000, "Adam iterations per restart"),
+        "budget": ("--budget", int, 5000, "maximum LM iterations per descent"),
         "seed": ("--seed", int, 0, "RNG seed"),
         "out": ("--out", str, None, "output CSV"),
     },
@@ -236,6 +237,7 @@ def _cmd_fit(opts) -> int:
         target = fitter.FitTarget(grid, values, label)
         row_key: object = label
         init = core.preset("soft_relu_init")
+        lo, hi = target.grid[0], target.grid[-1]
     elif target_name in _FIT_CLASSICS:
         kind, preset_args = _FIT_CLASSICS[target_name]
         target = fitter.FitTarget.from_kind(kind, lo, hi, opts["points"])
@@ -245,7 +247,7 @@ def _cmd_fit(opts) -> int:
         raise ValueError(f"unknown fit target {target_name!r}")
     result = fitter.fit(target, init, budget=opts["budget"], seed=opts["seed"])
     out = _out_path(opts["out"])
-    fitter.write_fit_csv([(row_key, result)], out)
+    fitter.write_fit_csv([(row_key, result)], out, (lo, hi), opts["budget"], opts["seed"])
     print(f"fit {label}: l_inf={result.l_inf_error:.4e} l2={result.l2_error:.4e} "
           f"converged={result.converged} -> {out}", file=sys.stderr)
     return 0
@@ -374,9 +376,14 @@ def _cmd_plot(opts) -> int:
         svg.write_line_chart(out, Path(infile).stem, header[0], "F(x)", series)
     elif figure == "fit":
         series = []
-        grid = np.linspace(-6.0, 6.0, 601)
         with open(infile, newline="") as f:
+            window = re.fullmatch(r"# range=([-+.\deE]+),([-+.\deE]+) budget=\d+ seed=-?\d+\s*",
+                                  f.readline())
             rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
+        if window is None:
+            raise ValueError(f"{infile}: no leading '# range=LO,HI budget=B seed=S' line; "
+                             "rewrite the table with `arcgate fit`")
+        grid = np.linspace(float(window[1]), float(window[2]), 601)
         for row in rows[1:]:
             eff = tuple(float(v) for v in row[2:9])
             series.append((row[1], grid, core.batch_eval(grid, eff).f))

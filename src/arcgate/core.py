@@ -217,9 +217,9 @@ class GateTape:
     ``eff`` is the 7-tuple of floats the tape was evaluated with, or the
     ``(k, 7)`` matrix whose rows were broadcast over a 1-D ``x``; in that case
     every other array is ``(k, x.size)``.  The transition value ``u`` is not
-    kept: no gradient reads it, and :func:`eval_F` derives it from ``z``,
-    ``theta`` and ``psmall`` (``theta/pi + 1/2`` where ``z >= 0``, else
-    ``psmall/pi``).
+    kept: no gradient reads it, and :func:`eval_u` and :func:`eval_F` derive
+    it from ``z``, ``theta`` and ``psmall`` (``theta/pi + 1/2`` where
+    ``z >= 0``, else ``psmall/pi``).
     """
 
     x: np.ndarray
@@ -420,16 +420,15 @@ def eval_u(x: float, a: float, c: float) -> float:
     """Monotone transition value in (0, 1); takes the effective steepness."""
     _check_finite_scalars(x=float(x), c=float(c))
     _check_effective(float(a), 1.0)
-    return _u_signed(float(x), float(a), float(c))
+    return _u_at(batch_eval(np.array([float(x)]), (a, c, 1.0, 0.0, 0.0, 0.0, 0.0)))
 
 
-def _u_signed(x: float, a: float, c: float) -> float:
-    # formula-extended: accepts any sign of a (test hook for the mirror identity)
-    z = float(np.clip(a * (x - c), -_Z_CAP, _Z_CAP))
-    if z >= 0.0:
-        u = 0.5 + float(np.arctan(z)) / math.pi
+def _u_at(tape: GateTape) -> float:
+    """``u`` of a one-element tape: ``theta/pi + 1/2`` where ``z >= 0``, else ``psmall/pi``."""
+    if tape.z[0] >= 0.0:
+        u = float(tape.theta[0]) / math.pi + 0.5
     else:
-        u = float(np.arctan2(1.0, -z)) / math.pi
+        u = float(tape.psmall[0]) / math.pi
     return min(max(u, GATE_EPS), 1.0 - GATE_EPS)
 
 
@@ -442,15 +441,6 @@ def eval_v(x: float, params: ArcGateParams) -> float:
     return float(tape.v[0])
 
 
-def _v_signed(x: float, a: float, c: float, p: float) -> float:
-    # formula-extended: accepts any sign of p (test hook for v(-p) = 1 - v(p))
-    tape = batch_eval(np.array([float(x)]), (a, c, 1.0, 0.0, 0.0, 0.0, 0.0))
-    t = p * float(tape.log_odds[0])
-    side = float(np.arctan(np.exp(-abs(t))) / _HALF_PI)
-    v = (1.0 - side) if t >= 0.0 else side
-    return min(max(v, GATE_EPS), 1.0 - GATE_EPS)
-
-
 def eval_F(x: float, params: ArcGateParams) -> GateEval:
     """Full activation value with the internal stage values."""
     eff = params.effective()
@@ -458,12 +448,8 @@ def eval_F(x: float, params: ArcGateParams) -> GateEval:
                           gamma=eff[5], delta=eff[6])
     _check_effective(eff[0], eff[2])
     tape = batch_eval(np.array([float(x)]), eff)
-    if tape.z[0] >= 0.0:
-        u = float(tape.theta[0]) / math.pi + 0.5
-    else:
-        u = float(tape.psmall[0]) / math.pi
-    return GateEval(u=min(max(u, GATE_EPS), 1.0 - GATE_EPS), v=float(tape.v[0]),
-                    f=float(tape.f[0]), log_odds=float(tape.log_odds[0]))
+    return GateEval(u=_u_at(tape), v=float(tape.v[0]), f=float(tape.f[0]),
+                    log_odds=float(tape.log_odds[0]))
 
 
 def eval_F_batch(xs: Sequence[float], params: ArcGateParams) -> np.ndarray:

@@ -342,7 +342,8 @@ def sensitivity_curves(out_dir, fit_budget: int = 5000, seed: int = 0) -> dict[s
         paths[name] = path
 
     classics_path = out_dir / "sensitivity_classics.csv"
-    rows = fitter.replicate_classics(budget=fit_budget, seed=seed)
-    fitter.write_fit_csv(rows, classics_path)
+    window = (float(grid[0]), float(grid[-1]))
+    rows = fitter.replicate_classics(*window, budget=fit_budget, seed=seed)
+    fitter.write_fit_csv(rows, classics_path, window, fit_budget, seed)
     paths["classics"] = classics_path
     return paths

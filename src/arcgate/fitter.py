@@ -1,15 +1,24 @@
 """Least-squares recovery of classical activations inside the gate family.
 
-Full-batch Adam over the seven raw parameters on a fixed sample grid, with
-seeded random restarts and monotone best-tracking: the returned result is
-never worse than the initialization it was handed.
+Levenberg–Marquardt (Levenberg 1944; Marquardt 1963) over the seven raw
+parameters on a fixed sample grid, with seeded random restarts and monotone
+best-tracking: the returned result is never worse than the initialization
+it was handed.
 
-Every descent (each restart of each target fitted together) is one row of
-a single Adam loop.  Each step evaluates all running rows on the shared grid
-in one batched kernel call that writes into reused buffers.  A row keeps its
-own learning rate, blow-up retries, iteration count, best point and stall
-record, and leaves the batch when it stops, so it follows exactly the
-arithmetic of a descent run on its own.
+Every descent (each restart of each target fitted together) is one row of a
+single loop.  Each iteration evaluates the running rows' trial points in one
+kernel call, keeps a trial only where it lowers the loss (dividing that
+row's damping λ by 10, else multiplying it by 10), takes the kernel's
+partials once for the rows that moved, and solves the damped normal
+equations ``(JᵀJ + λ·D) δ = −Jᵀr`` of all rows at once, with D Marquardt's
+``diag(JᵀJ)``.  A row leaves the batch when it stops, so it follows exactly
+the arithmetic of a descent run on its own.  A descent stops on ``gtol``
+(every component of ``Jᵀr`` within 1e-13 of zero), ``ftol`` (an accepted
+step lowered the loss by at most 1e-8 relative), ``damping_cap`` (λ above
+1e16), ``budget`` (``budget`` iterations) or ``nonfinite`` (its start or
+Jacobian is not finite); the first three count as converged.  ``ftol`` is
+what ends the classic fits, whose best parameters lie at infinity (a → 0,
+p → ∞ on sigmoid) while the loss creeps down forever.
 """
 
 from __future__ import annotations
@@ -28,12 +37,14 @@ from .zoo import ActivationKind
 __all__ = ["FitResult", "FitTarget", "fit", "replicate_classics", "write_fit_csv",
            "CLASSIC_TARGETS"]
 
-_ADAM_BETAS = (0.9, 0.999)
-_ADAM_EPS = 1e-8
-_GRAD_TOL = 1e-8
-_STALL_TOL = 1e-12
-_STALL_WINDOW = 100
-_ATTEMPTS = 6      # a descent that blows up retries from its start at half the rate
+_GTOL = 1e-13
+_FTOL = 1e-8          # MINPACK's default, the square root of the double epsilon
+_LAMBDA_INIT = 1e-3
+_LAMBDA_MIN = 1e-10   # keeps λ·D above the rounding noise of a rank-deficient JᵀJ
+_LAMBDA_CAP = 1e16
+# D floors each row's diagonal at this share of its largest entry: the identity
+# preset (alpha = beta = 0) has zero a, c and p columns
+_DIAG_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -76,27 +87,26 @@ class FitResult:
 
 
 def fit(target: FitTarget, init: ArcGateParams, budget: int = 5000, seed: int = 0,
-        lr: float = 0.02, restarts: int = 3,
-        effective_cap: float | None = None) -> FitResult:
+        restarts: int = 3, effective_cap: float | None = None) -> FitResult:
     """Minimize mean squared error of the gate against ``target`` on its grid.
 
     Restart 0 descends from ``init``; later restarts from seeded random
-    draws.  The restarts run together as rows of one batched Adam loop (see
-    the module docstring); each row stops at ``budget`` iterations or at a
-    stationary point, and a row that blows up retries from its start at half
-    the learning rate, six attempts in all.  ``effective_cap`` optionally
-    clamps the effective steepness and sharpness below a ceiling (projected
-    after every step), which is how the hard-rectifier limit is probed.
-    Best parameters across all restarts and iterations win; the init itself
-    is the starting incumbent.
+    draws.  The restarts run together as rows of one batched
+    Levenberg–Marquardt loop (see the module docstring); each row makes at
+    most ``budget`` iterations.  ``converged`` is true when the winning
+    descent stopped on ``gtol``, ``ftol`` or ``damping_cap`` rather than on
+    the budget.  ``effective_cap`` optionally clamps the effective steepness
+    and sharpness below a ceiling (projected after every step), which is how
+    the hard-rectifier limit is probed.  Best parameters across all restarts
+    win; the init itself is the starting incumbent.
     """
     return _fit_targets(target.grid, target.values[None, :], [init], [seed],
-                        [effective_cap], budget, lr, restarts)[0]
+                        [effective_cap], budget, restarts)[0]
 
 
 def _fit_targets(grid: np.ndarray, values: np.ndarray, inits: list[ArcGateParams],
                  seeds: list[int], effective_caps: list[float | None], budget: int,
-                 lr: float, restarts: int) -> list[FitResult]:
+                 restarts: int) -> list[FitResult]:
     """Fit row ``j`` of ``values`` on ``grid`` as :func:`fit` would from ``inits[j]``.
 
     The restarts of every target descend together in one batch.
@@ -116,34 +126,23 @@ def _fit_targets(grid: np.ndarray, values: np.ndarray, inits: list[ArcGateParams
     job = np.repeat(np.arange(len(inits)), restarts)
     outcomes = _descend_rows(grid, values[job],
                              _clamp(np.array(starts).reshape(-1, 7), raw_caps[job]),
-                             raw_caps[job], budget, lr)
+                             raw_caps[job], budget)
 
     picks = []
     for j, (init_loss, _, _) in enumerate(_errors(grid, init_raws, values)):
-        best_loss = init_loss if math.isfinite(init_loss) else math.inf
-        best_raw, best_converged = init_raws[j], False
-        total_iters, any_finite = 0, math.isfinite(init_loss)
-        for restart, outcome in enumerate(outcomes[j * restarts:(j + 1) * restarts]):
-            if outcome is None:
-                continue
-            loss, raw, iters, converged = outcome
-            total_iters += iters
-            any_finite = True
-            if loss < best_loss or (restart == 0 and loss == best_loss):
-                best_loss, best_raw, best_converged = loss, raw, converged
-        picks.append((best_raw, best_converged, total_iters, any_finite))
+        init_loss = init_loss if math.isfinite(init_loss) else math.inf
+        runs = [run for run in outcomes[j * restarts:(j + 1) * restarts] if run is not None]
+        # min keeps the first of equal losses: restarts in order, then the init
+        _, best_raw, _, converged = min(runs + [(init_loss, init_raws[j], 0, False)],
+                                        key=lambda run: run[0])
+        picks.append((best_raw, converged, sum(run[2] for run in runs),
+                       bool(runs) or init_loss < math.inf))
 
     final = _errors(grid, np.array([pick[0] for pick in picks]), values)
-    results = []
-    for init, (best_raw, converged, iters, any_finite), (_, l_inf, l2) in zip(inits, picks, final):
-        if not any_finite:
-            results.append(FitResult(params=init, l_inf_error=math.inf, l2_error=math.inf,
-                                     iterations=iters, converged=False))
-        else:
-            results.append(FitResult(params=ArcGateParams.from_raw_vector(best_raw),
-                                     l_inf_error=l_inf, l2_error=l2,
-                                     iterations=iters, converged=converged))
-    return results
+    return [FitResult(ArcGateParams.from_raw_vector(raw), l_inf, l2, iters, converged)
+            if any_finite else FitResult(init, math.inf, math.inf, iters, False)
+            for init, (raw, converged, iters, any_finite), (_, l_inf, l2)
+            in zip(inits, picks, final)]
 
 
 def _clamp(raws: np.ndarray, raw_caps: np.ndarray) -> np.ndarray:
@@ -175,120 +174,63 @@ def _errors(grid: np.ndarray, raws: np.ndarray,
     return [(s / n, m, math.sqrt(s)) for s, m in zip(sq, l_inf)]
 
 
-class _Rows:
-    """State of the running descents, one row each, in batch order."""
-
-    def __init__(self, starts: np.ndarray, caps: np.ndarray, lr: float):
-        k = len(starts)
-        self.id = np.arange(k)
-        self.start = starts
-        self.cap = caps
-        self.lr = np.full(k, float(lr))
-        self.attempt = np.zeros(k, dtype=np.int64)
-        self.raw = np.empty_like(starts)
-        self.m = np.empty_like(starts)
-        self.v = np.empty_like(starts)
-        self.it = np.empty(k, dtype=np.int64)
-        self.best_loss = np.empty(k)
-        self.best_raw = np.empty_like(starts)
-        self.stall_anchor = np.empty(k)
-        self.stalled = np.empty(k, dtype=bool)
-        self.restart(slice(None))
-
-    def restart(self, rows) -> None:
-        """Send ``rows`` back to their starts with fresh Adam moments and records."""
-        self.raw[rows] = self.start[rows]
-        self.m[rows] = 0.0
-        self.v[rows] = 0.0
-        self.it[rows] = 0
-        self.best_loss[rows] = math.inf
-        self.best_raw[rows] = self.start[rows]
-        self.stall_anchor[rows] = math.inf
-        self.stalled[rows] = False
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop every row not selected by the mask ``rows``."""
-        for name, value in vars(self).items():
-            setattr(self, name, value[rows])
-
-
-def _stationary(g: np.ndarray) -> np.ndarray:
-    """Rows whose gradient norm, as ``np.linalg.norm`` gives it, is below ``_GRAD_TOL``."""
-    out = np.zeros(len(g), dtype=bool)
-    # the norm is at least the largest |component|, so only small rows need it
-    for r in np.flatnonzero(np.max(np.abs(g), axis=1) < 2.0 * _GRAD_TOL).tolist():
-        out[r] = float(np.linalg.norm(g[r])) < _GRAD_TOL
-    return out
-
-
 def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
-                  caps: np.ndarray, budget: int, lr: float) -> list:
-    """Adam descents, one per row, batched into one kernel call per step.
+                  caps: np.ndarray, budget: int) -> list:
+    """Levenberg–Marquardt descents, one per row, batched into one loop.
 
     Row ``r`` fits ``values[r]`` from ``starts[r]`` and clamps its raw a and p
-    below ``caps[r]`` after every step.  Returns, per row, (best_loss,
-    best_raw, iterations, converged), or None if every attempt blew up.
-
-    Only true stationarity (tiny gradient) stops a row early; a slow window
-    is merely recorded, since Adam routinely crosses plateaus it later
-    escapes.  The kernel writes into buffers reused across steps, so the
-    loop allocates no array the size of the grid.
+    below ``caps[r]`` after every step.  Returns, per row, (loss, raw,
+    iterations, converged), or None if its start is not finite.  Iteration
+    ``it`` evaluates the start (``it`` = 1) or the last trial point; a row
+    moves only when that lowers its loss, so its point is always its best.
     """
     k_all, n = values.shape
-    b1, b2 = _ADAM_BETAS
     outcomes: list = [None] * k_all
-    rows = _Rows(starts, caps, lr)
     all_buffers = core.GateBuffers((k_all, n))
-    all_resid, all_cot, all_values = (np.empty((k_all, n)) for _ in range(3))
-    k = -1
-    while rows.id.size:
-        if rows.id.size != k:   # rows only ever leave the batch
-            k = rows.id.size
-            buffers = all_buffers.rows(k)
-            resid, cot = all_resid[:k], all_cot[:k]
-            row_values = np.take(values, rows.id, axis=0, out=all_values[:k])
-        rows.it += 1
-        tape = core.batch_eval(grid, _effective_rows(rows.raw), buffers)
-        np.subtract(tape.f, row_values, out=resid)
-        loss = np.sum(np.multiply(resid, resid, out=cot), axis=-1) / n
-        np.divide(np.multiply(2.0, resid, out=cot), n, out=cot)
-        _, g = core.batch_vjp(tape, cot, buffers)
-        g[:, [0, 2]] *= [[core.positive_map_grad(a), core.positive_map_grad(p)]
-                         for a, p in rows.raw[:, [0, 2]].tolist()]
-
-        ok = np.isfinite(loss) & np.all(np.isfinite(g), axis=1)
-        better = ok & (loss < rows.best_loss)
-        rows.best_loss[better] = loss[better]
-        rows.best_raw[better] = rows.raw[better]
-        converged = ok & _stationary(g)
-        for r in np.flatnonzero(ok & ~converged & (rows.it % _STALL_WINDOW == 0)).tolist():
-            anchor, best = float(rows.stall_anchor[r]), float(rows.best_loss[r])
-            rows.stalled[r] = math.isfinite(anchor) and \
-                anchor - best <= _STALL_TOL * max(abs(anchor), 1e-300)
-            rows.stall_anchor[r] = best
-
-        # every row takes the Adam step; rows that blew up or stop now discard it
-        its = rows.it.tolist()
-        bias1 = np.array([1 - b1 ** it for it in its])[:, None]
-        bias2 = np.array([1 - b2 ** it for it in its])[:, None]
-        with np.errstate(invalid="ignore", over="ignore"):
-            rows.m = b1 * rows.m + (1 - b1) * g
-            rows.v = b2 * rows.v + (1 - b2) * g * g
-            rows.raw = rows.raw - rows.lr[:, None] * (rows.m / bias1) / \
-                (np.sqrt(rows.v / bias2) + _ADAM_EPS)
-        _clamp(rows.raw, rows.cap)
-
-        blown = ~ok
-        if blown.any():
-            rows.attempt[blown] += 1
-            rows.lr[blown] *= 0.5
-            rows.restart(blown & (rows.attempt < _ATTEMPTS))
-        done = converged | (ok & (rows.it >= budget)) | (rows.attempt >= _ATTEMPTS)
+    jac = np.zeros((k_all, 7, n))   # d(residual)/d(raw); the gamma and delta columns are x and 1
+    jac[:, 5], jac[:, 6] = grid, 1.0
+    ids, raw, trial, cap = np.arange(k_all), starts.copy(), starts, caps
+    resid = np.full((k_all, n), math.nan)
+    loss = np.full(k_all, math.inf)
+    lam = np.full(k_all, 10.0 * _LAMBDA_INIT)   # the start's acceptance divides it by 10
+    for it in range(1, budget + 1):
+        buffers = all_buffers.rows(ids.size)
+        tape = core.batch_eval(grid, _effective_rows(trial), buffers)
+        trial_resid = tape.f - values
+        trial_loss = np.sum(trial_resid * trial_resid, axis=-1) / n
+        accept = np.isfinite(trial_loss) & (trial_loss < loss)
+        small_step = accept & (trial_loss >= (1.0 - _FTOL) * loss)
+        if accept.any():
+            _, d_a, d_c, d_p = core._partials(tape, buffers.scratch)
+            chain = np.array([[core.positive_map_grad(a), core.positive_map_grad(p)]
+                              for a, p in trial[accept][:, [0, 2]].tolist()])
+            jac[accept, 0] = d_a[accept] * chain[:, :1]
+            jac[accept, 1] = d_c[accept]
+            jac[accept, 2] = d_p[accept] * chain[:, 1:]
+            jac[accept, 3] = grid * tape.v[accept]
+            jac[accept, 4] = tape.v[accept]
+        raw[accept], resid[accept], loss[accept] = \
+            trial[accept], trial_resid[accept], trial_loss[accept]
+        lam = np.where(accept, np.maximum(lam / 10.0, _LAMBDA_MIN), lam * 10.0)
+        jtr = (jac @ resid[:, :, None])[:, :, 0]
+        finite = np.all(np.isfinite(jtr), axis=1)   # false for a non-finite start or Jacobian
+        converged = finite & (small_step | (np.max(np.abs(jtr), axis=1) <= _GTOL)
+                              | (lam > _LAMBDA_CAP))
+        done = converged | ~finite | (it == budget)
+        for r in np.flatnonzero(done & np.isfinite(loss)).tolist():
+            outcomes[ids[r]] = (float(loss[r]), raw[r].copy(), it, bool(converged[r]))
         if done.any():
-            for r in np.flatnonzero(done & ok).tolist():
-                outcomes[rows.id[r]] = (float(rows.best_loss[r]), rows.best_raw[r].copy(),
-                                        int(rows.it[r]), bool(converged[r] or rows.stalled[r]))
-            rows.keep(~done)
+            keep = ~done
+            ids, raw, cap, values, resid, loss, jac, lam, jtr = (
+                v[keep] for v in (ids, raw, cap, values, resid, loss, jac, lam, jtr))
+            if not ids.size:
+                break
+        jtj = jac @ jac.transpose(0, 2, 1)
+        diag = np.diagonal(jtj, axis1=1, axis2=2)
+        damp = np.maximum(diag, _DIAG_FLOOR * np.max(diag, axis=1, keepdims=True))
+        jtj += (lam[:, None] * damp)[:, :, None] * np.eye(7)
+        with np.errstate(invalid="ignore", over="ignore"):
+            trial = _clamp(raw - np.linalg.solve(jtj, jtr[:, :, None])[:, :, 0], cap)
     return outcomes
 
 
@@ -310,21 +252,27 @@ def replicate_classics(lo: float = -6.0, hi: float = 6.0, n_points: int = 1001,
     """Fit every classic target from its matching preset, as :func:`fit` with seed ``seed + i``.
 
     All targets share one grid, so their 7 x 3 descents run as one batch.
-    A fit whose every descent blows up still yields a row, with infinite
-    errors.
+    A fit whose every descent is non-finite still yields a row, with
+    infinite errors.
     """
     targets = [FitTarget.from_kind(kind, lo, hi, n_points) for kind, _ in CLASSIC_TARGETS]
     inits = [core.preset(*preset_args) for _, preset_args in CLASSIC_TARGETS]
     results = _fit_targets(targets[0].grid, np.array([t.values for t in targets]), inits,
                            [seed + i for i in range(len(targets))], [None] * len(targets),
-                           budget, lr=0.02, restarts=3)
+                           budget, restarts=3)
     return [(kind, result) for (kind, _), result in zip(CLASSIC_TARGETS, results)]
 
 
-def write_fit_csv(rows, path) -> None:
-    """Emit the fit table; one row per target (ActivationKind or plain label)."""
+def write_fit_csv(rows, path, window: tuple[float, float], budget: int, seed: int) -> None:
+    """Emit the fit table; one row per target (ActivationKind or plain label).
+
+    A leading ``# range=LO,HI budget=B seed=S`` comment records the fit
+    window, which ``arcgate plot --figure fit`` redraws the gates on.
+    """
     path = Path(path)
     with open(path, "w", newline="") as f:
+        lo, hi = (float(bound) for bound in window)
+        f.write(f"# range={lo!r},{hi!r} budget={budget} seed={seed}\n")
         writer = csv.writer(f)
         writer.writerow(["target", "kind", "a", "c", "p", "alpha", "beta",
                          "gamma", "delta", "l_inf", "l2", "iterations", "converged"])

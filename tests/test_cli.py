@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,7 @@ def test_fit_identity_writes_csv(tmp_path):
     assert run_cli("fit", "--target", "identity", "--budget", 300,
                    "--out", out) == 0
     with open(out, newline="") as f:
-        rows = list(csv.reader(f))
+        rows = [row for row in csv.reader(f) if not row[0].startswith("#")]
     assert rows[1][0] == "identity"
     assert float(rows[1][9]) <= 1e-6
 
@@ -95,7 +96,7 @@ def test_fit_file_target(tmp_path):
     assert run_cli("fit", "--target", f"file:{samples}", "--budget", 150,
                    "--out", out) == 0
     with open(out, newline="") as f:
-        rows = list(csv.reader(f))
+        rows = [row for row in csv.reader(f) if not row[0].startswith("#")]
     assert rows[1][0] == "samples.csv"
 
 
@@ -283,6 +284,27 @@ def test_plot_sensitivity_and_fit_figures(tmp_path):
     assert run_cli("plot", "--figure", "fit", "--in", paths["classics"],
                    "--out", fit_chart) == 0
     assert fit_chart.read_text().startswith("<svg")
+
+
+def test_plot_fit_redraws_on_the_recorded_window(tmp_path):
+    table = tmp_path / "fit.csv"
+    assert run_cli("fit", "--target", "sigmoid", "--range", -2, 2, "--points", 101,
+                   "--budget", 50, "--out", table) == 0
+    assert table.read_text().startswith("# range=-2.0,2.0 budget=50 seed=0\n")
+    chart = tmp_path / "fit.svg"
+    assert run_cli("plot", "--figure", "fit", "--in", table, "--out", chart) == 0
+    x_ticks = re.findall(r'text-anchor="middle" font-size="11" font-family="sans-serif">'
+                         r'([^<]*)</text>', chart.read_text())
+    assert [float(t) for t in x_ticks] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
+def test_plot_fit_without_a_recorded_window_fails(tmp_path, capsys):
+    # the fit table as written before it recorded its window
+    table = DATA / "fit_classics_adam_n201_b300_seed0.csv"
+    chart = tmp_path / "fit.svg"
+    assert run_cli("plot", "--figure", "fit", "--in", table, "--out", chart) == 1
+    assert "no leading '# range=LO,HI budget=B seed=S' line" in capsys.readouterr().err
+    assert not chart.exists()
 
 
 def test_sweep_eval_idempotent(tmp_path, idx_files):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from arcgate import core
 from arcgate.core import ArcGateParams, eval_F, eval_F_batch, eval_u, eval_v, grad, preset
 from gradcheck_oracle import _gate_gradcheck
+from signed_gate import u_signed, v_signed
 from train_oracle import u_from_tape
 
 # high-precision oracle values (mpmath, 50 digits)
@@ -56,7 +57,7 @@ class TestEvalU:
 
     def test_sign_flip_mirrors_transition(self):
         # formula extended to a = -1 reverses the direction: 0.25 = 1 - 0.75
-        assert core._u_signed(1.0, -1.0, 0.0) == pytest.approx(0.25, abs=1e-15)
+        assert u_signed(1.0, -1.0, 0.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
@@ -96,8 +97,8 @@ class TestEvalV:
     @settings(max_examples=300)
     def test_negative_p_complement(self, x, a, p):
         # formula extended to signed p
-        lhs = core._v_signed(x, a, 0.0, -p)
-        rhs = 1.0 - core._v_signed(x, a, 0.0, p)
+        lhs = v_signed(x, a, 0.0, -p)
+        rhs = 1.0 - v_signed(x, a, 0.0, p)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -135,6 +136,11 @@ class TestEvalF:
                                    math.nextafter(c, -math.inf), c + 1e-3, c - 1e-3, 7.0, -7.0])
                     want = u_from_tape(core.batch_eval(xs, params.effective()))
                     got = np.array([eval_F(x, params).u for x in xs])
+                    assert got.tobytes() == want.tobytes(), (a_raw, p_raw, c)
+                    # eval_u is a one-element kernel call; u_signed is its former formula
+                    got = np.array([eval_u(x, params.a, c) for x in xs])
+                    assert got.tobytes() == want.tobytes(), (a_raw, p_raw, c)
+                    got = np.array([u_signed(x, params.a, c) for x in xs])
                     assert got.tobytes() == want.tobytes(), (a_raw, p_raw, c)
                     checked += xs.size
         assert checked == 1760
@@ -391,8 +397,8 @@ class TestInvariants:
         for x in xs:
             for a in steeps:
                 for c in centers:
-                    lhs = core._u_signed(float(x), float(-a), float(c))
-                    rhs = 1.0 - core._u_signed(float(x), float(a), float(c))
+                    lhs = u_signed(float(x), float(-a), float(c))
+                    rhs = 1.0 - u_signed(float(x), float(a), float(c))
                     worst = max(worst, abs(lhs - rhs))
         assert worst < 1e-12
 
@@ -405,8 +411,8 @@ class TestInvariants:
         for x in xs:
             for a in steeps:
                 for p in sharps:
-                    lhs = core._v_signed(float(x), float(a), 0.3, float(-p))
-                    rhs = 1.0 - core._v_signed(float(x), float(a), 0.3, float(p))
+                    lhs = v_signed(float(x), float(a), 0.3, float(-p))
+                    rhs = 1.0 - v_signed(float(x), float(a), 0.3, float(p))
                     worst = max(worst, abs(lhs - rhs))
         assert worst < 1e-10
 

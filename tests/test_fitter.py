@@ -8,21 +8,16 @@ import pytest
 from arcgate import core, fitter
 from arcgate.fitter import FitResult, FitTarget, fit, write_fit_csv
 from arcgate.zoo import ActivationKind
-from fit_oracle import sequential_fit
 
 DATA = Path(__file__).parent / "data"
 CAPS = (10.0, 100.0, 1000.0)
-
-
-def capped_relu_fit(cap, fitter_fn):
-    target = FitTarget.from_kind(ActivationKind("relu"), -5, 5, 1001)
-    return fitter_fn(target, core.preset("relu_like", cap), budget=2500, seed=2,
-                     effective_cap=cap)
+CAPPED_RELU = FitTarget.from_kind(ActivationKind("relu"), -5, 5, 1001)
 
 
 @pytest.fixture(scope="module")
 def capped_fits():
-    return [capped_relu_fit(cap, fit) for cap in CAPS]
+    return [fit(CAPPED_RELU, core.preset("relu_like", cap), budget=2500, seed=2,
+                effective_cap=cap) for cap in CAPS]
 
 
 class TestFitTarget:
@@ -120,9 +115,10 @@ class TestReplicateClassics:
 
     def test_csv_schema(self, table, tmp_path):
         path = tmp_path / "fits.csv"
-        write_fit_csv(table, path)
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
+        write_fit_csv(table, path, (-6.0, 6.0), 300, 0)
+        comment, *lines = path.read_text().splitlines()
+        assert comment == "# range=-6.0,6.0 budget=300 seed=0"
+        rows = list(csv.reader(lines))
         assert rows[0] == ["target", "kind", "a", "c", "p", "alpha", "beta",
                            "gamma", "delta", "l_inf", "l2", "iterations", "converged"]
         assert len(rows) == 8
@@ -131,53 +127,68 @@ class TestReplicateClassics:
     def test_csv_accepts_plain_labels(self, tmp_path):
         res = FitResult(core.preset("identity"), 0.0, 0.0, 1, True)
         path = tmp_path / "one.csv"
-        write_fit_csv([("samples.csv", res)], path)
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        assert rows[1][0] == "samples.csv"
+        write_fit_csv([("samples.csv", res)], path, (-1.5, 2.0), 10, 3)
+        comment, *lines = path.read_text().splitlines()
+        assert comment == "# range=-1.5,2.0 budget=10 seed=3"
+        assert list(csv.reader(lines))[1][0] == "samples.csv"
 
     def test_csv_matches_saved_output(self, table, tmp_path):
-        # written by the sequential fitter before descents were batched
+        # written by the Levenberg–Marquardt fitter when it replaced Adam
         path = tmp_path / "fits.csv"
-        write_fit_csv(table, path)
+        write_fit_csv(table, path, (-6.0, 6.0), 300, 0)
         assert path.read_bytes() == (DATA / "fit_classics_n201_b300_seed0.csv").read_bytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
+    def test_no_worse_than_the_saved_adam_table(self, table, seed):
+        # the Adam fitter's seed-0 table at the same grid and budget
+        with open(DATA / "fit_classics_adam_n201_b300_seed0.csv", newline="") as f:
+            adam_l_inf = {row[0]: float(row[9]) for row in list(csv.reader(f))[1:]}
+        rows = table if seed == 0 else fitter.replicate_classics(n_points=201, budget=300,
+                                                                 seed=seed)
+        for kind, res in rows:
+            assert res.l_inf_error <= adam_l_inf[kind.tag], kind.tag
 
-class TestSequentialOracle:
-    """The batched fitter returns exactly what the sequential loop returns."""
 
-    def test_replicate_classics(self, table):
-        expected = [
-            (kind, sequential_fit(FitTarget.from_kind(kind, -6, 6, 201), core.preset(*args),
-                                  budget=300, seed=i)[0])
-            for i, (kind, args) in enumerate(fitter.CLASSIC_TARGETS)]
+class TestBatchInvariance:
+    """A descent's row of the batch follows exactly the arithmetic of a fit run alone."""
+
+    def test_replicate_classics_rows_equal_single_fits(self, table):
+        expected = [(kind, fit(FitTarget.from_kind(kind, -6, 6, 201), core.preset(*args),
+                               budget=300, seed=i))
+                    for i, (kind, args) in enumerate(fitter.CLASSIC_TARGETS)]
         assert table == expected
 
     def test_restarts_stopping_at_different_iterations(self):
         target = FitTarget.from_kind(ActivationKind("leaky_relu", 0.01), -6, 6, 201)
-        init = core.preset("leaky", 0.01)
-        expected, log = sequential_fit(target, init, budget=300, seed=5)
-        assert [iters for _, _, iters in log] == [297, 300, 300]
-        assert fit(target, init, budget=300, seed=5) == expected
-
-    def test_non_finite_target_exhausts_retries(self):
-        target = FitTarget(np.linspace(-1, 1, 20), np.full(20, np.nan), "broken")
-        expected, log = sequential_fit(target, core.preset("identity"), budget=50, seed=0)
-        assert len(log) == 18 and all(iters is None for _, _, iters in log)
-        assert fit(target, core.preset("identity"), budget=50, seed=0) == expected
-
-    def test_blow_ups_recover_at_different_rates(self):
-        grid = np.linspace(-1, 1, 20)
-        target = FitTarget(grid, 1e150 * grid, "huge")
-        init = core.preset("identity")
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected, log = sequential_fit(target, init, budget=30, seed=0, lr=1e154)
-            got = fit(target, init, budget=30, seed=0, lr=1e154)
-        # restart 0 blows up six times; restarts 1 and 2 succeed on attempts 4 and 3
-        assert [(r, a) for r, a, iters in log if iters is not None] == [(1, 4), (2, 3)]
-        assert got == expected
+        rng = np.random.default_rng(5)
+        starts = np.array([core.preset("leaky", 0.01).raw_vector(), core.random_raw(rng),
+                           core.random_raw(rng)])
+        values, caps = np.tile(target.values, (3, 1)), np.full(3, math.inf)
+        together = fitter._descend_rows(target.grid, values, starts.copy(), caps, 300)
+        assert [iters for _, _, iters, _ in together] == [5, 5, 229]
+        for r, (loss, raw, iters, converged) in enumerate(together):
+            alone = fitter._descend_rows(target.grid, values[r:r + 1], starts[r:r + 1].copy(),
+                                         caps[r:r + 1], 300)[0]
+            assert alone[0] == loss and alone[1].tobytes() == raw.tobytes()
+            assert alone[2:] == (iters, converged)
 
     def test_effective_caps(self, capped_fits):
-        expected = [capped_relu_fit(cap, lambda *a, **k: sequential_fit(*a, **k)[0])
-                    for cap in CAPS]
-        assert capped_fits == expected
+        inits = [core.preset("relu_like", cap) for cap in CAPS]
+        got = fitter._fit_targets(CAPPED_RELU.grid, np.tile(CAPPED_RELU.values, (3, 1)), inits,
+                                  [2, 2, 2], list(CAPS), budget=2500, restarts=3)
+        assert got == capped_fits
+
+    def test_singular_and_non_finite_rows_leave_the_others_intact(self):
+        # the identity preset has zero a, c and p Jacobian columns (alpha = beta = 0),
+        # so its first damped system is singular without Marquardt's floored diagonal
+        grid = np.linspace(-6, 6, 201)
+        sigmoid = FitTarget.from_kind(ActivationKind("sigmoid"), -6, 6, 201)
+        values = np.array([0.5 * grid + 0.25, np.full(201, np.nan), sigmoid.values])
+        inits = [core.preset("identity"), core.preset("identity"), core.preset("sigmoid_like")]
+        line, broken, fitted = fitter._fit_targets(grid, values, inits, [0, 0, 4],
+                                                   [None] * 3, budget=300, restarts=1)
+        assert line.l_inf_error < 1e-12
+        assert math.isinf(broken.l_inf_error) and not broken.converged
+        assert fitted == fit(sigmoid, core.preset("sigmoid_like"), budget=300, seed=4,
+                             restarts=1)
+        assert fitted.l_inf_error < 0.003    # 0.18 at the preset
