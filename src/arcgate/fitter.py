@@ -183,36 +183,47 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
     iterations, converged), or None if its start is not finite.  Iteration
     ``it`` evaluates the start (``it`` = 1) or the last trial point; a row
     moves only when that lowers its loss, so its point is always its best.
+    Each row keeps the undamped ``JᵀJ`` and ``Jᵀr`` of its point, and only
+    the rows that moved take new partials.
     """
     k_all, n = values.shape
     outcomes: list = [None] * k_all
     all_buffers = core.GateBuffers((k_all, n))
     jac = np.zeros((k_all, 7, n))   # d(residual)/d(raw); the gamma and delta columns are x and 1
     jac[:, 5], jac[:, 6] = grid, 1.0
+    eye = np.eye(7)
     ids, raw, trial, cap = np.arange(k_all), starts.copy(), starts, caps
-    resid = np.full((k_all, n), math.nan)
     loss = np.full(k_all, math.inf)
     lam = np.full(k_all, 10.0 * _LAMBDA_INIT)   # the start's acceptance divides it by 10
+    jtj = np.zeros((k_all, 7, 7))
+    jtr = np.full((k_all, 7), math.nan)        # NaN until a row's start is accepted
+    buffers = all_buffers
     for it in range(1, budget + 1):
-        buffers = all_buffers.rows(ids.size)
+        if buffers.shape[0] != ids.size:
+            buffers = all_buffers.rows(ids.size)
         tape = core.batch_eval(grid, _effective_rows(trial), buffers)
         trial_resid = tape.f - values
         trial_loss = np.sum(trial_resid * trial_resid, axis=-1) / n
         accept = np.isfinite(trial_loss) & (trial_loss < loss)
         small_step = accept & (trial_loss >= (1.0 - _FTOL) * loss)
-        if accept.any():
-            _, d_a, d_c, d_p = core._partials(tape, buffers.scratch)
+        moved = np.flatnonzero(accept)
+        if moved.size:
+            m = moved.size
+            if m < ids.size:
+                tape = _tape_rows(tape, moved)
+            _, d_a, d_c, d_p = core._partials(tape, [s[:m] for s in buffers.scratch])
             chain = np.array([[core.positive_map_grad(a), core.positive_map_grad(p)]
-                              for a, p in trial[accept][:, [0, 2]].tolist()])
-            jac[accept, 0] = d_a[accept] * chain[:, :1]
-            jac[accept, 1] = d_c[accept]
-            jac[accept, 2] = d_p[accept] * chain[:, 1:]
-            jac[accept, 3] = grid * tape.v[accept]
-            jac[accept, 4] = tape.v[accept]
-        raw[accept], resid[accept], loss[accept] = \
-            trial[accept], trial_resid[accept], trial_loss[accept]
+                              for a, p in trial[moved][:, [0, 2]].tolist()])
+            jm = jac[:m]
+            jm[:, 0] = d_a * chain[:, :1]
+            jm[:, 1] = d_c
+            jm[:, 2] = d_p * chain[:, 1:]
+            jm[:, 3] = grid * tape.v
+            jm[:, 4] = tape.v
+            jtr[moved] = (jm @ trial_resid[moved][:, :, None])[:, :, 0]
+            jtj[moved] = jm @ jm.transpose(0, 2, 1)
+        raw[accept], loss[accept] = trial[accept], trial_loss[accept]
         lam = np.where(accept, np.maximum(lam / 10.0, _LAMBDA_MIN), lam * 10.0)
-        jtr = (jac @ resid[:, :, None])[:, :, 0]
         finite = np.all(np.isfinite(jtr), axis=1)   # false for a non-finite start or Jacobian
         converged = finite & (small_step | (np.max(np.abs(jtr), axis=1) <= _GTOL)
                               | (lam > _LAMBDA_CAP))
@@ -221,17 +232,31 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
             outcomes[ids[r]] = (float(loss[r]), raw[r].copy(), it, bool(converged[r]))
         if done.any():
             keep = ~done
-            ids, raw, cap, values, resid, loss, jac, lam, jtr = (
-                v[keep] for v in (ids, raw, cap, values, resid, loss, jac, lam, jtr))
+            ids, raw, cap, values, loss, lam, jtj, jtr = (
+                v[keep] for v in (ids, raw, cap, values, loss, lam, jtj, jtr))
             if not ids.size:
                 break
-        jtj = jac @ jac.transpose(0, 2, 1)
         diag = np.diagonal(jtj, axis1=1, axis2=2)
         damp = np.maximum(diag, _DIAG_FLOOR * np.max(diag, axis=1, keepdims=True))
-        jtj += (lam[:, None] * damp)[:, :, None] * np.eye(7)
+        damped = jtj + (lam[:, None] * damp)[:, :, None] * eye
         with np.errstate(invalid="ignore", over="ignore"):
-            trial = _clamp(raw - np.linalg.solve(jtj, jtr[:, :, None])[:, :, 0], cap)
+            trial = _clamp(raw - np.linalg.solve(damped, jtr[:, :, None])[:, :, 0], cap)
     return outcomes
+
+
+def _tape_rows(tape: core.GateTape, rows: np.ndarray) -> core.GateTape:
+    """The tape of ``rows`` alone, moved into the first rows of its own arrays.
+
+    Only the arrays :func:`core._partials` reads are moved; ``t`` and ``f``
+    are left out.
+    """
+    m = rows.size
+    moved = {}
+    for name in ("z", "theta", "psmall", "log_odds", "e", "v"):
+        array = getattr(tape, name)
+        array[:m] = array[rows]
+        moved[name] = array[:m]
+    return core.GateTape(x=tape.x, t=None, f=None, eff=tape.eff[rows], **moved)
 
 
 #: Classic targets in table order with the preset each fit starts from.
