@@ -33,7 +33,7 @@ __all__ = [
     "ModelFormatError", "NonFiniteGradientError", "Slot", "StepBuffers",
     "TrainingDivergedError",
     "TraceRow", "TrainConfig",
-    "adamw_step", "backward", "build_model", "evaluate", "forward",
+    "adamw_step", "add_noise", "backward", "build_model", "evaluate", "forward",
     "load_model", "net_gradcheck", "predict", "save_model", "softmax_cross_entropy",
     "train",
 ]
@@ -556,12 +556,19 @@ def evaluate(model: MLPModel, dataset, noise_sigma: float = 0.0, seed: int = 0) 
     y = np.asarray(dataset[1], dtype=np.int64)
     if y.size == 0:
         raise ValueError("cannot evaluate on an empty split")
+    return float(np.mean(predict(model, add_noise(x, noise_sigma, seed)) == y))
+
+
+def add_noise(x: np.ndarray, noise_sigma: float, seed: int) -> np.ndarray:
+    """``x`` plus Gaussian noise of deviation ``noise_sigma`` drawn from ``seed``.
+
+    ``noise_sigma=0`` returns ``x`` itself and touches no generator.
+    """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        x = x + rng.normal(0.0, noise_sigma, size=x.shape)
-    return float(np.mean(predict(model, x) == y))
+    if noise_sigma == 0:
+        return x
+    return x + np.random.default_rng(seed).normal(0.0, noise_sigma, size=x.shape)
 
 
 def net_gradcheck(seed: int) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import core, fitter
 from .engine import (MLPModel, ModelSpec, TrainConfig, TrainingDivergedError,
-                     evaluate, train)
+                     add_noise, evaluate, train)
 
 __all__ = [
     "DEFAULT_SIGMAS", "LayerReport", "SweepReport",
@@ -95,8 +95,11 @@ def _summary_key(spec: ModelSpec, config: TrainConfig, data_digest: str) -> tupl
 
 
 def _train_recorded(spec: ModelSpec, dataset, config: TrainConfig,
-                    data_digest: str) -> MLPModel | None:
-    """``train``, recording the run's summary; ``None`` when it diverged."""
+                    data_digest: str) -> tuple[MLPModel | None, tuple[float, int] | None]:
+    """``train``, recording the run's summary; returns the model and the summary.
+
+    Both are ``None`` when the run diverged.
+    """
     key = _summary_key(spec, config, data_digest)
     try:
         model, trace = train(spec, dataset, config)
@@ -107,7 +110,7 @@ def _train_recorded(spec: ModelSpec, dataset, config: TrainConfig,
     _summaries[key] = summary
     while len(_summaries) > _SUMMARY_CAP:
         _summaries.popitem(last=False)
-    return model
+    return model, summary
 
 
 def _summary(spec: ModelSpec, dataset, config: TrainConfig,
@@ -145,8 +148,10 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
     """Train matched adaptive-gate and ReLU models, evaluate both across noise levels.
 
     Both models share the seed, the architecture, and per-sigma noise draws;
-    only the activation differs.  If one training run diverges the report is
-    returned partial, with whatever rows were completed.
+    only the activation differs.  Each sigma's noise is drawn once and both
+    models are evaluated on it; sigma 0 is the clean test accuracy that
+    training recorded.  If one training run diverges the report is returned
+    partial, with whatever rows were completed.
     """
     sigmas = [float(s) for s in sigmas]
     if any(s < 0 for s in sigmas) or sorted(sigmas) != sigmas:
@@ -158,22 +163,23 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
     data_digest = _dataset_digest(dataset)
 
     rows: list[SweepRow] = []
-    models: dict[str, MLPModel] = {}
+    models: dict[str, tuple[MLPModel, float]] = {}   # label -> (model, clean test accuracy)
     partial = False
     for label, cfg in (("arcgate", replace(config, seed=seed, init_strategy="soft_relu",
                                             granularity="layer_wise")),
                        ("relu", replace(config, seed=seed, init_strategy="relu_baseline"))):
-        model = _train_recorded(spec, dataset, cfg, data_digest)
+        model, summary = _train_recorded(spec, dataset, cfg, data_digest)
         if model is None:
             partial = True
         else:
-            models[label] = model
+            models[label] = model, summary[0]
 
-    test = (dataset[2], dataset[3])
+    x_test, y_test = np.asarray(dataset[2], dtype=np.float64), dataset[3]
     for s in sigmas:
-        for label in ("arcgate", "relu"):
-            if label in models:
-                rows.append(SweepRow(label, s, evaluate(models[label], test, s, noise_seeds[s])))
+        noisy = add_noise(x_test, s, noise_seeds[s])
+        for label, (model, clean_acc) in models.items():
+            rows.append(SweepRow(label, s, evaluate(model, (noisy, y_test)) if s > 0
+                                 else clean_acc))
     gains = []
     if len(models) == 2:
         acc = {(r.model, r.sigma): r.accuracy for r in rows}

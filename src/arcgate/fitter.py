@@ -18,7 +18,17 @@ step lowered the loss by at most 1e-8 relative), ``damping_cap`` (λ above
 1e16), ``budget`` (``budget`` iterations) or ``nonfinite`` (its start or
 Jacobian is not finite); the first three count as converged.  ``ftol`` is
 what ends the classic fits, whose best parameters lie at infinity (a → 0,
-p → ∞ on sigmoid) while the loss creeps down forever.
+p → ∞ on sigmoid) while the loss creeps down forever.  A descent is also
+stopped, not converged, once an earlier restart of the same target has a
+loss of exactly 0: no loss is below 0 and ties go to the earlier restart,
+so it could never win.  This ends the random restarts of the identity
+target, which would otherwise crawl to the budget towards the
+unidentifiable alpha = beta = 0.
+
+Each row keeps the undamped ``JᵀJ`` and ``Jᵀr`` of its current point.  A
+rejected trial changes neither, so only the rows whose trial was accepted
+take new partials and products (MINPACK's LM likewise evaluates the
+Jacobian only after a successful step).
 """
 
 from __future__ import annotations
@@ -70,6 +80,8 @@ class FitTarget:
     @classmethod
     def from_kind(cls, kind: ActivationKind, lo: float = -6.0, hi: float = 6.0,
                   n_points: int = 1001) -> "FitTarget":
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"fit window must be finite, got [{lo}, {hi}]")
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
         grid = np.linspace(lo, hi, n_points)
@@ -95,10 +107,14 @@ def fit(target: FitTarget, init: ArcGateParams, budget: int = 5000, seed: int = 
     Levenberg–Marquardt loop (see the module docstring); each row makes at
     most ``budget`` iterations.  ``converged`` is true when the winning
     descent stopped on ``gtol``, ``ftol`` or ``damping_cap`` rather than on
-    the budget.  ``effective_cap`` optionally clamps the effective steepness
+    the budget.  A restart stops early, not converged, once an earlier
+    restart has reached a loss of exactly 0, since it could no longer win.
+    ``iterations`` sums the iterations of all restarts, stopped ones
+    included.  ``effective_cap`` optionally clamps the effective steepness
     and sharpness below a ceiling (projected after every step), which is how
     the hard-rectifier limit is probed.  Best parameters across all restarts
-    win; the init itself is the starting incumbent.
+    win; the init itself is the starting incumbent.  ``budget`` and
+    ``restarts`` must be at least 1.
     """
     return _fit_targets(target.grid, target.values[None, :], [init], [seed],
                         [effective_cap], budget, restarts)[0]
@@ -113,7 +129,8 @@ def _fit_targets(grid: np.ndarray, values: np.ndarray, inits: list[ArcGateParams
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    restarts = max(restarts, 0)
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     raw_caps = np.array([math.inf if cap is None else core.raw_from_effective(cap)
                          for cap in effective_caps])
     init_raws = _clamp(np.array([init.raw_vector() for init in inits]), raw_caps)
@@ -126,7 +143,7 @@ def _fit_targets(grid: np.ndarray, values: np.ndarray, inits: list[ArcGateParams
     job = np.repeat(np.arange(len(inits)), restarts)
     outcomes = _descend_rows(grid, values[job],
                              _clamp(np.array(starts).reshape(-1, 7), raw_caps[job]),
-                             raw_caps[job], budget)
+                             raw_caps[job], job, budget)
 
     picks = []
     for j, (init_loss, _, _) in enumerate(_errors(grid, init_raws, values)):
@@ -175,7 +192,7 @@ def _errors(grid: np.ndarray, raws: np.ndarray,
 
 
 def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
-                  caps: np.ndarray, budget: int) -> list:
+                  caps: np.ndarray, targets: np.ndarray, budget: int) -> list:
     """Levenberg–Marquardt descents, one per row, batched into one loop.
 
     Row ``r`` fits ``values[r]`` from ``starts[r]`` and clamps its raw a and p
@@ -185,14 +202,24 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
     moves only when that lowers its loss, so its point is always its best.
     Each row keeps the undamped ``JᵀJ`` and ``Jᵀr`` of its point, and only
     the rows that moved take new partials.
+
+    ``targets[r]`` (a non-negative int) names the fit row ``r`` belongs to;
+    the rows of one fit come in the order ties between them are broken.  A
+    row stops, not converged, once an earlier row of its fit has a loss of
+    exactly 0: a loss cannot go below 0 and the tie goes to the earlier row,
+    so the stopped row could never be picked.
     """
     k_all, n = values.shape
     outcomes: list = [None] * k_all
     all_buffers = core.GateBuffers((k_all, n))
-    jac = np.zeros((k_all, 7, n))   # d(residual)/d(raw); the gamma and delta columns are x and 1
+    # d(residual)/d(raw) of the rows that moved, in its first rows; the gamma and delta
+    # columns are x and 1
+    jac = np.zeros((k_all, 7, n))
     jac[:, 5], jac[:, 6] = grid, 1.0
     eye = np.eye(7)
-    ids, raw, trial, cap = np.arange(k_all), starts.copy(), starts, caps
+    # per fit, the first row whose loss is exactly 0 (k_all while there is none)
+    first_exact = np.full(int(targets.max(initial=-1)) + 1, k_all)
+    ids, raw, trial, cap, target = np.arange(k_all), starts.copy(), starts, caps, targets
     loss = np.full(k_all, math.inf)
     lam = np.full(k_all, 10.0 * _LAMBDA_INIT)   # the start's acceptance divides it by 10
     jtj = np.zeros((k_all, 7, 7))
@@ -227,13 +254,17 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
         finite = np.all(np.isfinite(jtr), axis=1)   # false for a non-finite start or Jacobian
         converged = finite & (small_step | (np.max(np.abs(jtr), axis=1) <= _GTOL)
                               | (lam > _LAMBDA_CAP))
-        done = converged | ~finite | (it == budget)
+        for r in np.flatnonzero(loss == 0.0).tolist():
+            first_exact[target[r]] = min(first_exact[target[r]], ids[r])
+        pruned = first_exact[target] < ids
+        converged &= ~pruned
+        done = converged | ~finite | pruned | (it == budget)
         for r in np.flatnonzero(done & np.isfinite(loss)).tolist():
             outcomes[ids[r]] = (float(loss[r]), raw[r].copy(), it, bool(converged[r]))
         if done.any():
             keep = ~done
-            ids, raw, cap, values, loss, lam, jtj, jtr = (
-                v[keep] for v in (ids, raw, cap, values, loss, lam, jtj, jtr))
+            ids, raw, cap, target, values, loss, lam, jtj, jtr = (
+                v[keep] for v in (ids, raw, cap, target, values, loss, lam, jtj, jtr))
             if not ids.size:
                 break
         diag = np.diagonal(jtj, axis1=1, axis2=2)

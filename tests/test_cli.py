@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,16 @@ def test_fit_sample_file_header_and_comments(tmp_path):
 
 def test_fit_unknown_target_fails(tmp_path):
     assert run_cli("fit", "--target", "swish", "--out", tmp_path / "x.csv") == 1
+
+
+def test_fit_non_finite_range_fails(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("fit", "--target", "relu", "--range", 1, "inf",
+                       "--out", tmp_path / "x.csv") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "error: fit window must be finite, got [1.0, inf]" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_train_missing_paths_is_usage_error(capsys):

@@ -1,9 +1,13 @@
 import hashlib
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agm1_files import BAD_MODELS
 from arcgate import core, engine, zoo
@@ -602,6 +606,52 @@ class TestPersistence:
         (tmp_path / "pad.agm").write_bytes(whole + b"xx")
         with pytest.raises(engine.ModelFormatError):
             load_model(tmp_path / "pad.agm")
+
+
+@st.composite
+def agm1_models(draw) -> MLPModel:
+    """A small model of random widths, one granularity and a random baseline per gate."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    granularity = draw(st.sampled_from(engine.GRANULARITIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = core.random_raw(rng)
+    layers: list = []
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        layers.append(DenseLayer(rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out)))
+        if i < len(widths) - 2:
+            tag = draw(st.sampled_from((None, *zoo.KIND_TAGS)))
+            baseline = None if tag is None else zoo.ActivationKind(
+                tag, draw(st.floats(0.001, 0.999)) if tag == "leaky_relu" else 0.01)
+            raw = shared if granularity == "global_shared" else core.random_raw(rng)
+            layers.append(ActivationLayer(raw, granularity, baseline))
+    return MLPModel(layers)
+
+
+class TestAGM1Properties:
+    @given(agm1_models())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_keeps_bytes_and_predictions(self, model):
+        x = np.random.default_rng(0).normal(0.0, 2.0, (16, model.layers[0].w.shape[0]))
+        with tempfile.TemporaryDirectory() as td:
+            first, second = Path(td, "first.agm"), Path(td, "second.agm")
+            save_model(model, first)
+            back = load_model(first)
+            save_model(back, second)
+            assert second.read_bytes() == first.read_bytes()
+        assert np.array_equal(forward(back, x)[0], forward(model, x)[0])
+        assert np.array_equal(engine.predict(back, x), engine.predict(model, x))
+
+    @given(agm1_models())
+    @settings(max_examples=15, deadline=None)
+    def test_every_truncation_rejected(self, model):
+        with tempfile.TemporaryDirectory() as td:
+            path = Path(td, "model.agm")
+            save_model(model, path)
+            whole = path.read_bytes()
+            for size in range(len(whole)):
+                path.write_bytes(whole[:size])
+                with pytest.raises(engine.ModelFormatError):
+                    load_model(path)
 
 
 def test_parameter_count_traversal():

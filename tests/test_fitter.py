@@ -36,6 +36,12 @@ class TestFitTarget:
         with pytest.raises(ValueError):
             FitTarget(np.linspace(0, 1, 20), np.zeros(21), "shape")
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                        (0.0, math.nan)])
+    def test_non_finite_window_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match=r"fit window must be finite, got \["):
+            FitTarget.from_kind(ActivationKind("relu"), lo, hi, 33)
+
 
 class TestFit:
     def test_identity_is_exactly_representable(self):
@@ -83,6 +89,20 @@ class TestFit:
         tgt = FitTarget.from_kind(ActivationKind("relu"), -1, 1, 20)
         with pytest.raises(ValueError):
             fit(tgt, core.preset("identity"), budget=0)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_validation(self, restarts):
+        tgt = FitTarget.from_kind(ActivationKind("relu"), -1, 1, 20)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            fit(tgt, core.preset("identity"), restarts=restarts)
+
+    def test_exact_init_stops_the_later_restarts(self):
+        tgt = FitTarget.from_kind(ActivationKind("identity"), -6, 6, 201)
+        three = fit(tgt, core.preset("identity"), seed=6, restarts=3)
+        one = fit(tgt, core.preset("identity"), seed=6, restarts=1)
+        assert (three.params, three.l_inf_error, three.l2_error, three.converged) \
+            == (one.params, one.l_inf_error, one.l2_error, one.converged)
+        assert one.iterations == 1 and three.iterations == 3
 
     def test_self_recovery_in_function_space(self):
         theta = core.ArcGateParams.from_effective(2.0, -0.3, 1.5, 0.8, 0.2, 0.0, 0.1)
@@ -164,13 +184,29 @@ class TestBatchInvariance:
         starts = np.array([core.preset("leaky", 0.01).raw_vector(), core.random_raw(rng),
                            core.random_raw(rng)])
         values, caps = np.tile(target.values, (3, 1)), np.full(3, math.inf)
-        together = fitter._descend_rows(target.grid, values, starts.copy(), caps, 300)
+        together = fitter._descend_rows(target.grid, values, starts.copy(), caps,
+                                        np.zeros(3, int), 300)
         assert [iters for _, _, iters, _ in together] == [5, 5, 229]
         for r, (loss, raw, iters, converged) in enumerate(together):
             alone = fitter._descend_rows(target.grid, values[r:r + 1], starts[r:r + 1].copy(),
-                                         caps[r:r + 1], 300)[0]
+                                         caps[r:r + 1], np.zeros(1, int), 300)[0]
             assert alone[0] == loss and alone[1].tobytes() == raw.tobytes()
             assert alone[2:] == (iters, converged)
+
+    def test_an_exact_row_stops_only_the_later_rows_of_its_fit(self):
+        target = FitTarget.from_kind(ActivationKind("identity"), -6, 6, 201)
+        starts = np.array([core.preset("sigmoid_like").raw_vector(),
+                           core.preset("identity").raw_vector(),
+                           core.random_raw(np.random.default_rng(3))])
+        values, caps = np.tile(target.values, (3, 1)), np.full(3, math.inf)
+        first, exact, later = fitter._descend_rows(target.grid, values, starts.copy(), caps,
+                                                   np.zeros(3, int), 300)
+        assert exact[0] == 0.0 and exact[2:] == (1, True)
+        assert later[0] > 0.0 and later[2:] == (1, False)
+        alone = fitter._descend_rows(target.grid, values[:1], starts[:1].copy(), caps[:1],
+                                     np.zeros(1, int), 300)[0]
+        assert alone[0] == first[0] and alone[1].tobytes() == first[1].tobytes()
+        assert alone[2:] == first[2:] and first[2] > 1
 
     def test_effective_caps(self, capped_fits):
         inits = [core.preset("relu_like", cap) for cap in CAPS]
