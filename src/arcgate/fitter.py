@@ -200,8 +200,6 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
     iterations, converged), or None if its start is not finite.  Iteration
     ``it`` evaluates the start (``it`` = 1) or the last trial point; a row
     moves only when that lowers its loss, so its point is always its best.
-    Each row keeps the undamped ``JᵀJ`` and ``Jᵀr`` of its point, and only
-    the rows that moved take new partials.
 
     ``targets[r]`` (a non-negative int) names the fit row ``r`` belongs to;
     the rows of one fit come in the order ties between them are broken.  A
