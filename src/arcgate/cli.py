@@ -179,6 +179,8 @@ def _read_config_file(path: str, command: str, parser) -> dict:
         try:
             if key == "range":
                 overrides[key] = [float(tok) for tok in value.split()]
+                if len(overrides[key]) != 2:
+                    raise ValueError(f"expected two numbers LO HI, got {value!r}")
             else:
                 overrides[key] = typ(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -253,26 +255,27 @@ def _cmd_fit(opts) -> int:
     return 0
 
 
+def _csv_rows(path) -> list[tuple[int, list[str]]]:
+    """``(line number, fields)`` of each CSV row that is neither blank nor a ``#`` line."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        return [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+
+
 def _read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
     """``x,value`` rows; blank and ``#`` lines are skipped, and the first other row may be a header."""
     xs, ys = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header_allowed = True
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            first, header_allowed = header_allowed, False
-            if len(row) < 2:
-                raise ValueError(f"{path}:{reader.line_num}: expected x,value, got {row!r}")
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                if first:
-                    continue  # header
-                raise ValueError(f"{path}:{reader.line_num}: not a number pair: {row!r}") from None
-            xs.append(x)
-            ys.append(y)
+    for i, (line, row) in enumerate(_csv_rows(path)):
+        if len(row) < 2:
+            raise ValueError(f"{path}:{line}: expected x,value, got {row!r}")
+        try:
+            x, y = float(row[0]), float(row[1])
+        except ValueError:
+            if i == 0:
+                continue  # header
+            raise ValueError(f"{path}:{line}: not a number pair: {row!r}") from None
+        xs.append(x)
+        ys.append(y)
     return np.array(xs), np.array(ys)
 
 
@@ -325,15 +328,8 @@ def _cmd_sweep(opts) -> int:
         if not opts["images"] or not opts["labels"]:
             raise ValueError("sweep without --full needs --images and --labels")
         x, y = idx.load_idx(opts["images"], opts["labels"])
-        label = Path(opts["model"]).stem
-        rows = []
-        for i, s in enumerate(sigmas):
-            acc = engine.evaluate(model, (x, y), s, opts["seed"] * 1000 + i)
-            rows.append(experiments.SweepRow(label, s, acc))
-        report = experiments.SweepReport(
-            rows=rows, gains=[], seed=opts["seed"],
-            noise_seeds={s: opts["seed"] * 1000 + i for i, s in enumerate(sigmas)},
-            config_digest=experiments._digest("eval-only", opts["model"], sigmas, opts["seed"]))
+        report = experiments._sweep_report({Path(opts["model"]).stem: (model, None)}, x, y,
+                                           sigmas, opts["seed"], ("eval-only", opts["model"]))
         experiments.write_sweep_csv(report, out)
     print(f"sweep -> {out}", file=sys.stderr)
     return 0
@@ -370,30 +366,25 @@ def _cmd_plot(opts) -> int:
     infile = opts["infile"]
     out = _out_path(opts["out"])
     if figure == "sensitivity":
-        header, data = _read_table(infile)
-        xs = data[:, 0]
-        series = [(name, xs, data[:, i + 1]) for i, name in enumerate(header[1:])]
+        header, rows = _read_table(infile)
+        data = np.array(rows)
+        series = [(name, data[:, 0], data[:, i + 1]) for i, name in enumerate(header[1:])]
         svg.write_line_chart(out, Path(infile).stem, header[0], "F(x)", series)
     elif figure == "fit":
-        series = []
         with open(infile, newline="") as f:
             window = re.fullmatch(r"# range=([-+.\deE]+),([-+.\deE]+) budget=\d+ seed=-?\d+\s*",
                                   f.readline())
-            rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
         if window is None:
             raise ValueError(f"{infile}: no leading '# range=LO,HI budget=B seed=S' line; "
                              "rewrite the table with `arcgate fit`")
         grid = np.linspace(float(window[1]), float(window[2]), 601)
-        for row in rows[1:]:
-            eff = tuple(float(v) for v in row[2:9])
-            series.append((row[1], grid, core.batch_eval(grid, eff).f))
+        series = [(row[1], grid, core.batch_eval(grid, row[2:9]).f)
+                  for row in _read_table(infile, slice(2, 9))[1]]
         svg.write_line_chart(out, "fitted classics", "x", "F(x)", series)
     elif figure == "sweep":
-        with open(infile, newline="") as f:
-            rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
         by_model: dict[str, list[tuple[float, float]]] = {}
-        for row in rows[1:]:
-            by_model.setdefault(row[0], []).append((float(row[1]), float(row[2])))
+        for row in _read_table(infile, slice(1, 3))[1]:
+            by_model.setdefault(row[0], []).append((row[1], row[2]))
         series = [(m, [p[0] for p in pts], [p[1] for p in pts])
                   for m, pts in by_model.items()]
         svg.write_line_chart(out, "accuracy under input noise", "sigma", "accuracy", series)
@@ -403,12 +394,23 @@ def _cmd_plot(opts) -> int:
     return 0
 
 
-def _read_table(path) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="") as f:
-        rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
-    header = rows[0]
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    return header, data
+def _read_table(path, numeric: slice = slice(None)) -> tuple[list[str], list[list]]:
+    """Header and rows of a CSV without its blank and ``#`` lines.
+
+    Every row must have the header's width; its ``numeric`` fields are read as floats.
+    """
+    rows = _csv_rows(path)
+    if len(rows) < 2:
+        raise ValueError(f"{path}:{rows[0][0] + 1 if rows else 1}: the table has no data rows")
+    header = rows[0][1]
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+        try:
+            row[numeric] = [float(v) for v in row[numeric]]
+        except ValueError:
+            raise ValueError(f"{path}:{line}: not a number in {row!r}") from None
+    return header, [row for _, row in rows[1:]]
 
 
 _COMMANDS = {

@@ -263,19 +263,6 @@ class GateBuffers:
         return view
 
 
-def _check_effective(a: float, p: float) -> None:
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"steepness a must be finite and > 0, got {a!r}")
-    if not (math.isfinite(p) and p > 0.0):
-        raise ValueError(f"sharpness p must be finite and > 0, got {p!r}")
-
-
-def _check_finite_scalars(**named: float) -> None:
-    for name, value in named.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def _clip(a: np.ndarray, lo: float, hi: float) -> None:
     # np.clip's elementwise rule, NaN included, without its per-call wrapper cost
     np.minimum(np.maximum(a, lo, out=a), hi, out=a)
@@ -416,11 +403,29 @@ def batch_vjp(tape: GateTape, cotangent: np.ndarray,
 # scalar API
 # ---------------------------------------------------------------------------
 
+def _check_params(eff) -> None:
+    """Reject a non-finite c or affine coefficient, then a or p not finite and > 0."""
+    a, c, p, *affine = eff
+    for name, value in zip(("c", "alpha", "beta", "gamma", "delta"), (c, *affine)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    for name, value in (("steepness a", a), ("sharpness p", p)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _scalar_tape(x: float, eff) -> GateTape:
+    """The one-element tape at ``x``, once ``x`` and then ``eff`` have passed their checks."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    _check_params(eff)
+    return batch_eval(np.array([x]), eff)
+
+
 def eval_u(x: float, a: float, c: float) -> float:
     """Monotone transition value in (0, 1); takes the effective steepness."""
-    _check_finite_scalars(x=float(x), c=float(c))
-    _check_effective(float(a), 1.0)
-    return _u_at(batch_eval(np.array([float(x)]), (a, c, 1.0, 0.0, 0.0, 0.0, 0.0)))
+    return _u_at(_scalar_tape(x, (float(a), float(c), 1.0, 0.0, 0.0, 0.0, 0.0)))
 
 
 def _u_at(tape: GateTape) -> float:
@@ -434,20 +439,12 @@ def _u_at(tape: GateTape) -> float:
 
 def eval_v(x: float, params: ArcGateParams) -> float:
     """Gated value in (0, 1) for the full parameter vector."""
-    a, c, p = params.a, params.c, params.p
-    _check_finite_scalars(x=float(x), c=c)
-    _check_effective(a, p)
-    tape = batch_eval(np.array([float(x)]), (a, c, p, 0.0, 0.0, 0.0, 0.0))
-    return float(tape.v[0])
+    return float(_scalar_tape(x, (params.a, params.c, params.p, 0.0, 0.0, 0.0, 0.0)).v[0])
 
 
 def eval_F(x: float, params: ArcGateParams) -> GateEval:
     """Full activation value with the internal stage values."""
-    eff = params.effective()
-    _check_finite_scalars(x=float(x), c=eff[1], alpha=eff[3], beta=eff[4],
-                          gamma=eff[5], delta=eff[6])
-    _check_effective(eff[0], eff[2])
-    tape = batch_eval(np.array([float(x)]), eff)
+    tape = _scalar_tape(x, params.effective())
     return GateEval(u=_u_at(tape), v=float(tape.v[0]), f=float(tape.f[0]),
                     log_odds=float(tape.log_odds[0]))
 
@@ -455,8 +452,7 @@ def eval_F(x: float, params: ArcGateParams) -> GateEval:
 def eval_F_batch(xs: Sequence[float], params: ArcGateParams) -> np.ndarray:
     """Elementwise activation values; bit-identical to the scalar path."""
     eff = params.effective()
-    _check_finite_scalars(c=eff[1], alpha=eff[3], beta=eff[4], gamma=eff[5], delta=eff[6])
-    _check_effective(eff[0], eff[2])
+    _check_params(eff)
     x = np.asarray(xs, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
@@ -466,11 +462,7 @@ def eval_F_batch(xs: Sequence[float], params: ArcGateParams) -> np.ndarray:
 
 def grad(x: float, params: ArcGateParams) -> GateGrad:
     """F and all eight partials w.r.t. the input and the effective parameters."""
-    eff = params.effective()
-    _check_finite_scalars(x=float(x), c=eff[1], alpha=eff[3], beta=eff[4],
-                          gamma=eff[5], delta=eff[6])
-    _check_effective(eff[0], eff[2])
-    tape = batch_eval(np.array([float(x)]), eff)
+    tape = _scalar_tape(x, params.effective())
     d_x, d_a, d_c, d_p = _partials(tape, tuple(np.empty(1) for _ in range(4)))
     xv = float(tape.x[0]) * float(tape.v[0])
     return GateGrad(

@@ -158,11 +158,8 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
         raise ValueError("sigmas must be sorted and non-negative")
     config = config or TrainConfig()
     spec = _spec_for(dataset)
-    noise_seeds = {s: seed * 1000 + i for i, s in enumerate(sigmas)}
-    digest = _digest(spec, config, sigmas, seed)
     data_digest = _dataset_digest(dataset)
 
-    rows: list[SweepRow] = []
     models: dict[str, tuple[MLPModel, float]] = {}   # label -> (model, clean test accuracy)
     partial = False
     for label, cfg in (("arcgate", replace(config, seed=seed, init_strategy="soft_relu",
@@ -173,19 +170,31 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
             partial = True
         else:
             models[label] = model, summary[0]
+    return _sweep_report(models, dataset[2], dataset[3], sigmas, seed, (spec, config), partial)
 
-    x_test, y_test = np.asarray(dataset[2], dtype=np.float64), dataset[3]
+
+def _sweep_report(models: dict[str, tuple[MLPModel, float | None]], x, y,
+                  sigmas: list[float], seed: int, key: tuple,
+                  partial: bool = False) -> SweepReport:
+    """Evaluate each ``label -> (model, clean accuracy or None)`` on one noise draw per sigma.
+
+    Sigma ``i`` draws from seed ``seed * 1000 + i``; the digest covers ``key``,
+    the sigmas and the seed.
+    """
+    noise_seeds = {s: seed * 1000 + i for i, s in enumerate(sigmas)}
+    x = np.asarray(x, dtype=np.float64)
+    rows: list[SweepRow] = []
     for s in sigmas:
-        noisy = add_noise(x_test, s, noise_seeds[s])
+        noisy = add_noise(x, s, noise_seeds[s])
         for label, (model, clean_acc) in models.items():
-            rows.append(SweepRow(label, s, evaluate(model, (noisy, y_test)) if s > 0
-                                 else clean_acc))
+            rows.append(SweepRow(label, s, evaluate(model, (noisy, y))
+                                 if s > 0 or clean_acc is None else clean_acc))
     gains = []
     if len(models) == 2:
         acc = {(r.model, r.sigma): r.accuracy for r in rows}
         gains = [(s, acc[("arcgate", s)] - acc[("relu", s)]) for s in sigmas]
     return SweepReport(rows=rows, gains=gains, seed=seed, noise_seeds=noise_seeds,
-                       config_digest=digest, partial=partial)
+                       config_digest=_digest(*key, sigmas, seed), partial=partial)
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:

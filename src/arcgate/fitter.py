@@ -85,7 +85,7 @@ class FitTarget:
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
         grid = np.linspace(lo, hi, n_points)
-        values = np.array([zoo.act(kind, float(x)) for x in grid])
+        values = np.array(zoo.act_batch(kind, grid))   # a copy: identity returns its input
         return cls(grid, values, kind.label())
 
 

@@ -1,8 +1,11 @@
 """Fixed reference activations used as baselines and as fit targets.
 
 Values and first derivatives for the classical functions the adaptive gate
-is compared against.  GELU uses the exact Gaussian CDF (``math.erf``), not
-the tanh approximation.
+is compared against.  Each function has one formula, over ndarrays
+(:func:`act_batch`, :func:`act_grad_batch`); the scalar :func:`act` and
+:func:`act_grad` check that ``x`` is finite and evaluate a one-element
+array.  GELU uses the exact Gaussian CDF (``math.erf``), not the tanh
+approximation.
 """
 
 from __future__ import annotations
@@ -39,14 +42,6 @@ class ActivationKind:
         return self.tag
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        e = math.exp(-x)
-        return 1.0 / (1.0 + e)
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def _check_finite(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
@@ -56,47 +51,13 @@ def _check_finite(x: float) -> float:
 
 def act(kind: ActivationKind, x: float) -> float:
     """Activation value at ``x``."""
-    x = _check_finite(x)
-    tag = kind.tag
-    if tag == "relu":
-        return x if x > 0.0 else 0.0
-    if tag == "leaky_relu":
-        return x if x > 0.0 else kind.slope * x
-    if tag == "sigmoid":
-        return _sigmoid(x)
-    if tag == "tanh":
-        return math.tanh(x)
-    if tag == "silu":
-        return x * _sigmoid(x)
-    if tag == "gelu":
-        return x * 0.5 * (1.0 + math.erf(x * _INV_SQRT2))
-    return x  # identity
+    return float(act_batch(kind, np.array([_check_finite(x)]))[0])
 
 
 def act_grad(kind: ActivationKind, x: float) -> float:
     """Analytical first derivative; at the rectifier kink the convention is 0."""
-    x = _check_finite(x)
-    tag = kind.tag
-    if tag == "relu":
-        return 1.0 if x > 0.0 else 0.0
-    if tag == "leaky_relu":
-        return 1.0 if x > 0.0 else kind.slope
-    if tag == "sigmoid":
-        s = _sigmoid(x)
-        return s * (1.0 - s)
-    if tag == "tanh":
-        t = math.tanh(x)
-        return 1.0 - t * t
-    if tag == "silu":
-        s = _sigmoid(x)
-        return s * (1.0 + x * (1.0 - s))
-    if tag == "gelu":
-        phi = 0.5 * (1.0 + math.erf(x * _INV_SQRT2))
-        return phi + x * _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-    return 1.0  # identity
+    return float(act_grad_batch(kind, np.array([_check_finite(x)]))[0])
 
-
-# vectorized twins for the training engine; same formulas over ndarrays
 
 def act_batch(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
     tag = kind.tag

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from agm1_files import BAD_MODELS
-from arcgate import cli, core, idx
+from arcgate import cli, core, engine, idx
 
 DATA = Path(__file__).with_name("data")
 
@@ -334,3 +334,51 @@ def test_sweep_eval_idempotent(tmp_path, idx_files):
                 "--labels", idx_files["test_labels"], "--out", out)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_sweep_eval_only_matches_saved_bytes(tmp_path, idx_files, monkeypatch):
+    # a small trained model; its path is relative because the CSV's digest covers it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ARCGATE_OUT", raising=False)
+    x, y = idx.load_idx(idx_files["train_images"], idx_files["train_labels"])
+    data = idx.Dataset(x, y, x[:60], y[:60])
+    model, _ = engine.train(engine.ModelSpec(hidden=(32,)), data,
+                            engine.TrainConfig(epochs=8, learning_rate=3e-3, seed=3))
+    engine.save_model(model, "small.agm")
+    assert run_cli("sweep", "--model", "small.agm", "--sigmas", "0,0.1,0.3,0.6",
+                   "--images", idx_files["test_images"], "--labels", idx_files["test_labels"],
+                   "--seed", 3, "--out", "sweep.csv") == 0
+    saved = DATA / "sweep_eval_only_small_seed3.csv"
+    assert (tmp_path / "sweep.csv").read_bytes() == saved.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["1", "-1 1 3"])
+def test_config_range_needs_two_numbers(tmp_path, capsys, value):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"# window\nrange={value}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", cfg, "fit", "--target", "relu", "--out", tmp_path / "f.csv")
+    assert exc.value.code == 2
+    assert f"{cfg}:2: bad value for range: expected two numbers LO HI" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+FIT_HEADER = "target,kind,a,c,p,alpha,beta,gamma,delta,l_inf,l2,iterations,converged"
+
+
+@pytest.mark.parametrize("figure, text, message", [
+    ("sensitivity", "", ":1: the table has no data rows"),
+    ("sensitivity", "# digest\nx,a=1\n", ":3: the table has no data rows"),
+    ("sensitivity", "# digest\nx,a=1\n0.0,0.5\nfoo,0.5\n", ":4: not a number in ['foo', '0.5']"),
+    ("sweep", "# digest\nmodel,sigma,accuracy,seed\narcgate,0.0,0.5,0\narcgate\n",
+     ":4: expected 4 fields, got 1"),
+    ("fit", f"# range=-6.0,6.0 budget=1 seed=0\n{FIT_HEADER}\nrelu\n",
+     ":3: expected 13 fields, got 1"),
+], ids=["empty", "header_only", "non_numeric", "short_sweep_row", "short_fit_row"])
+def test_plot_rejects_a_bad_table(tmp_path, capsys, figure, text, message):
+    table = tmp_path / "t.csv"
+    table.write_text(text)
+    chart = tmp_path / "t.svg"
+    assert run_cli("plot", "--figure", figure, "--in", table, "--out", chart) == 1
+    assert capsys.readouterr().err == f"error: {table}{message}\n"
+    assert not chart.exists()

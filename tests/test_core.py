@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,48 @@ class TestPositiveMap:
             core.raw_from_effective(1e-7)
         with pytest.raises(ValueError):
             core.raw_from_effective(math.nan)
+
+
+class TestScalarChecks:
+    """The scalar API checks x, then c and the affine four, then a and p."""
+
+    # (bad raw fields, message of eval_F / grad, message of eval_v, which ignores the affine four)
+    CASES = [
+        (dict(c=math.nan, alpha=math.inf, a_raw=math.inf),
+         "c must be finite, got nan", "c must be finite, got nan"),
+        (dict(alpha=math.inf, delta=math.nan, a_raw=math.inf),
+         "alpha must be finite, got inf", "steepness a must be finite and > 0, got inf"),
+        (dict(delta=-math.inf, p_raw=math.nan),
+         "delta must be finite, got -inf", "sharpness p must be finite and > 0, got nan"),
+        (dict(a_raw=math.inf, p_raw=math.nan),
+         "steepness a must be finite and > 0, got inf",
+         "steepness a must be finite and > 0, got inf"),
+        (dict(p_raw=math.nan),
+         "sharpness p must be finite and > 0, got nan",
+         "sharpness p must be finite and > 0, got nan"),
+    ]
+
+    @pytest.mark.parametrize("bad, message, v_message", CASES)
+    def test_first_failing_check_names_its_value(self, bad, message, v_message):
+        params = dataclasses.replace(soft_relu(), **bad)
+        for call in (eval_F, grad, eval_v):
+            with pytest.raises(ValueError, match=r"^x must be finite, got inf$"):
+                call(math.inf, params)
+        for call in (eval_F, grad):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(0.0, params)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            eval_F_batch([math.nan], params)   # the parameters before the inputs
+        with pytest.raises(ValueError, match=f"^{re.escape(v_message)}$"):
+            eval_v(0.0, params)
+
+    def test_eval_u_checks_x_then_c_then_a(self):
+        with pytest.raises(ValueError, match=r"^x must be finite, got nan$"):
+            eval_u(math.nan, -1.0, math.inf)
+        with pytest.raises(ValueError, match=r"^c must be finite, got inf$"):
+            eval_u(0.0, -1.0, math.inf)
+        with pytest.raises(ValueError, match=r"^steepness a must be finite and > 0, got -1.0$"):
+            eval_u(0.0, -1.0, 0.0)
 
 
 class TestEvalU:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arcgate import core, fitter
+from arcgate import core, fitter, zoo
 from arcgate.fitter import FitResult, FitTarget, fit, write_fit_csv
 from arcgate.zoo import ActivationKind
 
@@ -25,6 +25,14 @@ class TestFitTarget:
         tgt = FitTarget.from_kind(ActivationKind("relu"), -2, 2, 33)
         assert tgt.grid.shape == (33,)
         assert tgt.values[0] == 0.0 and tgt.values[-1] == 2.0
+
+    @pytest.mark.parametrize("tag", zoo.KIND_TAGS)
+    def test_from_kind_values_are_the_batch_values_in_their_own_array(self, tag):
+        # act_batch returns its input for identity; the target must not alias its grid
+        kind = ActivationKind(tag)
+        tgt = FitTarget.from_kind(kind, -3, 3, 41)
+        assert tgt.values.tobytes() == zoo.act_batch(kind, np.linspace(-3, 3, 41)).tobytes()
+        assert not np.shares_memory(tgt.values, tgt.grid)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,13 +109,51 @@ def test_empty_files_read_as_zero_items(tmp_path):
 def test_image_round_trip(n, rows, cols, seed):
     rng = np.random.default_rng(seed)
     imgs = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
-    import tempfile
     with tempfile.TemporaryDirectory() as td:
         path = f"{td}/imgs"
         idx.write_idx_images(path, imgs)
         back = idx.read_idx_images(path)
         assert back.shape == (n, rows * cols)
         assert np.array_equal(back * 255.0, imgs.reshape(n, -1).astype(float))
+
+
+@st.composite
+def idx_sets(draw):
+    """A small image array and its labels, as uint8."""
+    n, rows, cols = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pixels = draw(st.binary(min_size=n * rows * cols, max_size=n * rows * cols))
+    labels = draw(st.binary(min_size=n, max_size=n))
+    return (np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows, cols),
+            np.frombuffer(labels, dtype=np.uint8))
+
+
+def _loads_or_raises_a_format_error(images_path, labels_path):
+    try:
+        x, y = idx.load_idx(images_path, labels_path)
+    except idx.IdxFormatError:
+        return
+    assert x.shape[0] == y.shape[0]
+    assert np.all((x >= 0.0) & (x <= 1.0))
+
+
+@given(idx_sets(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_every_truncation_and_byte_change_loads_or_raises_a_format_error(pair, data):
+    images, labels = pair
+    with tempfile.TemporaryDirectory() as td:
+        paths = (Path(td, "images"), Path(td, "labels"))
+        write_images(paths[0], images)
+        idx.write_idx_labels(paths[1], labels)
+        for path in paths:
+            whole = path.read_bytes()
+            for size in range(len(whole)):
+                path.write_bytes(whole[:size])
+                _loads_or_raises_a_format_error(*paths)
+            for pos in range(len(whole)):
+                flip = data.draw(st.integers(1, 255), label=f"{path.name}[{pos}] xor")
+                path.write_bytes(whole[:pos] + bytes([whole[pos] ^ flip]) + whole[pos + 1:])
+                _loads_or_raises_a_format_error(*paths)
+            path.write_bytes(whole)
 
 
 def test_synthetic_fixture_shapes_and_determinism(tmp_path):

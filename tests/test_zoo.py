@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zoo_oracle
 from arcgate import zoo
 from arcgate.zoo import ActivationKind, act, act_batch, act_grad, act_grad_batch
 
@@ -65,20 +66,33 @@ def test_grad_matches_central_differences_away_from_kinks(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
 def test_batch_matches_scalar(kind):
-    # exact for the piecewise-linear kinds; last-ulp tolerance for the smooth
-    # ones, where numpy's and libm's transcendentals legitimately differ
+    # the scalar forms are one-element batch calls, so they agree bit for bit
     xs = np.linspace(-5, 5, 64)
     vals = act_batch(kind, xs)
     grads = act_grad_batch(kind, xs)
-    exact = kind.tag in ("relu", "leaky_relu", "identity")
-    for i, x in enumerate(xs):
-        sv, sg = act(kind, float(x)), act_grad(kind, float(x))
-        if exact:
-            assert vals[i] == sv and grads[i] == sg
-        else:
-            # 1 - tanh(x)**2 style cancellation turns 1 ulp into ~1e-12 relative
-            assert vals[i] == pytest.approx(sv, rel=1e-15, abs=1e-300)
-            assert grads[i] == pytest.approx(sg, rel=1e-11, abs=1e-300)
+    scalar_vals = np.array([act(kind, float(x)) for x in xs])
+    scalar_grads = np.array([act_grad(kind, float(x)) for x in xs])
+    assert vals.tobytes() == scalar_vals.tobytes()
+    assert grads.tobytes() == scalar_grads.tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
+def test_batch_matches_the_math_oracle(kind):
+    # numpy's and libm's exp and tanh may round differently; nothing else may
+    xs = np.concatenate([np.linspace(-40, 40, 40001), [-0.0, 5e-324, -5e-324]])
+    vals = act_batch(kind, xs)
+    grads = act_grad_batch(kind, xs)
+    want_vals = np.array([zoo_oracle.act(kind, float(x)) for x in xs])
+    want_grads = np.array([zoo_oracle.act_grad(kind, float(x)) for x in xs])
+    if kind.tag in ("relu", "leaky_relu", "identity", "gelu"):
+        assert vals.tobytes() == want_vals.tobytes()
+    else:
+        assert np.all(np.abs(vals - want_vals) <= 4 * np.spacing(np.abs(want_vals)))
+    if kind.tag in ("relu", "leaky_relu", "identity"):
+        assert grads.tobytes() == want_grads.tobytes()
+    else:
+        # derivatives are O(1), and 1 - t*t style forms cancel, so count ulps of 1
+        assert np.max(np.abs(grads - want_grads)) <= 4 * np.finfo(float).eps
 
 
 @given(st.floats(min_value=-30, max_value=30))
