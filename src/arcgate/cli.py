@@ -263,10 +263,13 @@ def _csv_rows(path) -> list[tuple[int, list[str]]]:
 
 
 def _read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """``x,value`` rows; blank and ``#`` lines are skipped, and the first other row may be a header."""
+    """Rows of exactly two fields, ``x,value``.
+
+    Blank and ``#`` lines are skipped, and the first other row may be a header.
+    """
     xs, ys = [], []
     for i, (line, row) in enumerate(_csv_rows(path)):
-        if len(row) < 2:
+        if len(row) != 2:
             raise ValueError(f"{path}:{line}: expected x,value, got {row!r}")
         try:
             x, y = float(row[0]), float(row[1])
@@ -378,7 +381,7 @@ def _cmd_plot(opts) -> int:
             raise ValueError(f"{infile}: no leading '# range=LO,HI budget=B seed=S' line; "
                              "rewrite the table with `arcgate fit`")
         grid = np.linspace(float(window[1]), float(window[2]), 601)
-        series = [(row[1], grid, core.batch_eval(grid, row[2:9]).f)
+        series = [(row[1], grid, core.batch_value(grid, row[2:9]))
                   for row in _read_table(infile, slice(2, 9))[1]]
         svg.write_line_chart(out, "fitted classics", "x", "F(x)", series)
     elif figure == "sweep":

@@ -41,6 +41,7 @@ __all__ = [
     "GateGrad",
     "GateTape",
     "batch_eval",
+    "batch_value",
     "batch_vjp",
     "eval_F",
     "eval_F_batch",
@@ -253,6 +254,25 @@ class GateBuffers:
             setattr(self, name, np.empty(self.shape))
         self.scratch = tuple(np.empty(self.shape) for _ in range(4))
 
+    @classmethod
+    def value_only(cls, shape: tuple[int, ...]) -> "GateBuffers":
+        """Four arrays shared among the slots: enough for ``f`` alone.
+
+        A slot shares its array only with slots that :func:`batch_eval` first
+        writes after that slot's last read (see the liveness note there), so
+        ``f`` comes out exactly as with separate arrays and every other tape
+        array is overwritten.  These buffers must not reach :func:`batch_vjp`:
+        ``_partials`` unpacks four scratch arrays and these hold two.
+        """
+        buffers = object.__new__(cls)
+        buffers.shape = tuple(shape)
+        a, b, c, d = (np.empty(buffers.shape) for _ in range(4))
+        buffers.z, buffers.t, buffers.f = a, a, a
+        buffers.log_odds, buffers.scratch = b, (b, c)
+        buffers.theta, buffers.v = c, c
+        buffers.psmall, buffers.e = d, d
+        return buffers
+
     def rows(self, k: int) -> "GateBuffers":
         """Views of the first ``k`` rows, for a ``(k, n)`` batch that has shrunk."""
         view = object.__new__(GateBuffers)
@@ -273,6 +293,17 @@ def _columns(eff) -> tuple:
     return tuple(eff.T[:, :, None]) if isinstance(eff, np.ndarray) else eff
 
 
+def _operands(x, eff) -> tuple[np.ndarray, tuple | np.ndarray, tuple[int, ...]]:
+    """``x`` as float64, ``eff`` as floats or a float64 ``(k, 7)`` matrix, and the tape shape."""
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(eff, np.ndarray) and eff.ndim == 2:
+        if eff.shape[1] != 7 or x.ndim != 1:
+            raise ValueError(f"a (k, 7) parameter matrix needs a 1-D grid, got "
+                             f"{eff.shape} over {x.shape}")
+        return x, eff.astype(np.float64), (eff.shape[0], x.size)
+    return x, tuple(map(float, eff)), x.shape
+
+
 def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTape:
     """Evaluate the gate elementwise over ``x`` for effective parameters ``eff``.
 
@@ -282,22 +313,19 @@ def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTa
     ``buffers`` of that shape receive the tape instead of fresh arrays.
     Returns the tape consumed by :func:`batch_vjp`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if isinstance(eff, np.ndarray) and eff.ndim == 2:
-        if eff.shape[1] != 7 or x.ndim != 1:
-            raise ValueError(f"a (k, 7) parameter matrix needs a 1-D grid, got "
-                             f"{eff.shape} over {x.shape}")
-        eff = eff.astype(np.float64)
-        shape = (eff.shape[0], x.size)
-    else:
-        eff = tuple(map(float, eff))
-        shape = x.shape
+    x, eff, shape = _operands(x, eff)
     a, c, p, alpha, beta, gamma, delta = _columns(eff)
     if buffers is None:
         buffers = GateBuffers(shape)
     elif buffers.shape != shape:
         raise ValueError(f"buffers of shape {buffers.shape} cannot hold a {shape} tape")
     b = buffers
+    # Liveness, which GateBuffers.value_only relies on.  Last reads, in order:
+    # scratch[0] (|z|) at psmall; theta at log_odds = 2 theta; psmall at
+    # log_odds /= psmall; z and scratch[1] at the sign step; log_odds at t;
+    # e at side (scratch[0] again); t at v; side at v -= side; v at f *= v.
+    # A slot may share an array only with slots first written after these
+    # points; x is read to the end and shares with none.
     with np.errstate(over="ignore", under="ignore"):
         z = np.subtract(x, c, out=b.z)
         z *= a
@@ -331,6 +359,12 @@ def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTa
         f += linear
     return GateTape(x=x, z=z, theta=theta, psmall=psmall,
                     log_odds=log_odds, t=t, e=e, v=v, f=f, eff=eff)
+
+
+def batch_value(x: np.ndarray, eff) -> np.ndarray:
+    """``batch_eval(x, eff).f`` bit for bit, from four arrays of its shape instead of twelve."""
+    x, eff, shape = _operands(x, eff)
+    return batch_eval(x, eff, GateBuffers.value_only(shape)).f
 
 
 def _partials(tape: GateTape, scratch: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -456,8 +490,8 @@ def eval_F_batch(xs: Sequence[float], params: ArcGateParams) -> np.ndarray:
     x = np.asarray(xs, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
-        raise ValueError(f"non-finite input at index {int(bad[0])}: {x.flat[int(bad[0])]!r}")
-    return batch_eval(x, eff).f
+        raise ValueError(f"non-finite input at index {int(bad[0])}: {float(x.flat[bad[0]])!r}")
+    return batch_value(x, eff)
 
 
 def grad(x: float, params: ArcGateParams) -> GateGrad:
@@ -516,8 +550,8 @@ def gate_gradcheck(samples: int, seed: int) -> float:
             if j in (0, 2):
                 col = [positive_map(raw_from_effective(v)) for v in col]
             rows[j, :, j] = col
-        f = np.concatenate([batch_eval(shifted[0], eff).f,
-                            batch_eval(np.array([x]), rows.reshape(28, 7)).f.ravel()])
+        f = np.concatenate([batch_value(shifted[0], eff),
+                            batch_value(np.array([x]), rows.reshape(28, 7)).ravel()])
         f = f.reshape(8, 4)
         fd = (4.0 * ((f[:, 0] - f[:, 1]) / (2 * half))
               - (f[:, 2] - f[:, 3]) / (2 * h)) / 3.0

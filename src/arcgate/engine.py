@@ -317,6 +317,13 @@ class StepBuffers:
         return view
 
 
+def _input_batch(model: MLPModel, batch: np.ndarray) -> np.ndarray:
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.in_dim:
+        raise ValueError(f"batch shape {x.shape} does not match input width {model.in_dim}")
+    return x
+
+
 def forward(model: MLPModel, batch: np.ndarray,
             buffers: StepBuffers | None = None) -> tuple[np.ndarray, list]:
     """Logits plus the per-layer cache consumed by :func:`backward`.
@@ -324,9 +331,7 @@ def forward(model: MLPModel, batch: np.ndarray,
     With ``buffers`` every layer writes into them instead of fresh arrays,
     so the logits and the cache live only until the next buffered call.
     """
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.in_dim:
-        raise ValueError(f"batch shape {x.shape} does not match input width {model.in_dim}")
+    x = _input_batch(model, batch)
     none = [None] * len(model.layers)
     out, gates = (none, none) if buffers is None else (buffers.out, buffers.gates)
     cache: list = []
@@ -540,9 +545,29 @@ def train(model_spec: ModelSpec, dataset, config: TrainConfig) -> tuple[MLPModel
     return model, trace
 
 
+def _logits(model: MLPModel, batch: np.ndarray) -> np.ndarray:
+    """The logits of :func:`forward`, bit for bit, without its cache.
+
+    Each layer's output replaces its input as soon as it exists, and gate
+    layers compute only their values (:func:`core.batch_value`), so at most
+    a gate's input and its four arrays, or a dense layer's input and output,
+    are alive at once.
+    """
+    x = _input_batch(model, batch)
+    for layer in model.layers:
+        if isinstance(layer, DenseLayer):
+            x = np.matmul(x, layer.w)
+            x += layer.b
+        elif layer.baseline is not None:
+            x = zoo.act_batch(layer.baseline, x)
+        else:
+            x = core.batch_value(x, layer.effective_params())
+    return x
+
+
 def predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    logits, _ = forward(model, x)
-    return np.argmax(logits, axis=1)
+    """Class index of each row: the argmax of the logits."""
+    return np.argmax(_logits(model, x), axis=1)
 
 
 def evaluate(model: MLPModel, dataset, noise_sigma: float = 0.0, seed: int = 0) -> float:
@@ -568,7 +593,9 @@ def add_noise(x: np.ndarray, noise_sigma: float, seed: int) -> np.ndarray:
         raise ValueError("noise_sigma must be >= 0")
     if noise_sigma == 0:
         return x
-    return x + np.random.default_rng(seed).normal(0.0, noise_sigma, size=x.shape)
+    noisy = np.random.default_rng(seed).normal(0.0, noise_sigma, size=x.shape)
+    noisy += x       # the bits of x + noise: IEEE addition commutes
+    return noisy
 
 
 def net_gradcheck(seed: int) -> float:
@@ -589,8 +616,7 @@ def net_gradcheck(seed: int) -> float:
     grads = backward(model, cache, grad_logits)
 
     def loss_now() -> float:
-        lg, _ = forward(model, x)
-        return softmax_cross_entropy(lg, y)[0]
+        return softmax_cross_entropy(_logits(model, x), y)[0]
 
     worst = 0.0
     for slot, g in zip(model.trainables(), grads):

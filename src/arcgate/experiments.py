@@ -327,7 +327,7 @@ def sensitivity_curves(out_dir, fit_budget: int = 5000, seed: int = 0) -> dict[s
         labels, cols = [], []
         for label, eff in configs:
             labels.append(label)
-            cols.append(core.batch_eval(grid, eff).f)
+            cols.append(core.batch_value(grid, eff))
         return labels, cols
 
     paths: dict[str, Path] = {}

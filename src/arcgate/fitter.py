@@ -184,7 +184,7 @@ def _effective_rows(raws: np.ndarray) -> np.ndarray:
 def _errors(grid: np.ndarray, raws: np.ndarray,
             values: np.ndarray) -> list[tuple[float, float, float]]:
     """(mse, l_inf, l2) of each row of ``raws`` against the same row of ``values``."""
-    resid = core.batch_eval(grid, _effective_rows(raws)).f - values
+    resid = core.batch_value(grid, _effective_rows(raws)) - values
     sq = np.sum(resid * resid, axis=-1).tolist()
     l_inf = np.max(np.abs(resid), axis=-1).tolist()
     n = grid.size

@@ -107,6 +107,8 @@ def test_fit_file_target(tmp_path):
     (["0.0,0.0", "x,value"], 2),
     (["x,value", "0.5"], 2),
     (["0.5"], 1),
+    (["x,value", "0.0,0.0", "1.0,1.0,9"], 3),
+    (["x,value,weight", "0,0,9", "1,1,oops"], 1),
 ])
 def test_fit_sample_file_rejects_a_bad_row(tmp_path, capsys, lines, lineno):
     samples = tmp_path / "samples.csv"
@@ -117,6 +119,14 @@ def test_fit_sample_file_rejects_a_bad_row(tmp_path, capsys, lines, lineno):
                    "--out", tmp_path / "fit.csv") == 1
     assert f"samples.csv:{lineno}: " in capsys.readouterr().err
     assert not (tmp_path / "fit.csv").exists()
+
+
+def test_fit_sample_file_names_the_extra_field(tmp_path):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x,value\n0.0,0.0\n1.0,1.0,9\n")
+    with pytest.raises(ValueError) as exc:
+        cli._read_samples(str(samples))
+    assert str(exc.value) == f"{samples}:3: expected x,value, got ['1.0', '1.0', '9']"
 
 
 def test_fit_sample_file_header_and_comments(tmp_path):

@@ -206,6 +206,12 @@ class TestEvalFBatch:
         with pytest.raises(ValueError, match="index 2"):
             eval_F_batch([0.0, 1.0, math.nan, 3.0], soft_relu())
 
+    @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (-math.inf, "-inf")])
+    def test_bad_input_printed_as_a_plain_float(self, bad, shown):
+        with pytest.raises(ValueError) as exc:
+            eval_F_batch([0.0, bad], soft_relu())
+        assert str(exc.value) == f"non-finite input at index 1: {shown}"
+
 
 class TestBatchRows:
     """A (k, 7) parameter matrix evaluates each row as its own 7-vector would."""
@@ -253,6 +259,55 @@ class TestBatchRows:
             core.batch_eval(grid.reshape(7, 43), eff)
         with pytest.raises(ValueError, match="buffers"):
             core.batch_eval(grid, eff, core.GateBuffers((2, grid.size)))
+
+
+class TestBatchValue:
+    """batch_value gives batch_eval's f bit for bit from four shared arrays."""
+
+    # (a, c, p, alpha, beta, gamma, delta): a soft rectifier; a steep, sharp gate
+    # whose t passes 745, so exp(-|t|) underflows to 0 and v sits at both
+    # GATE_EPS clamps; one steep enough that |z| reaches _Z_CAP; a saturating one
+    ROWS = np.array([
+        (5.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0),
+        (1e6, 0.3, 100.0, 0.75, -0.5, 0.25, 1.5),
+        (1e60, -0.2, 0.5, -1.25, 0.5, 0.1, -0.3),
+        (2.0, 1.0, 3.0, 0.0, 2.0, 0.0, -1.0),
+    ])
+    GRID = np.concatenate([np.linspace(-12.0, 12.0, 241),
+                           [0.3, -0.2, 1e100, -1e100, 1e-300, -1e-300]])
+
+    def test_edges_are_reached(self):
+        tape = core.batch_eval(self.GRID, self.ROWS)
+        assert (tape.z > 0).any() and (tape.z < 0).any()
+        assert (np.abs(tape.z) == core._Z_CAP).any()
+        assert (tape.e == 0.0).any()
+        assert (tape.v == core.GATE_EPS).any() and (tape.v == 1.0 - core.GATE_EPS).any()
+
+    def test_rows_and_vectors_match_batch_eval(self):
+        want = core.batch_eval(self.GRID, self.ROWS).f
+        assert core.batch_value(self.GRID, self.ROWS).tobytes() == want.tobytes()
+        for row, want_row in zip(self.ROWS, want):
+            got = core.batch_value(self.GRID, tuple(row))
+            assert got.tobytes() == core.batch_eval(self.GRID, tuple(row)).f.tobytes()
+            assert got.tobytes() == want_row.tobytes()
+
+    def test_two_dimensional_batch(self):
+        x = np.random.default_rng(5).normal(0.0, 4.0, (64, 48))
+        for row in self.ROWS:
+            got = core.batch_value(x, tuple(row))
+            assert got.shape == x.shape
+            assert got.tobytes() == core.batch_eval(x, tuple(row)).f.tobytes()
+
+    def test_value_only_buffers_share_four_arrays(self):
+        buffers = core.GateBuffers.value_only((3, 5))
+        arrays = {id(getattr(buffers, name)) for name in core.GateBuffers._ARRAYS}
+        assert len(arrays | {id(s) for s in buffers.scratch}) == 4
+
+    def test_value_only_buffers_refused_by_vjp(self):
+        buffers = core.GateBuffers.value_only(self.GRID.shape)
+        tape = core.batch_eval(self.GRID, tuple(self.ROWS[0]), buffers)
+        with pytest.raises(ValueError):
+            core.batch_vjp(tape, np.ones_like(self.GRID), buffers)
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:

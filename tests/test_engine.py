@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -542,6 +543,43 @@ class TestEvaluate:
     def test_negative_sigma_rejected(self, trained, blob_dataset):
         with pytest.raises(ValueError):
             evaluate(trained, (blob_dataset.x_test, blob_dataset.y_test), -0.1, 0)
+
+    @pytest.mark.parametrize("sigma, seed", [(0.3, 11), (1e-9, 0), (5.0, 2024)])
+    def test_noise_bits_are_x_plus_the_draw(self, small_dataset, sigma, seed):
+        x = small_dataset.x_test
+        want = x + np.random.default_rng(seed).normal(0.0, sigma, size=x.shape)
+        got = engine.add_noise(x, sigma, seed)
+        assert got.tobytes() == want.tobytes()
+        assert got is not x and not np.shares_memory(got, x)
+
+
+class TestPredict:
+    """predict walks the layers without a cache and gives forward's answers."""
+
+    @pytest.mark.parametrize("granularity, strategy", [
+        ("layer_wise", "soft_relu"), ("global_shared", "random"),
+        ("fixed", "identity"), ("layer_wise", "relu_baseline")])
+    def test_matches_forward(self, small_dataset, granularity, strategy):
+        config = TrainConfig(epochs=1, seed=5, granularity=granularity,
+                             init_strategy=strategy)
+        model, _ = train(ModelSpec(784, (48, 24), 10), small_dataset, config)
+        for x in (small_dataset.x_test, engine.add_noise(small_dataset.x_test, 0.4, 9)):
+            logits, _ = forward(model, x)
+            assert engine._logits(model, x).tobytes() == logits.tobytes()
+            assert np.array_equal(engine.predict(model, x), np.argmax(logits, axis=1))
+
+    def test_peak_memory_stays_within_six_widest_layers(self):
+        model = tiny_model(spec=DESK_SPEC)
+        x = np.random.default_rng(1).uniform(0.0, 1.0, (500, 784))
+        engine.predict(model, x)                      # first-call allocations
+        tracemalloc.start()
+        try:
+            engine.predict(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        widest = x.shape[0] * max(DESK_SPEC.hidden) * 8
+        assert peak <= 6 * widest, peak / widest
 
 
 class TestPersistence:

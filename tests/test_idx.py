@@ -85,6 +85,19 @@ def test_forged_count_fails_before_reading(tmp_path, reader, header):
     assert peak < 1 << 20
 
 
+def test_image_read_peak_stays_near_its_result(tmp_path):
+    imgs = np.random.default_rng(6).integers(0, 256, (500, 28, 28), dtype=np.uint8)
+    write_images(tmp_path / "imgs", imgs)
+    tracemalloc.start()
+    try:
+        x = idx.read_idx_images(tmp_path / "imgs")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.tobytes() == (imgs.reshape(500, 784) / 255.0).tobytes()
+    assert peak <= 1.2 * x.nbytes, peak / x.nbytes
+
+
 def test_trailing_byte_is_format_error(tmp_path):
     write_images(tmp_path / "imgs", np.zeros((2, 3, 3), dtype=np.uint8))
     idx.write_idx_labels(tmp_path / "labels", [1, 2])
