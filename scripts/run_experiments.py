@@ -48,7 +48,7 @@ def main() -> None:
               f"acc={row.test_accuracy:.4f}")
 
     print("layer evolution ...")
-    spec = ModelSpec(dataset.x_train.shape[1], (256, 128, 64), dataset.n_classes)
+    spec = ModelSpec(in_dim=dataset.x_train.shape[1], n_classes=dataset.n_classes)
     model, _ = engine.train(spec, dataset,
                             TrainConfig(epochs=args.epochs, seed=args.seed))
     layer_report = experiments.layer_evolution_report(model)

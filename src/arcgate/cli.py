@@ -301,11 +301,8 @@ def _load_dataset(opts) -> idx.Dataset:
 
 def _cmd_train(opts) -> int:
     config = _train_config(opts)
-    x_train, y_train = idx.load_idx(opts["images"], opts["labels"])
-    x_test, y_test = idx.load_idx(opts["test_images"], opts["test_labels"])
-    dataset = idx.Dataset(x_train, y_train, x_test, y_test)
-    spec = ModelSpec(in_dim=x_train.shape[1], hidden=(256, 128, 64),
-                     n_classes=dataset.n_classes)
+    dataset = _load_dataset(opts)
+    spec = ModelSpec(in_dim=dataset.x_train.shape[1], n_classes=dataset.n_classes)
     model, trace = engine.train(spec, dataset, config)
     out = _out_path(opts["out"])
     engine.save_model(model, out)

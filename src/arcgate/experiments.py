@@ -31,7 +31,7 @@ import numpy as np
 
 from . import core, fitter
 from .engine import (MLPModel, ModelSpec, TrainConfig, TrainingDivergedError,
-                     add_noise, evaluate, train)
+                     _correct_counts, train)
 
 __all__ = [
     "DEFAULT_SIGMAS", "LayerReport", "SweepReport",
@@ -58,7 +58,7 @@ def _digest(*parts) -> str:
 def _spec_for(dataset) -> ModelSpec:
     x_train, y_train = np.asarray(dataset[0]), np.asarray(dataset[1])
     n_classes = int(max(y_train.max(), np.asarray(dataset[3]).max())) + 1
-    return ModelSpec(in_dim=x_train.shape[1], hidden=(256, 128, 64), n_classes=n_classes)
+    return ModelSpec(in_dim=x_train.shape[1], n_classes=n_classes)
 
 
 def _write_csv(path, comment: str, columns: list[str], rows) -> None:
@@ -178,17 +178,21 @@ def _sweep_report(models: dict[str, tuple[MLPModel, float | None]], x, y,
                   partial: bool = False) -> SweepReport:
     """Evaluate each ``label -> (model, clean accuracy or None)`` on one noise draw per sigma.
 
-    Sigma ``i`` draws from seed ``seed * 1000 + i``; the digest covers ``key``,
-    the sigmas and the seed.
+    Sigma ``i`` draws from seed ``seed * 1000 + i``, one row block at a time,
+    and every model is run on each noisy block, so no noisy copy of ``x`` is
+    made.  The digest covers ``key``, the sigmas and the seed.
     """
     noise_seeds = {s: seed * 1000 + i for i, s in enumerate(sigmas)}
-    x = np.asarray(x, dtype=np.float64)
     rows: list[SweepRow] = []
     for s in sigmas:
-        noisy = add_noise(x, s, noise_seeds[s])
-        for label, (model, clean_acc) in models.items():
-            rows.append(SweepRow(label, s, evaluate(model, (noisy, y))
-                                 if s > 0 or clean_acc is None else clean_acc))
+        accuracy = {label: clean_acc for label, (_, clean_acc) in models.items()
+                    if s == 0 and clean_acc is not None}
+        pending = [label for label in models if label not in accuracy]
+        if pending:
+            counts = _correct_counts([models[label][0] for label in pending], x, y, s,
+                                     noise_seeds[s])
+            accuracy.update((label, c / len(y)) for label, c in zip(pending, counts))
+        rows.extend(SweepRow(label, s, accuracy[label]) for label in models)
     gains = []
     if len(models) == 2:
         acc = {(r.model, r.sigma): r.accuracy for r in rows}

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agm1_files import BAD_MODELS
-from arcgate import core, engine, zoo
+from arcgate import core, engine, experiments, zoo
 from arcgate.engine import (ActivationLayer, AdamState, Arena, DenseLayer, MLPModel,
                             ModelSpec, Slot, StepBuffers, TrainConfig, adamw_step,
                             backward, build_model, evaluate, forward, load_model,
@@ -544,6 +544,21 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(trained, (blob_dataset.x_test, blob_dataset.y_test), -0.1, 0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows, y_shape", [(10, (1,)), (10, (10, 1)), (0, (1,)), (10, (3,))],
+                             ids=["one_label", "column_labels", "empty_x_one_label",
+                                  "too_few_labels"])
+    def test_misaligned_labels_rejected_before_any_work(self, trained, monkeypatch,
+                                                        rows, y_shape):
+        def no_work(*args):
+            raise AssertionError("the model ran before the labels were checked")
+
+        monkeypatch.setattr(engine, "_logits", no_work)
+        x = np.zeros((rows, 2))
+        with pytest.raises(ValueError) as exc:
+            evaluate(trained, (x, np.zeros(y_shape, dtype=int)), 0.5, 3)
+        assert str(x.shape) in str(exc.value) and str(y_shape) in str(exc.value)
+
     @pytest.mark.parametrize("sigma, seed", [(0.3, 11), (1e-9, 0), (5.0, 2024)])
     def test_noise_bits_are_x_plus_the_draw(self, small_dataset, sigma, seed):
         x = small_dataset.x_test
@@ -553,33 +568,79 @@ class TestEvaluate:
         assert got is not x and not np.shares_memory(got, x)
 
 
+def _fill_free_lists() -> None:
+    """Fill CPython's free lists of small tuples, floats, dicts and lists.
+
+    Objects freed onto a free list stay live to tracemalloc.  Once the lists
+    are full, what a traced call frees goes back to the allocator, so its
+    peak counts only what the call holds at once.
+    """
+    parked = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
+    parked += [float(k) + 0.5 for k in range(1000)]
+    parked += [{"k": k} for k in range(1000)] + [[k] for k in range(1000)]
+    del parked
+
+
 class TestPredict:
-    """predict walks the layers without a cache and gives forward's answers."""
+    """predict and evaluate walk row blocks without a cache and give forward's answers."""
 
     @pytest.mark.parametrize("granularity, strategy", [
         ("layer_wise", "soft_relu"), ("global_shared", "random"),
         ("fixed", "identity"), ("layer_wise", "relu_baseline")])
-    def test_matches_forward(self, small_dataset, granularity, strategy):
+    def test_matches_forward(self, small_dataset, desk_dataset, granularity, strategy):
         config = TrainConfig(epochs=1, seed=5, granularity=granularity,
                              init_strategy=strategy)
-        model, _ = train(ModelSpec(784, (48, 24), 10), small_dataset, config)
-        for x in (small_dataset.x_test, engine.add_noise(small_dataset.x_test, 0.4, 9)):
-            logits, _ = forward(model, x)
-            assert engine._logits(model, x).tobytes() == logits.tobytes()
-            assert np.array_equal(engine.predict(model, x), np.argmax(logits, axis=1))
+        spec = ModelSpec(784, (48, 24), 10)
+        model, _ = train(spec, small_dataset, config)
+        models = {"arcgate": (model, None), "relu": (tiny_model(spec=spec), None)}
 
-    def test_peak_memory_stays_within_six_widest_layers(self):
+        def reference(m, x, y, sigma, seed):
+            logits, _ = forward(m, engine.add_noise(x, sigma, seed))
+            return float(np.mean(np.argmax(logits, axis=1) == y))
+
+        b = engine._INFER_ROWS
+        for n in (1, b - 1, b, b + 1, 1000):
+            x, y = desk_dataset.x_test[:n], desk_dataset.y_test[:n]
+            for batch in (x, engine.add_noise(x, 0.4, 9)):
+                logits, _ = forward(model, batch)
+                assert engine._logits(model, batch).tobytes() == logits.tobytes()
+                assert np.array_equal(engine.predict(model, batch), np.argmax(logits, axis=1))
+            for sigma, seed in ((0.0, 0), (0.4, 9)):
+                assert evaluate(model, (x, y), sigma, seed) == reference(model, x, y, sigma, seed)
+            report = experiments._sweep_report(models, x, y, [0.0, 0.4], 3, ("rows", n))
+            assert [(r.model, r.sigma) for r in report.rows] == [
+                (label, s) for s in (0.0, 0.4) for label in models]
+            for row in report.rows:
+                want = reference(models[row.model][0], x, y, row.sigma,
+                                 report.noise_seeds[row.sigma])
+                assert row.accuracy == want, (n, row)
+
+    def test_peak_memory_does_not_grow_with_rows(self):
         model = tiny_model(spec=DESK_SPEC)
-        x = np.random.default_rng(1).uniform(0.0, 1.0, (500, 784))
-        engine.predict(model, x)                      # first-call allocations
-        tracemalloc.start()
-        try:
-            engine.predict(model, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        widest = x.shape[0] * max(DESK_SPEC.hidden) * 8
-        assert peak <= 6 * widest, peak / widest
+        rng = np.random.default_rng(1)
+
+        def peaks(n: int) -> list[int]:
+            x = rng.uniform(0.0, 1.0, (n, 784))
+            y = rng.integers(0, 10, n)
+            engine.predict(model, x[:1])                  # first-call allocations
+            _fill_free_lists()
+            found = []
+            for call in (lambda: engine.predict(model, x),
+                         lambda: evaluate(model, (x, y), 0.3, 5)):
+                tracemalloc.start()
+                try:
+                    call()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                found.append(peak)
+            return found
+
+        small, large = peaks(500), peaks(4000)
+        result_bytes = (4000 - 500) * np.dtype(np.intp).itemsize   # predict's n labels
+        ints = 256      # a few live block offsets; Python caches only those up to 256
+        for name, lo, hi in zip(("predict", "evaluate"), small, large):
+            assert hi - lo <= result_bytes + ints, (name, lo, hi)
 
 
 class TestPersistence:
@@ -690,6 +751,24 @@ class TestAGM1Properties:
                 path.write_bytes(whole[:size])
                 with pytest.raises(engine.ModelFormatError):
                     load_model(path)
+
+    @given(agm1_models(), st.integers(0, 255))
+    @settings(max_examples=25, deadline=None)
+    def test_every_byte_mutation_loads_or_is_rejected(self, model, value):
+        with tempfile.TemporaryDirectory() as td:
+            path = Path(td, "model.agm")
+            save_model(model, path)
+            whole = path.read_bytes()
+            for at in range(len(whole)):
+                mutated = bytearray(whole)
+                mutated[at] = value
+                path.write_bytes(bytes(mutated))
+                try:
+                    back = load_model(path)
+                except engine.ModelFormatError:
+                    continue
+                labels = engine.predict(back, np.zeros((3, back.in_dim)))
+                assert labels.shape == (3,)
 
 
 def test_parameter_count_traversal():
