@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import core, zoo
+from . import core, idx, zoo
 from .core import ArcGateParams, GateTape
 from .zoo import ActivationKind
 
@@ -317,11 +317,32 @@ class StepBuffers:
         return view
 
 
-def _input_batch(model: MLPModel, batch: np.ndarray) -> np.ndarray:
-    x = np.asarray(batch, dtype=np.float64)
+def _split(x):
+    """A whole split to read rows from, never converted as a whole when it is bytes.
+
+    :class:`idx.PixelRows` stays as it is, so each batch or block scales
+    only its own rows; anything else becomes one float64 array, and a uint8
+    array keeps its values 0-255.
+    """
+    return x if isinstance(x, idx.PixelRows) else np.asarray(x, dtype=np.float64)
+
+
+def _labels(y) -> np.ndarray:
+    """Labels as int64; a non-integer dtype is rejected rather than truncated."""
+    y = np.asarray(y)
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"labels must have an integer dtype, got {y.dtype}")
+    return y.astype(np.int64, copy=False)
+
+
+def _check_width(model: MLPModel, x):
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ValueError(f"batch shape {x.shape} does not match input width {model.in_dim}")
     return x
+
+
+def _input_batch(model: MLPModel, batch: np.ndarray) -> np.ndarray:
+    return _check_width(model, np.asarray(batch, dtype=np.float64))
 
 
 def _dense(layer: DenseLayer, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -508,15 +529,21 @@ class TraceRow:
 
 
 def train(model_spec: ModelSpec, dataset, config: TrainConfig) -> tuple[MLPModel, list[TraceRow]]:
-    """Train on ``dataset`` (x_train, y_train, x_test, y_test); fully seeded."""
-    x_train = np.asarray(dataset[0], dtype=np.float64)
-    y_train = np.asarray(dataset[1], dtype=np.int64)
-    x_test = np.asarray(dataset[2], dtype=np.float64)
-    y_test = np.asarray(dataset[3], dtype=np.int64)
+    """Train on ``dataset`` (x_train, y_train, x_test, y_test); fully seeded.
+
+    Labels must have an integer dtype and lie in ``[0, n_classes)``.
+    """
+    x_train, x_test = _split(dataset[0]), _split(dataset[2])
+    y_train, y_test = _labels(dataset[1]), _labels(dataset[3])
     if x_train.shape[0] == 0:
         raise ValueError("empty training set")
     if x_test.shape[0] == 0:
         raise ValueError("empty test set")
+    for split, y in (("training", y_train), ("test", y_test)):
+        bad = np.flatnonzero((y < 0) | (y >= model_spec.n_classes))
+        if bad.size:
+            raise ValueError(f"{split} label {y[bad[0]]} at row {bad[0]} is outside "
+                             f"[0, {model_spec.n_classes}) for {model_spec.n_classes} classes")
 
     init_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(2)
     model = build_model(model_spec, config, np.random.default_rng(init_ss))
@@ -589,7 +616,7 @@ def _row_blocks(n: int):
 
 def predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
     """Class index of each row: the argmax of the logits, ``_INFER_ROWS`` rows at a time."""
-    x = _input_batch(model, x)
+    x = _check_width(model, _split(x))
     labels = np.empty(x.shape[0], dtype=np.intp)
     for rows in _row_blocks(x.shape[0]):
         np.argmax(_logits(model, x[rows]), axis=1, out=labels[rows])
@@ -617,9 +644,10 @@ def _correct_counts(models: Sequence[MLPModel], x, y, noise_sigma: float,
     order; the concatenated draws are ``add_noise(x, noise_sigma, seed)``'s,
     and every model sees the same noisy block.
     """
+    x = _split(x)
     for model in models:
-        x = _input_batch(model, x)
-    y = np.asarray(y, dtype=np.int64)
+        _check_width(model, x)
+    y = _labels(y)
     if x.shape[0] == 0:
         raise ValueError(f"cannot evaluate on an empty split: x has shape {x.shape}, "
                          f"y has shape {y.shape}")

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import core, fitter
+from . import core, fitter, idx
 from .engine import (MLPModel, ModelSpec, TrainConfig, TrainingDivergedError,
                      _correct_counts, train)
 
@@ -56,9 +56,8 @@ def _digest(*parts) -> str:
 
 
 def _spec_for(dataset) -> ModelSpec:
-    x_train, y_train = np.asarray(dataset[0]), np.asarray(dataset[1])
-    n_classes = int(max(y_train.max(), np.asarray(dataset[3]).max())) + 1
-    return ModelSpec(in_dim=x_train.shape[1], n_classes=n_classes)
+    n_classes = int(max(np.max(dataset[1]), np.max(dataset[3]))) + 1
+    return ModelSpec(in_dim=np.shape(dataset[0])[1], n_classes=n_classes)
 
 
 def _write_csv(path, comment: str, columns: list[str], rows) -> None:
@@ -81,10 +80,19 @@ _summaries: OrderedDict[tuple, tuple[float, int] | None] = OrderedDict()
 
 
 def _dataset_digest(dataset) -> str:
-    """SHA-256 over the dtype, shape and bytes of the four dataset arrays."""
+    """SHA-256 over the dtype, shape and bytes of the four dataset arrays.
+
+    :class:`idx.PixelRows` are hashed as their stored bytes under a tag of
+    their own, so they never share a digest with a uint8 array (whose
+    values are 0-255, not scaled) or with their float rows.
+    """
     h = hashlib.sha256()
     for i in range(4):
-        a = np.ascontiguousarray(dataset[i])
+        a = dataset[i]
+        if isinstance(a, idx.PixelRows):
+            h.update(b"PixelRows")
+            a = a.pixels
+        a = np.ascontiguousarray(a)
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a)
     return h.hexdigest()

@@ -6,6 +6,10 @@ magic 0x00000801, a count, and one byte per item.  Reading is bit-exact
 and every malformed-file condition raises its own exception type.  The
 payload size the header declares is checked against the file size before
 anything is read, and bytes after the payload are rejected.
+
+Images are held as their bytes in :class:`PixelRows`, which scales a row to
+``[0, 1]`` only when it is read; this module is the only one that knows the
+byte format.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 __all__ = [
     "IMAGE_MAGIC", "LABEL_MAGIC",
     "IdxFormatError", "IdxMagicError", "IdxTruncatedError", "IdxDimensionError",
-    "Dataset", "load_idx", "read_idx_images", "read_idx_labels",
+    "Dataset", "PixelRows", "load_idx", "read_idx_images", "read_idx_labels",
     "write_idx_images", "write_idx_labels",
     "synthesize_arrays", "synthesize_idx_files", "load_or_synthesize",
 ]
@@ -45,12 +49,66 @@ class IdxDimensionError(IdxFormatError):
     """Image and label files disagree on the item count."""
 
 
-class Dataset(NamedTuple):
-    """Train/test split as flat [0,1]-scaled rows plus integer labels."""
+class PixelRows:
+    """Read-only image rows held as their bytes and scaled as they are read.
 
-    x_train: np.ndarray
+    ``pixels`` is the ``(n, rows*cols)`` uint8 array, read-only; for a file
+    read it is a view of the IDX payload.  Indexing takes anything an
+    ndarray's indexing takes and returns fresh float64 values
+    ``byte / 255.0``, the same quotients a whole float copy holds, so a
+    training batch or an inference block converts only its own rows.
+    ``np.asarray(rows)`` builds that whole copy (8 bytes per pixel).
+    """
+
+    __slots__ = ("_pixels",)
+    ndim = 2
+
+    def __init__(self, pixels: np.ndarray):
+        if not (isinstance(pixels, np.ndarray) and pixels.dtype == np.uint8
+                and pixels.ndim == 2):
+            raise ValueError(f"PixelRows needs a 2-D uint8 array, got "
+                             f"{getattr(pixels, 'dtype', type(pixels).__name__)} of shape "
+                             f"{np.shape(pixels)}")
+        self._pixels = pixels.view()
+        self._pixels.flags.writeable = False
+
+    @property
+    def pixels(self) -> np.ndarray:
+        return self._pixels
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._pixels.shape
+
+    def __len__(self) -> int:
+        return self._pixels.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        return _scaled(self._pixels[key])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("PixelRows holds bytes: its float rows are always a copy")
+        x = _scaled(self._pixels)
+        return x if dtype is None else x.astype(dtype, copy=False)
+
+    def __repr__(self) -> str:
+        return f"PixelRows({self.shape[0]} rows of {self.shape[1]} bytes)"
+
+
+def _scaled(pixels):
+    """Bytes as the [0, 1] values they stand for: ``byte / 255.0``, in one fresh array."""
+    x = pixels.astype(np.float64)
+    x /= 255.0      # in place: the same quotients, without a second float copy
+    return x
+
+
+class Dataset(NamedTuple):
+    """Train/test split: rows (:class:`PixelRows` or float arrays) plus integer labels."""
+
+    x_train: PixelRows | np.ndarray
     y_train: np.ndarray
-    x_test: np.ndarray
+    x_test: PixelRows | np.ndarray
     y_test: np.ndarray
 
     @property
@@ -77,8 +135,8 @@ def _read_payload(f, n: int, what: str, path) -> bytes:
     return _read_exact(f, n, what, path)
 
 
-def read_idx_images(path) -> np.ndarray:
-    """Read an IDX image file into an (n, rows*cols) float array scaled to [0, 1]."""
+def read_idx_images(path) -> PixelRows:
+    """Read an IDX image file as (n, rows*cols) :class:`PixelRows` over its payload."""
     path = Path(path)
     with open(path, "rb") as f:
         magic, = struct.unpack(">I", _read_exact(f, 4, "magic", path))
@@ -87,9 +145,7 @@ def read_idx_images(path) -> np.ndarray:
                                 f"expected 0x{IMAGE_MAGIC:08x}")
         count, rows, cols = struct.unpack(">III", _read_exact(f, 12, "header", path))
         raw = _read_payload(f, count * rows * cols, "pixel data", path)
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-    pixels /= 255.0      # in place: the same quotients, without a second float copy
-    return pixels.reshape(count, rows * cols)
+    return PixelRows(np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols))
 
 
 def read_idx_labels(path) -> np.ndarray:
@@ -105,7 +161,7 @@ def read_idx_labels(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
-def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+def load_idx(images_path, labels_path) -> tuple[PixelRows, np.ndarray]:
     """Load a paired image/label IDX set; counts must agree."""
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
@@ -147,9 +203,9 @@ def synthesize_arrays(n_train: int = 5000, n_test: int = 1000, n_classes: int = 
 
     Each class is a shared low-contrast background plus a class-specific
     sparse signed mask; samples add Gaussian pixel noise and quantize to
-    bytes, exactly as an IDX round trip would.  Contrast and mask size are
-    tuned so accuracy degrades across evaluation noise levels up to 0.5
-    instead of saturating.
+    bytes, held as :class:`PixelRows` exactly as an IDX read holds them.
+    Contrast and mask size are tuned so accuracy degrades across evaluation
+    noise levels up to 0.5 instead of saturating.
     """
     rng = np.random.default_rng(seed)
     d = side * side
@@ -160,11 +216,11 @@ def synthesize_arrays(n_train: int = 5000, n_test: int = 1000, n_classes: int = 
         signs = rng.choice([-1.0, 1.0], size=mask_pixels)
         templates[k, idx] += contrast * signs
 
-    def _sample(n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _sample(n: int) -> tuple[PixelRows, np.ndarray]:
         labels = rng.integers(0, n_classes, size=n)
         imgs = templates[labels] + rng.normal(0.0, pixel_noise, size=(n, d))
         bytes_ = np.clip(np.rint(imgs * 255.0), 0, 255).astype(np.uint8)
-        return bytes_.astype(np.float64) / 255.0, labels.astype(np.int64)
+        return PixelRows(bytes_), labels.astype(np.int64)
 
     x_train, y_train = _sample(n_train)
     x_test, y_test = _sample(n_test)
@@ -185,9 +241,7 @@ def synthesize_idx_files(out_dir, **kwargs) -> dict[str, Path]:
     }
     for split, x, y in (("train", data.x_train, data.y_train),
                         ("test", data.x_test, data.y_test)):
-        imgs = np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8)
-        imgs = imgs.reshape(-1, side, side)
-        write_idx_images(paths[f"{split}_images"], imgs)
+        write_idx_images(paths[f"{split}_images"], x.pixels.reshape(-1, side, side))
         write_idx_labels(paths[f"{split}_labels"], y)
     return paths
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agm1_files import BAD_MODELS
-from arcgate import core, engine, experiments, zoo
+from arcgate import core, engine, experiments, idx, zoo
 from arcgate.engine import (ActivationLayer, AdamState, Arena, DenseLayer, MLPModel,
                             ModelSpec, Slot, StepBuffers, TrainConfig, adamw_step,
                             backward, build_model, evaluate, forward, load_model,
@@ -498,6 +498,45 @@ class TestTrain:
             assert exc.value.epoch >= 1 and exc.value.step >= 1
 
 
+class TestLabels:
+    """Labels must be integers in [0, n_classes); nothing is truncated or wrapped."""
+
+    SPEC = ModelSpec(2, (4,), 2)
+
+    @pytest.mark.parametrize("cast", [lambda y: y + 0.7, lambda y: y.astype(np.float64),
+                                      lambda y: y.astype(bool)], ids=["fraction", "float", "bool"])
+    def test_training_rejects_non_integer_labels(self, blob_dataset, monkeypatch, cast):
+        monkeypatch.setattr(engine, "forward", None)   # rejected before any step
+        y = cast(blob_dataset.y_train)
+        data = (blob_dataset.x_train, y, blob_dataset.x_test, blob_dataset.y_test)
+        with pytest.raises(ValueError, match=f"integer dtype, got {y.dtype}"):
+            train(self.SPEC, data, TrainConfig(epochs=1))
+
+    def test_inference_rejects_non_integer_labels(self, trained, blob_dataset):
+        x, y = blob_dataset.x_test, blob_dataset.y_test
+        for call in (lambda labels: evaluate(trained, (x, labels)),
+                     lambda labels: engine._correct_counts([trained], x, labels, 0.3, 1)):
+            with pytest.raises(ValueError, match="integer dtype, got float64"):
+                call(y + 0.7)
+
+    def test_int_lists_and_idx_labels_still_work(self, trained, blob_dataset):
+        x, y = blob_dataset.x_test, blob_dataset.y_test
+        want = evaluate(trained, (x, y))
+        assert evaluate(trained, (x, [int(v) for v in y])) == want
+        assert evaluate(trained, (x, y.astype(np.uint8))) == want
+
+    @pytest.mark.parametrize("label", [5, 2, -1])
+    @pytest.mark.parametrize("split", [1, 3])
+    def test_training_rejects_labels_outside_the_classes(self, blob_dataset, monkeypatch,
+                                                         label, split):
+        monkeypatch.setattr(engine, "forward", None)   # rejected before any step
+        data = list(blob_dataset)
+        data[split] = data[split].copy()
+        data[split][[4, 9]] = label, 7
+        with pytest.raises(ValueError, match=rf"label {label} at row 4 .* for 2 classes"):
+            train(self.SPEC, data, TrainConfig(epochs=1))
+
+
 @pytest.fixture(scope="module")
 def trained(blob_dataset):
     config = TrainConfig(epochs=20, batch_size=16, learning_rate=0.01,
@@ -641,6 +680,54 @@ class TestPredict:
         ints = 256      # a few live block offsets; Python caches only those up to 256
         for name, lo, hi in zip(("predict", "evaluate"), small, large):
             assert hi - lo <= result_bytes + ints, (name, lo, hi)
+
+
+class TestPixelRows:
+    """idx.PixelRows train and infer as their float rows do; uint8 arrays are not rescaled."""
+
+    def test_training_matches_float_rows(self, small_dataset, tmp_path):
+        floats = idx.Dataset(*(np.asarray(a) for a in small_dataset))
+        assert isinstance(small_dataset.x_train, idx.PixelRows)
+        config = TrainConfig(epochs=2, seed=4)
+        spec = ModelSpec(784, (32, 16), 10)
+        saved = []
+        for data in (small_dataset, floats):
+            model, trace = train(spec, data, config)
+            save_model(model, tmp_path / "m.agm1")
+            saved.append(((tmp_path / "m.agm1").read_bytes(), trace,
+                          engine.predict(model, data.x_test),
+                          evaluate(model, (data.x_test, data.y_test), 0.3, 8)))
+        assert saved[0][0] == saved[1][0]
+        assert saved[0][1] == saved[1][1]
+        assert np.array_equal(saved[0][2], saved[1][2])
+        assert saved[0][3] == saved[1][3]
+
+    @given(st.integers(0, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_uint8_arrays_are_the_numbers_0_to_255(self, n, seed):
+        model = tiny_model(spec=ModelSpec(6, (8, 5), 3))
+        u8 = np.random.default_rng(seed).integers(0, 256, (n, 6), dtype=np.uint8)
+        floats = u8.astype(np.float64)
+        assert engine._logits(model, u8).tobytes() == engine._logits(model, floats).tobytes()
+        assert np.array_equal(engine.predict(model, u8), engine.predict(model, floats))
+        assert np.array_equal(engine.predict(model, idx.PixelRows(u8)),
+                              engine.predict(model, floats / 255.0))
+
+    def test_desk_files_train_and_evaluate_below_one_float_split(self, tmp_path):
+        paths = idx.synthesize_idx_files(tmp_path)
+        _fill_free_lists()
+        tracemalloc.start()
+        try:
+            x_train, y_train = idx.load_idx(paths["train_images"], paths["train_labels"])
+            x_test, y_test = idx.load_idx(paths["test_images"], paths["test_labels"])
+            model, _ = train(DESK_SPEC, (x_train, y_train, x_test, y_test),
+                             TrainConfig(epochs=1, seed=2))
+            evaluate(model, (x_test, y_test), 0.3, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        float_split = 5000 * 784 * np.dtype(np.float64).itemsize
+        assert peak < float_split, peak / float_split
 
 
 class TestPersistence:

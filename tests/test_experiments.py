@@ -194,16 +194,31 @@ class TestSharedTrainings:
         assert len(configs) == trainings
 
     def test_changed_pixel_forces_a_retrain(self, small_dataset, monkeypatch):
-        data = idx.Dataset(*(a.copy() for a in small_dataset))
+        pixels = small_dataset.x_train.pixels.copy()
+        data = idx.Dataset(idx.PixelRows(pixels), *small_dataset[1:])
         experiments._summaries.clear()
         configs = count_trainings(monkeypatch)
         first = granularity_ablation(data, FAST, seed=STUDY_SEED)
         assert len(configs) == 3
         assert granularity_ablation(data, FAST, seed=STUDY_SEED) == first
         assert len(configs) == 3
-        data.x_train[0, 0] = 1.0 - data.x_train[0, 0]
+        pixels[0, 0] = 255 - pixels[0, 0]
         granularity_ablation(data, FAST, seed=STUDY_SEED)
         assert len(configs) == 6
+
+    def test_byte_and_float_splits_never_share_a_key(self, small_dataset, monkeypatch):
+        def no_float_copy(*args, **kwargs):
+            raise AssertionError("a whole split was converted to floats")
+
+        _, y_train, x_test, y_test = small_dataset
+        as_bytes = small_dataset.x_train.pixels
+        variants = [small_dataset, (np.asarray(small_dataset.x_train), y_train, x_test, y_test),
+                    (as_bytes, y_train, x_test, y_test)]
+        keys = {experiments._dataset_digest(d) for d in variants}
+        assert len(keys) == 3
+        monkeypatch.setattr(idx.PixelRows, "__array__", no_float_copy)
+        assert experiments._dataset_digest(small_dataset) in keys
+        assert experiments._spec_for(small_dataset) == ModelSpec(784, n_classes=10)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_configuration_still_gives_nan_rows(self, monkeypatch):

@@ -20,7 +20,7 @@ def test_two_image_fixture_scales_bytes(tmp_path):
     write_images(tmp_path / "imgs", imgs)
     idx.write_idx_labels(tmp_path / "labels", [3, 7])
     x, y = idx.load_idx(tmp_path / "imgs", tmp_path / "labels")
-    assert x.tolist() == [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]]
+    assert np.asarray(x).tolist() == [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]]
     assert y.tolist() == [3, 7]
 
 
@@ -94,8 +94,8 @@ def test_image_read_peak_stays_near_its_result(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert x.tobytes() == (imgs.reshape(500, 784) / 255.0).tobytes()
-    assert peak <= 1.2 * x.nbytes, peak / x.nbytes
+    assert np.asarray(x).tobytes() == (imgs.reshape(500, 784) / 255.0).tobytes()
+    assert peak <= 1.2 * x.pixels.nbytes, peak / x.pixels.nbytes
 
 
 def test_trailing_byte_is_format_error(tmp_path):
@@ -127,7 +127,7 @@ def test_image_round_trip(n, rows, cols, seed):
         idx.write_idx_images(path, imgs)
         back = idx.read_idx_images(path)
         assert back.shape == (n, rows * cols)
-        assert np.array_equal(back * 255.0, imgs.reshape(n, -1).astype(float))
+        assert np.array_equal(np.asarray(back) * 255.0, imgs.reshape(n, -1).astype(float))
 
 
 @st.composite
@@ -146,6 +146,7 @@ def _loads_or_raises_a_format_error(images_path, labels_path):
     except idx.IdxFormatError:
         return
     assert x.shape[0] == y.shape[0]
+    x = np.asarray(x)
     assert np.all((x >= 0.0) & (x <= 1.0))
 
 
@@ -172,11 +173,12 @@ def test_every_truncation_and_byte_change_loads_or_raises_a_format_error(pair, d
 def test_synthetic_fixture_shapes_and_determinism(tmp_path):
     a = idx.synthesize_arrays(n_train=50, n_test=20, seed=5)
     b = idx.synthesize_arrays(n_train=50, n_test=20, seed=5)
-    assert np.array_equal(a.x_train, b.x_train)
+    x = np.asarray(a.x_train)
+    assert np.array_equal(x, np.asarray(b.x_train))
     assert np.array_equal(a.y_test, b.y_test)
-    assert a.x_train.shape == (50, 784)
+    assert x.shape == a.x_train.shape == (50, 784)
     assert a.n_classes == 10
-    assert a.x_train.min() >= 0.0 and a.x_train.max() <= 1.0
+    assert x.min() >= 0.0 and x.max() <= 1.0
 
 
 def test_synthesized_files_round_trip(tmp_path):
@@ -184,10 +186,67 @@ def test_synthesized_files_round_trip(tmp_path):
     data = idx.load_or_synthesize(paths["train_images"], paths["train_labels"],
                                   paths["test_images"], paths["test_labels"])
     direct = idx.synthesize_arrays(n_train=30, n_test=10, seed=9)
-    assert np.array_equal(data.x_train, direct.x_train)
+    assert np.array_equal(np.asarray(data.x_train), np.asarray(direct.x_train))
     assert np.array_equal(data.y_train, direct.y_train)
 
 
 def test_load_or_synthesize_rejects_partial_paths(tmp_path):
     with pytest.raises(ValueError):
         idx.load_or_synthesize(train_images=tmp_path / "x")
+
+
+@st.composite
+def rows_and_selectors(draw):
+    """A small uint8 matrix and row selectors of every kind an ndarray takes."""
+    n, width = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    u8 = np.frombuffer(draw(st.binary(min_size=n * width, max_size=n * width)),
+                       dtype=np.uint8).reshape(n, width)
+    bounds = st.none() | st.integers(-8, 8)
+    kinds = [st.builds(slice, bounds, bounds, st.none() | st.integers(-3, 3).filter(bool)),
+             st.just(np.array([], dtype=np.intp)), st.just(slice(0, 0))]
+    if n:
+        ints = st.integers(-n, n - 1)       # negative entries count from the end
+        kinds += [ints, st.lists(ints, max_size=8).map(lambda k: np.array(k, dtype=np.intp))]
+    return u8, draw(st.lists(st.one_of(kinds), min_size=1, max_size=6))
+
+
+@given(rows_and_selectors())
+@settings(max_examples=150, deadline=None)
+def test_pixel_rows_read_as_their_scaled_bytes(case):
+    u8, selectors = case
+    rows = idx.PixelRows(u8)
+    want = u8.astype(np.float64) / 255.0
+    assert rows.shape == u8.shape and len(rows) == u8.shape[0] and rows.ndim == 2
+    whole = np.asarray(rows)
+    assert whole.dtype == np.float64 and whole.tobytes() == want.tobytes()
+    for sel in selectors:
+        got = rows[sel]
+        assert got.dtype == np.float64 and got.shape == want[sel].shape
+        assert got.tobytes() == want[sel].tobytes()
+        assert not np.shares_memory(got, u8)
+
+
+def test_pixel_rows_are_read_only_bytes(tmp_path):
+    imgs = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
+    write_images(tmp_path / "imgs", imgs)
+    rows = idx.read_idx_images(tmp_path / "imgs")
+    assert rows.pixels.dtype == np.uint8 and rows.pixels.tobytes() == imgs.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        rows.pixels[0, 0] = 1
+    with pytest.raises(ValueError, match="always a copy"):
+        np.asarray(rows, copy=False)
+    assert np.asarray(rows, dtype=np.float32).dtype == np.float32
+    mine = np.zeros((2, 3), dtype=np.uint8)
+    idx.PixelRows(mine)
+    mine[0, 0] = 7                                   # the caller's array stays writable
+    for bad in (mine.astype(np.float64), mine[0], [[1, 2]]):
+        with pytest.raises(ValueError, match="2-D uint8"):
+            idx.PixelRows(bad)
+
+
+def test_synthesized_files_hold_the_fixture_bytes(tmp_path):
+    paths = idx.synthesize_idx_files(tmp_path, n_train=30, n_test=10, seed=9)
+    direct = idx.synthesize_arrays(n_train=30, n_test=10, seed=9)
+    for split, rows in (("train", direct.x_train), ("test", direct.x_test)):
+        raw = paths[f"{split}_images"].read_bytes()
+        assert raw[16:] == rows.pixels.tobytes()
