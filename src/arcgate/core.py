@@ -527,8 +527,11 @@ def gate_gradcheck(samples: int, seed: int) -> float:
     the absolute floor 1e-8 are not counted.  Per draw, the four shifted
     inputs are one kernel call and the 28 shifted parameter rows another; a
     shifted a or p reaches F through its raw preimage, exactly as through
-    ``ArcGateParams.from_effective``.
+    ``ArcGateParams.from_effective``.  ``samples`` must be at least 1, since
+    no draws would report a pass that checked nothing.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):

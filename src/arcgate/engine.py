@@ -320,9 +320,9 @@ class StepBuffers:
 def _split(x):
     """A whole split to read rows from, never converted as a whole when it is bytes.
 
-    :class:`idx.PixelRows` stays as it is, so each batch or block scales
-    only its own rows; anything else becomes one float64 array, and a uint8
-    array keeps its values 0-255.
+    :class:`idx.PixelRows` stays as it is, and so do the batches and blocks
+    selected from it, until :func:`_input_batch` scales them; anything else
+    becomes one float64 array, and a uint8 array keeps its values 0-255.
     """
     return x if isinstance(x, idx.PixelRows) else np.asarray(x, dtype=np.float64)
 
@@ -342,6 +342,7 @@ def _check_width(model: MLPModel, x):
 
 
 def _input_batch(model: MLPModel, batch: np.ndarray) -> np.ndarray:
+    """The float64 rows a model reads: where :class:`idx.PixelRows` become floats."""
     return _check_width(model, np.asarray(batch, dtype=np.float64))
 
 
@@ -659,7 +660,7 @@ def _correct_counts(models: Sequence[MLPModel], x, y, noise_sigma: float,
     rng = np.random.default_rng(seed) if noise_sigma > 0 else None
     counts = [0] * len(models)
     for rows in _row_blocks(x.shape[0]):
-        block = x[rows]
+        block = np.asarray(x[rows], dtype=np.float64)     # once, for every model
         if rng is not None:
             noisy = rng.normal(0.0, noise_sigma, size=block.shape)
             noisy += block       # add_noise's bits: IEEE addition commutes

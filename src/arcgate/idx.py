@@ -54,10 +54,13 @@ class PixelRows:
 
     ``pixels`` is the ``(n, rows*cols)`` uint8 array, read-only; for a file
     read it is a view of the IDX payload.  Indexing takes anything an
-    ndarray's indexing takes and returns fresh float64 values
-    ``byte / 255.0``, the same quotients a whole float copy holds, so a
-    training batch or an inference block converts only its own rows.
-    ``np.asarray(rows)`` builds that whole copy (8 bytes per pixel).
+    ndarray's indexing takes.  A selection that keeps both axes (a slice,
+    an index array, a boolean mask) is again a ``PixelRows``, over a view
+    of these bytes for a basic slice and over a byte copy otherwise; an
+    int row or a single pixel comes back as its float64 value
+    ``byte / 255.0``.  ``np.asarray(rows)`` builds the float rows, the same
+    quotients whatever the selection, so a training batch or an inference
+    block is converted only where a model reads it (8 bytes per pixel).
     """
 
     __slots__ = ("_pixels",)
@@ -83,8 +86,9 @@ class PixelRows:
     def __len__(self) -> int:
         return self._pixels.shape[0]
 
-    def __getitem__(self, key) -> np.ndarray:
-        return _scaled(self._pixels[key])
+    def __getitem__(self, key) -> PixelRows | np.ndarray:
+        got = self._pixels[key]
+        return PixelRows(got) if got.ndim == 2 else _scaled(got)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
@@ -172,9 +176,28 @@ def load_idx(images_path, labels_path) -> tuple[PixelRows, np.ndarray]:
     return images, labels
 
 
+def _as_bytes(values, what: str) -> np.ndarray:
+    """``values`` as contiguous uint8, refusing anything a byte would not hold as is.
+
+    A non-integer dtype or a value outside [0, 255] raises ``ValueError``
+    instead of being truncated or wrapped; an empty sequence (which numpy
+    types as float64) is accepted.
+    """
+    a = np.asarray(values)
+    if a.dtype != np.uint8 and a.size:
+        if not np.issubdtype(a.dtype, np.integer):
+            raise ValueError(f"{what} must have an integer dtype, got {a.dtype}")
+        bad = np.flatnonzero((a < 0) | (a > 255))
+        if bad.size:
+            at = tuple(int(i) for i in np.unravel_index(bad[0], a.shape))
+            raise ValueError(f"{what} value {a.flat[bad[0]]} at index "
+                             f"{at[0] if a.ndim == 1 else at} is outside [0, 255]")
+    return np.ascontiguousarray(a, dtype=np.uint8)
+
+
 def write_idx_images(path, images: np.ndarray) -> None:
-    """Write a (n, rows, cols) uint8 array as an IDX image file."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
+    """Write a (n, rows, cols) integer array of bytes as an IDX image file."""
+    images = _as_bytes(images, "image")
     if images.ndim != 3:
         raise ValueError(f"expected (n, rows, cols) array, got shape {images.shape}")
     n, rows, cols = images.shape
@@ -184,8 +207,8 @@ def write_idx_images(path, images: np.ndarray) -> None:
 
 
 def write_idx_labels(path, labels) -> None:
-    """Write labels (values in [0, 255]) as an IDX label file."""
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    """Write integer labels (values in [0, 255]) as an IDX label file."""
+    labels = _as_bytes(labels, "label")
     with open(path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
         f.write(labels.tobytes())
@@ -194,6 +217,11 @@ def write_idx_labels(path, labels) -> None:
 # ---------------------------------------------------------------------------
 # synthetic fixture
 # ---------------------------------------------------------------------------
+
+# Rows of floats alive at once while the fixture is made (1.6 MB per block at
+# the desk width).  Any block size gives the same bytes.
+_SYNTH_ROWS = 256
+
 
 def synthesize_arrays(n_train: int = 5000, n_test: int = 1000, n_classes: int = 10,
                       side: int = 28, seed: int = 2024,
@@ -218,9 +246,18 @@ def synthesize_arrays(n_train: int = 5000, n_test: int = 1000, n_classes: int = 
 
     def _sample(n: int) -> tuple[PixelRows, np.ndarray]:
         labels = rng.integers(0, n_classes, size=n)
-        imgs = templates[labels] + rng.normal(0.0, pixel_noise, size=(n, d))
-        bytes_ = np.clip(np.rint(imgs * 255.0), 0, 255).astype(np.uint8)
-        return PixelRows(bytes_), labels.astype(np.int64)
+        pixels = np.empty((n, d), dtype=np.uint8)
+        for start in range(0, n, _SYNTH_ROWS):
+            block = labels[start:start + _SYNTH_ROWS]
+            # the block's share of one (n, d) draw, then the same IEEE steps
+            # as template + noise, * 255, rint and clip on the whole array
+            imgs = rng.normal(0.0, pixel_noise, size=(block.size, d))
+            imgs += templates[block]
+            imgs *= 255.0
+            np.rint(imgs, out=imgs)
+            np.clip(imgs, 0, 255, out=imgs)
+            pixels[start:start + block.size] = imgs
+        return PixelRows(pixels), labels.astype(np.int64)
 
     x_train, y_train = _sample(n_train)
     x_test, y_test = _sample(n_test)

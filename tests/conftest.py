@@ -1,7 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 
 from arcgate import experiments, idx
+
+
+def pytest_report_header(config):
+    """numpy, its BLAS and the thread settings: saved training bytes hold only
+    for the BLAS thread count they were made at, so a failure report names it."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    return (f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}, "
+            f"{threads}, {cores} usable cores")
 
 
 @pytest.fixture(scope="module", autouse=True)

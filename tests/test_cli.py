@@ -1,13 +1,19 @@
+import contextlib
 import csv
 import dataclasses
+import io
+import os
 import re
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agm1_files import BAD_MODELS
+from agm1_files import BAD_MODELS, agm1, dense, gate
 from arcgate import cli, core, engine, idx
 
 DATA = Path(__file__).with_name("data")
@@ -40,6 +46,13 @@ def test_missing_subcommand_is_usage_error():
 
 def test_gradcheck_passes():
     assert run_cli("gradcheck", "--samples", 50, "--seed", 1) == 0
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_gradcheck_without_draws_fails(samples, capsys):
+    assert run_cli("gradcheck", "--samples", samples) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: samples must be >= 1, got {samples}\n"
 
 
 @pytest.mark.parametrize("seed", [18, 1456708897])
@@ -392,3 +405,45 @@ def test_plot_rejects_a_bad_table(tmp_path, capsys, figure, text, message):
     assert run_cli("plot", "--figure", figure, "--in", table, "--out", chart) == 1
     assert capsys.readouterr().err == f"error: {table}{message}\n"
     assert not chart.exists()
+
+
+# Junk put in place of one token of a valid command; "MISSING" stands for a
+# path that does not exist.
+_JUNK = ("", "-1", "nan", "inf", "x", "--bogus", "MISSING")
+
+
+@pytest.fixture(scope="module")
+def cheap_commands(tmp_path_factory):
+    """Valid, fast commands of four subcommands, and the directory they run in."""
+    work = tmp_path_factory.mktemp("argv")
+    (work / "model.agm1").write_bytes(agm1(dense(2, 3), gate(), dense(3, 2)))
+    assert run_cli("fit", "--target", "relu", "--budget", 5, "--out", work / "fit.csv") == 0
+    commands = [["fit", "--target", "relu", "--budget", "5", "--out", "fit-out.csv"],
+                ["gradcheck", "--samples", "5"],
+                ["report", "--model", "model.agm1", "--out", "report.csv"],
+                ["plot", "--figure", "fit", "--in", "fit.csv", "--out", "fit.svg"]]
+    return work, commands
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_broken_command_exits_0_1_or_2(cheap_commands, data):
+    work, commands = cheap_commands
+    argv = list(data.draw(st.sampled_from(commands), label="command"))
+    pos = data.draw(st.integers(0, len(argv) - 1), label="position")
+    junk = data.draw(st.none() | st.sampled_from(_JUNK), label="replacement (None deletes)")
+    if junk is None:
+        del argv[pos]
+    else:
+        argv[pos] = str(work / "no-such-dir" / "no-such-file") if junk == "MISSING" else junk
+    err = io.StringIO()
+    with contextlib.chdir(work), mock.patch.dict(os.environ, {"ARCGATE_OUT": str(work)}), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:       # argparse's usage exit, passed on by main()
+            code = exc.code
+    message = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, message)
+    assert (code == 2) == ("usage:" in message), (argv, code, message)
+    assert (code == 1) == message.startswith("error: "), (argv, code, message)

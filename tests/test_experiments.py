@@ -220,6 +220,14 @@ class TestSharedTrainings:
         assert experiments._dataset_digest(small_dataset) in keys
         assert experiments._spec_for(small_dataset) == ModelSpec(784, n_classes=10)
 
+    def test_a_byte_view_and_its_copy_share_a_key(self, small_dataset):
+        view = small_dataset.x_train[5:400:3]
+        assert np.shares_memory(view.pixels, small_dataset.x_train.pixels)
+        copy = idx.PixelRows(np.ascontiguousarray(view.pixels))
+        rest = small_dataset[1:]
+        assert (experiments._dataset_digest((view, *rest))
+                == experiments._dataset_digest((copy, *rest)))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_configuration_still_gives_nan_rows(self, monkeypatch):
         rng = np.random.default_rng(0)

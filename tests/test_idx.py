@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synth_oracle
 from arcgate import idx
 
 
@@ -203,10 +204,13 @@ def rows_and_selectors(draw):
                        dtype=np.uint8).reshape(n, width)
     bounds = st.none() | st.integers(-8, 8)
     kinds = [st.builds(slice, bounds, bounds, st.none() | st.integers(-3, 3).filter(bool)),
-             st.just(np.array([], dtype=np.intp)), st.just(slice(0, 0))]
+             st.just(np.array([], dtype=np.intp)), st.just(slice(0, 0)),
+             st.lists(st.booleans(), min_size=n, max_size=n)
+             .map(lambda mask: np.array(mask, dtype=bool))]
     if n:
         ints = st.integers(-n, n - 1)       # negative entries count from the end
-        kinds += [ints, st.lists(ints, max_size=8).map(lambda k: np.array(k, dtype=np.intp))]
+        kinds += [ints, st.lists(ints, max_size=8).map(lambda k: np.array(k, dtype=np.intp)),
+                  st.tuples(ints, st.integers(-width, width - 1))]
     return u8, draw(st.lists(st.one_of(kinds), min_size=1, max_size=6))
 
 
@@ -221,9 +225,16 @@ def test_pixel_rows_read_as_their_scaled_bytes(case):
     assert whole.dtype == np.float64 and whole.tobytes() == want.tobytes()
     for sel in selectors:
         got = rows[sel]
-        assert got.dtype == np.float64 and got.shape == want[sel].shape
-        assert got.tobytes() == want[sel].tobytes()
-        assert not np.shares_memory(got, u8)
+        if isinstance(sel, (int, tuple)):      # an int row or a single pixel: its floats
+            assert got.dtype == np.float64 and got.shape == want[sel].shape
+            assert got.tobytes() == want[sel].tobytes()
+            assert not np.shares_memory(got, u8)
+            continue
+        assert isinstance(got, idx.PixelRows)
+        assert got.pixels.tobytes() == u8[sel].tobytes()
+        assert np.asarray(got).tobytes() == want[sel].tobytes()
+        # a basic slice is a view of the bytes; an index array or a mask copies them
+        assert np.shares_memory(got.pixels, u8) == (isinstance(sel, slice) and got.pixels.size > 0)
 
 
 def test_pixel_rows_are_read_only_bytes(tmp_path):
@@ -250,3 +261,67 @@ def test_synthesized_files_hold_the_fixture_bytes(tmp_path):
     for split, rows in (("train", direct.x_train), ("test", direct.x_test)):
         raw = paths[f"{split}_images"].read_bytes()
         assert raw[16:] == rows.pixels.tobytes()
+
+
+def test_a_row_slice_of_the_desk_split_copies_no_pixels(desk_dataset):
+    tracemalloc.start()
+    try:
+        head = desk_dataset.x_train[:640]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head.shape == (640, 784)
+    assert peak < 1024, peak
+
+
+def test_synthesis_keeps_one_row_block_of_floats():
+    tracemalloc.start()
+    try:
+        idx.synthesize_arrays()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak       # 4.7 MB of result plus one block's floats
+
+
+@pytest.mark.parametrize("seed", [2024, 9, 77])
+@pytest.mark.parametrize("n_train, n_test", [(0, 0), (1, 0), (0, 1), (255, 257), (256, 256),
+                                             (257, 255), (5000, 1000)])
+def test_synthesis_matches_the_whole_split_oracle(seed, n_train, n_test):
+    got = idx.synthesize_arrays(n_train=n_train, n_test=n_test, seed=seed)
+    want = synth_oracle.synthesize_arrays(n_train=n_train, n_test=n_test, seed=seed)
+    for x, x_want in ((got.x_train, want.x_train), (got.x_test, want.x_test)):
+        assert x.shape == x_want.shape
+        assert x.pixels.tobytes() == x_want.pixels.tobytes()
+    for y, y_want in ((got.y_train, want.y_train), (got.y_test, want.y_test)):
+        assert y.dtype == y_want.dtype and np.array_equal(y, y_want)
+
+
+@pytest.mark.parametrize("writer, values, message", [
+    (idx.write_idx_labels, [2.7, 1.2], "integer dtype, got float64"),
+    (idx.write_idx_labels, np.array([1, 0], dtype=bool), "integer dtype, got bool"),
+    (idx.write_idx_images, np.full((1, 2, 2), 0.5), "integer dtype, got float64"),
+    (idx.write_idx_labels, [7, 300, -1], r"value 300 at index 1 is outside \[0, 255\]"),
+    (idx.write_idx_labels, [7, -1], r"value -1 at index 1 is outside \[0, 255\]"),
+    (idx.write_idx_images, np.array([[[0, 300]]]), r"value 300 at index \(0, 0, 1\)"),
+    (idx.write_idx_images, np.array([[[0, 1]], [[-2, 5]]], dtype=np.int8),
+     r"value -2 at index \(1, 0, 0\)"),
+])
+def test_writers_refuse_values_a_byte_does_not_hold(tmp_path, writer, values, message):
+    with pytest.raises(ValueError, match=message):
+        writer(tmp_path / "out", values)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("writer, values", [
+    (idx.write_idx_labels, [0, 255, 7]),
+    (idx.write_idx_labels, []),
+    (idx.write_idx_images, np.array([[[0, 255]], [[128, 1]]], dtype=np.int64)),
+    (idx.write_idx_images, np.zeros((0, 2, 2))),
+])
+def test_writers_take_integer_bytes_and_empty_sequences(tmp_path, writer, values):
+    writer(tmp_path / "out", values)
+    reader = idx.read_idx_labels if writer is idx.write_idx_labels else idx.read_idx_images
+    back = reader(tmp_path / "out")
+    stored = back if writer is idx.write_idx_labels else back.pixels
+    assert stored.tolist() == np.asarray(values).reshape(stored.shape).tolist()
