@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Run every desk-scale study end to end and drop CSVs + SVGs into one directory.
-
-Covers the noise-robustness sweep, both ablations, the layer-evolution
-report, and the sensitivity curves.  Runtime is a few CPU minutes.
-"""
+"""Run every desk-scale study (``experiments.run_round``) and plot its charts."""
 
 import argparse
 import time
-from pathlib import Path
 
-from arcgate import engine, experiments, idx, svg
-from arcgate.engine import ModelSpec, TrainConfig
+from arcgate import cli, experiments, idx
+from arcgate.engine import TrainConfig
+
+# chart -> plot figure; drawn from the round's CSV of that name, next to it as <chart>.svg
+CHARTS = {**dict.fromkeys(("steepness", "sharpness", "shift", "mode", "leak"), "sensitivity"),
+          "classics": "fit", "noise_sweep": "sweep"}
 
 
 def main() -> None:
@@ -19,58 +18,22 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--epochs", type=int, default=5)
     args = parser.parse_args()
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+    try:
+        config = TrainConfig(epochs=args.epochs, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     t0 = time.time()
-    dataset = idx.synthesize_arrays()
-    config = TrainConfig(epochs=args.epochs, seed=args.seed)
-    print(f"dataset: {dataset.x_train.shape[0]} train / {dataset.x_test.shape[0]} test")
-
-    print("noise sweep ...")
-    report = experiments.noise_sweep(dataset, config=config, seed=args.seed)
-    experiments.write_sweep_csv(report, out / "noise_sweep.csv")
-    for sigma, gain in report.gains:
-        print(f"  sigma={sigma:g}: gain {gain:+.4f}")
-
-    print("init ablation ...")
-    rows = experiments.init_ablation(dataset, config, seed=args.seed)
-    experiments.write_init_csv(rows, out / "init_ablation.csv", config, args.seed)
-    for row in rows:
-        print(f"  {row.strategy:14s} {row.test_accuracy:.4f}")
-
-    print("granularity ablation ...")
-    grows = experiments.granularity_ablation(dataset, config, seed=args.seed)
-    experiments.write_granularity_csv(grows, out / "granularity_ablation.csv",
-                                      config, args.seed)
-    for row in grows:
-        print(f"  {row.granularity:14s} params={row.learnable_activation_params:3d} "
-              f"acc={row.test_accuracy:.4f}")
-
-    print("layer evolution ...")
-    spec = ModelSpec(in_dim=dataset.x_train.shape[1], n_classes=dataset.n_classes)
-    model, _ = engine.train(spec, dataset,
-                            TrainConfig(epochs=args.epochs, seed=args.seed))
-    layer_report = experiments.layer_evolution_report(model)
-    experiments.write_layer_csv(layer_report, out / "layer_evolution.csv")
-    for row in layer_report.rows:
-        print(f"  layer {row.layer_index}: a={row.a:.3f} alpha={row.alpha:.4f} "
-              f"gamma={row.gamma:+.4f}")
-
-    print("sensitivity curves ...")
-    paths = experiments.sensitivity_curves(out, seed=args.seed)
-
-    print("charts ...")
-    from arcgate.cli import run as cli_run
-    for name in ("steepness", "sharpness", "shift", "mode", "leak"):
-        cli_run(["plot", "--figure", "sensitivity", "--in", str(paths[name]),
-                 "--out", str(out / f"{name}.svg")])
-    cli_run(["plot", "--figure", "fit", "--in", str(paths["classics"]),
-             "--out", str(out / "classics.svg")])
-    cli_run(["plot", "--figure", "sweep", "--in", str(out / "noise_sweep.csv"),
-             "--out", str(out / "noise_sweep.svg")])
-
-    print(f"done in {time.time() - t0:.0f}s -> {out}/")
+    result = experiments.run_round(idx.synthesize_arrays(), config, args.seed, args.out_dir)
+    print(*(f"  sigma={s:g}: gain {gain:+.4f}" for s, gain in result.sweep.gains),
+          *(f"  {r.strategy:14s} {r.test_accuracy:.4f}" for r in result.init_rows),
+          *(f"  {r.granularity:14s} params={r.learnable_activation_params:3d} "
+            f"acc={r.test_accuracy:.4f}" for r in result.granularity_rows),
+          *(f"  layer {r.layer_index}: a={r.a:.3f} alpha={r.alpha:.4f} gamma={r.gamma:+.4f}"
+            for r in result.layers.rows), sep="\n")
+    for name, figure in CHARTS.items():
+        cli.run(["plot", "--figure", figure, "--in", str(result.paths[name]),
+                 "--out", str(result.paths[name].with_name(f"{name}.svg"))])
+    print(f"done in {time.time() - t0:.0f}s -> {args.out_dir}/")
 
 
 if __name__ == "__main__":

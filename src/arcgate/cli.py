@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, engine, experiments, fitter, idx, svg
-from .engine import ModelSpec, TrainConfig
+from .engine import TrainConfig
 
 __all__ = ["main", "run"]
 
@@ -302,8 +302,7 @@ def _load_dataset(opts) -> idx.Dataset:
 def _cmd_train(opts) -> int:
     config = _train_config(opts)
     dataset = _load_dataset(opts)
-    spec = ModelSpec(in_dim=dataset.x_train.shape[1], n_classes=dataset.n_classes)
-    model, trace = engine.train(spec, dataset, config)
+    model, trace = engine.train(experiments._spec_for(dataset), dataset, config)
     out = _out_path(opts["out"])
     engine.save_model(model, out)
     last = trace[-1]

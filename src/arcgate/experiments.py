@@ -7,10 +7,11 @@ in the CSV it writes, so re-running reproduces files byte for byte.
 
 The study runners in one process share trainings by content key: the model
 spec, every ``TrainConfig`` field and a SHA-256 digest of the four dataset
-arrays.  Only a training's summary is kept (final test accuracy and
-learnable activation parameter count, or a divergence mark), never the
-model, so an ablation that needs only those numbers reads them instead of
-training the same configuration again.
+arrays.  Only a training's summary is kept (final test accuracy, learnable
+activation parameter count and effective gate parameters per layer, or a
+divergence mark), never the model, so a later study reads it instead of
+training again.  :func:`run_round` runs every study once and reads its layer
+report from the sweep's ArcGate training: six trainings, six configurations.
 
 Accuracy numbers here are desk-scale analogs: they preserve the structural
 comparisons (which variant beats which) but not the absolute values of
@@ -25,7 +26,7 @@ import math
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,9 +35,9 @@ from .engine import (MLPModel, ModelSpec, TrainConfig, TrainingDivergedError,
                      _correct_counts, train)
 
 __all__ = [
-    "DEFAULT_SIGMAS", "LayerReport", "SweepReport",
+    "DEFAULT_SIGMAS", "LayerReport", "Round", "SweepReport",
     "granularity_ablation", "init_ablation", "layer_evolution_report",
-    "noise_sweep", "sensitivity_curves",
+    "noise_sweep", "run_round", "sensitivity_curves",
     "write_sweep_csv", "write_init_csv", "write_granularity_csv", "write_layer_csv",
 ]
 
@@ -56,13 +57,14 @@ def _digest(*parts) -> str:
 
 
 def _spec_for(dataset) -> ModelSpec:
-    n_classes = int(max(np.max(dataset[1]), np.max(dataset[3]))) + 1
-    return ModelSpec(in_dim=np.shape(dataset[0])[1], n_classes=n_classes)
+    """The desk model for ``dataset``, an :class:`idx.Dataset` or any 4-tuple."""
+    return ModelSpec(in_dim=np.shape(dataset[0])[1], n_classes=idx.Dataset(*dataset).n_classes)
 
 
-def _write_csv(path, comment: str, columns: list[str], rows) -> None:
+def _write_csv(path, comment: str | None, columns: list[str], rows) -> None:
     with open(path, "w", newline="") as f:
-        f.write(f"# {comment}\n")
+        if comment is not None:
+            f.write(f"# {comment}\n")
         writer = csv.writer(f)
         writer.writerow(columns)
         writer.writerows(rows)
@@ -74,9 +76,20 @@ def _write_csv(path, comment: str, columns: list[str], rows) -> None:
 
 _SUMMARY_CAP = 256      # entries; the oldest is evicted first
 
-# (spec fields, config fields, dataset digest) -> (final test accuracy,
-# learnable activation parameter count), or None for a diverged run
-_summaries: OrderedDict[tuple, tuple[float, int] | None] = OrderedDict()
+
+class _Summary(NamedTuple):
+    test_acc: float                              # final test accuracy
+    gate_count: int                              # learnable activation parameters
+    gate_params: tuple[tuple[float, ...], ...]   # effective, per activation layer
+
+
+_DIVERGED = _Summary(math.nan, -1, ())    # the record of every diverged run
+
+# (spec fields, config fields, dataset digest) -> summary
+_summaries: OrderedDict[tuple, _Summary] = OrderedDict()
+
+# the sweep's ArcGate training, whose gates a round's layer report reads
+_ARCGATE = {"init_strategy": "soft_relu", "granularity": "layer_wise"}
 
 
 def _dataset_digest(dataset) -> str:
@@ -103,31 +116,37 @@ def _summary_key(spec: ModelSpec, config: TrainConfig, data_digest: str) -> tupl
 
 
 def _train_recorded(spec: ModelSpec, dataset, config: TrainConfig,
-                    data_digest: str) -> tuple[MLPModel | None, tuple[float, int] | None]:
+                    data_digest: str) -> tuple[MLPModel | None, _Summary]:
     """``train``, recording the run's summary; returns the model and the summary.
 
-    Both are ``None`` when the run diverged.
+    A diverged run gives no model and the summary ``_DIVERGED``.
     """
     key = _summary_key(spec, config, data_digest)
     try:
         model, trace = train(spec, dataset, config)
     except TrainingDivergedError:
-        model, summary = None, None
+        model, summary = None, _DIVERGED
     else:
-        summary = (trace[-1].test_acc, model.learnable_activation_parameter_count())
+        summary = _Summary(trace[-1].test_acc, model.learnable_activation_parameter_count(),
+                           tuple(layer.effective_params() for layer in model.activation_layers()))
     _summaries[key] = summary
     while len(_summaries) > _SUMMARY_CAP:
         _summaries.popitem(last=False)
     return model, summary
 
 
-def _summary(spec: ModelSpec, dataset, config: TrainConfig,
-             data_digest: str) -> tuple[float, int] | None:
-    """The recorded summary of this training; trains only if none is recorded."""
-    key = _summary_key(spec, config, data_digest)
-    if key not in _summaries:
-        _train_recorded(spec, dataset, config, data_digest)
-    return _summaries[key]
+def _study_summaries(dataset, config: TrainConfig | None, seed: int,
+             variants: list[dict]) -> list[_Summary]:
+    """The summary of ``config`` at ``seed`` under each override; trains only unrecorded ones."""
+    config = config or TrainConfig()
+    spec, data_digest = _spec_for(dataset), _dataset_digest(dataset)
+    summaries = []
+    for overrides in variants:
+        cfg = replace(config, seed=seed, **overrides)
+        key = _summary_key(spec, cfg, data_digest)
+        summaries.append(_summaries[key] if key in _summaries
+                         else _train_recorded(spec, dataset, cfg, data_digest)[1])
+    return summaries
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +184,17 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
     if any(s < 0 for s in sigmas) or sorted(sigmas) != sigmas:
         raise ValueError("sigmas must be sorted and non-negative")
     config = config or TrainConfig()
-    spec = _spec_for(dataset)
-    data_digest = _dataset_digest(dataset)
+    spec, data_digest = _spec_for(dataset), _dataset_digest(dataset)
 
     models: dict[str, tuple[MLPModel, float]] = {}   # label -> (model, clean test accuracy)
     partial = False
-    for label, cfg in (("arcgate", replace(config, seed=seed, init_strategy="soft_relu",
-                                            granularity="layer_wise")),
+    for label, cfg in (("arcgate", replace(config, seed=seed, **_ARCGATE)),
                        ("relu", replace(config, seed=seed, init_strategy="relu_baseline"))):
         model, summary = _train_recorded(spec, dataset, cfg, data_digest)
         if model is None:
             partial = True
         else:
-            models[label] = model, summary[0]
+            models[label] = model, summary.test_acc
     return _sweep_report(models, dataset[2], dataset[3], sigmas, seed, (spec, config), partial)
 
 
@@ -230,15 +247,9 @@ class InitRow:
 
 def init_ablation(dataset, config: TrainConfig | None = None, seed: int = 0) -> list[InitRow]:
     """One row per initialization strategy, all sharing seed and architecture."""
-    config = config or TrainConfig()
-    spec = _spec_for(dataset)
-    data_digest = _dataset_digest(dataset)
-    rows = []
-    for strategy in ("relu_baseline", "identity", "random", "soft_relu"):
-        cfg = replace(config, seed=seed, init_strategy=strategy)
-        acc, _ = _summary(spec, dataset, cfg, data_digest) or (math.nan, -1)
-        rows.append(InitRow(strategy, acc))
-    return rows
+    strategies = ("relu_baseline", "identity", "random", "soft_relu")
+    runs = _study_summaries(dataset, config, seed, [{"init_strategy": s} for s in strategies])
+    return [InitRow(strategy, run.test_acc) for strategy, run in zip(strategies, runs)]
 
 
 def write_init_csv(rows: list[InitRow], path, config: TrainConfig, seed: int) -> None:
@@ -257,15 +268,10 @@ class GranularityRow:
 def granularity_ablation(dataset, config: TrainConfig | None = None,
                          seed: int = 0) -> list[GranularityRow]:
     """Fixed vs global-shared vs layer-wise gate parameters; counts by traversal."""
-    config = config or TrainConfig()
-    spec = _spec_for(dataset)
-    data_digest = _dataset_digest(dataset)
-    rows = []
-    for granularity in ("fixed", "global_shared", "layer_wise"):
-        cfg = replace(config, seed=seed, init_strategy="soft_relu", granularity=granularity)
-        acc, count = _summary(spec, dataset, cfg, data_digest) or (math.nan, -1)
-        rows.append(GranularityRow(granularity, count, acc))
-    return rows
+    granularities = ("fixed", "global_shared", "layer_wise")
+    runs = _study_summaries(dataset, config, seed,
+                            [{**_ARCGATE, "granularity": g} for g in granularities])
+    return [GranularityRow(g, run.gate_count, run.test_acc) for g, run in zip(granularities, runs)]
 
 
 def write_granularity_csv(rows: list[GranularityRow], path,
@@ -308,17 +314,17 @@ def layer_evolution_report(model: MLPModel) -> LayerReport:
     for layer in acts:
         if layer.baseline is not None or layer.granularity != "layer_wise":
             raise ValueError("layer evolution requires a layer_wise gate model")
-    rows = [LayerRow(i, *layer.effective_params()) for i, layer in enumerate(acts)]
-    return LayerReport(rows=rows)
+    return _layer_report(layer.effective_params() for layer in acts)
+
+
+def _layer_report(gate_params) -> LayerReport:
+    """Rows from effective gate parameters, one 7-tuple per activation layer by depth."""
+    return LayerReport(rows=[LayerRow(i, *params) for i, params in enumerate(gate_params)])
 
 
 def write_layer_csv(report: LayerReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["layer_index", "a", "c", "p", "alpha", "beta", "gamma", "delta"])
-        for r in report.rows:
-            writer.writerow([r.layer_index] + [repr(v) for v in
-                                               (r.a, r.c, r.p, r.alpha, r.beta, r.gamma, r.delta)])
+    _write_csv(path, None, ["layer_index", "a", "c", "p", "alpha", "beta", "gamma", "delta"],
+               ([r.layer_index] + [repr(v) for v in astuple(r)[1:]] for r in report.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +340,6 @@ def sensitivity_curves(out_dir, fit_budget: int = 5000, seed: int = 0) -> dict[s
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = _SENSITIVITY_GRID
-
-    def curves(configs: list[tuple[str, tuple[float, ...]]]) -> tuple[list[str], list[np.ndarray]]:
-        labels, cols = [], []
-        for label, eff in configs:
-            labels.append(label)
-            cols.append(core.batch_value(grid, eff))
-        return labels, cols
-
     paths: dict[str, Path] = {}
 
     # steepness/sharpness/shift use the bounded configuration (alpha=0,
@@ -361,16 +359,54 @@ def sensitivity_curves(out_dir, fit_budget: int = 5000, seed: int = 0) -> dict[s
                  for g in (0.0, 0.05, 0.3)],
     }
     for name, configs in sweeps.items():
-        path = out_dir / f"sensitivity_{name}.csv"
-        labels, cols = curves(configs)
-        _write_csv(path, f"config_digest={_digest(name, configs)}", ["x"] + labels,
+        paths[name] = out_dir / f"sensitivity_{name}.csv"
+        cols = [core.batch_value(grid, eff) for _, eff in configs]
+        _write_csv(paths[name], f"config_digest={_digest(name, configs)}",
+                   ["x"] + [label for label, _ in configs],
                    ([repr(float(x))] + [repr(float(col[i])) for col in cols]
                     for i, x in enumerate(grid)))
-        paths[name] = path
 
-    classics_path = out_dir / "sensitivity_classics.csv"
+    paths["classics"] = out_dir / "sensitivity_classics.csv"
     window = (float(grid[0]), float(grid[-1]))
     rows = fitter.replicate_classics(*window, budget=fit_budget, seed=seed)
-    fitter.write_fit_csv(rows, classics_path, window, fit_budget, seed)
-    paths["classics"] = classics_path
+    fitter.write_fit_csv(rows, paths["classics"], window, fit_budget, seed)
     return paths
+
+
+# ---------------------------------------------------------------------------
+# the whole round
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Round:
+    sweep: SweepReport
+    init_rows: list[InitRow]
+    granularity_rows: list[GranularityRow]
+    layers: LayerReport
+    paths: dict[str, Path]     # CSV stem, or sensitivity curve name -> path
+
+
+def run_round(dataset, config: TrainConfig, seed: int, out_dir) -> Round:
+    """Run every study once, in order, writing its CSVs into ``out_dir``.
+
+    The noise sweep over :data:`DEFAULT_SIGMAS`, both ablations, the layer
+    report and the sensitivity curves.  If the sweep's ArcGate training
+    diverged, ``RuntimeError`` is raised after the three study CSVs.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {stem: out_dir / f"{stem}.csv" for stem in
+             ("noise_sweep", "init_ablation", "granularity_ablation", "layer_evolution")}
+    sweep = noise_sweep(dataset, config=config, seed=seed)
+    write_sweep_csv(sweep, paths["noise_sweep"])
+    init_rows = init_ablation(dataset, config, seed)
+    write_init_csv(init_rows, paths["init_ablation"], config, seed)
+    granularity_rows = granularity_ablation(dataset, config, seed)
+    write_granularity_csv(granularity_rows, paths["granularity_ablation"], config, seed)
+    arcgate, = _study_summaries(dataset, config, seed, [_ARCGATE])
+    if arcgate is _DIVERGED:
+        raise RuntimeError("the noise sweep's ArcGate training diverged; no layer report")
+    layers = _layer_report(arcgate.gate_params)
+    write_layer_csv(layers, paths["layer_evolution"])
+    paths.update(sensitivity_curves(out_dir, seed=seed))
+    return Round(sweep, init_rows, granularity_rows, layers, paths)

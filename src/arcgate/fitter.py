@@ -84,6 +84,8 @@ class FitTarget:
             raise ValueError(f"fit window must be finite, got [{lo}, {hi}]")
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+        if n_points < 16:
+            raise ValueError(f"target grid needs at least 16 points, got {n_points}")
         grid = np.linspace(lo, hi, n_points)
         values = np.array(zoo.act_batch(kind, grid))   # a copy: identity returns its input
         return cls(grid, values, kind.label())

@@ -163,6 +163,15 @@ def test_fit_non_finite_range_fails(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("points", [-1, 0, 15])
+def test_fit_on_too_few_points_fails(points, tmp_path, capsys):
+    assert run_cli("fit", "--target", "relu", "--points", points,
+                   "--out", tmp_path / "x.csv") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: target grid needs at least 16 points, got {points}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_train_missing_paths_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("train")
@@ -181,6 +190,21 @@ def test_train_on_an_empty_test_split_fails(tmp_path, idx_files, capsys):
                    "--epochs", 1, "--out", tmp_path / "m.agm") == 1
     assert "error: empty test set" in capsys.readouterr().err
     assert not (tmp_path / "m.agm").exists()
+
+
+@pytest.mark.parametrize("command", [("ablate", "init"), ("ablate", "granularity"),
+                                     ("sweep", "--full")])
+def test_a_study_on_an_empty_test_split_fails(command, tmp_path, idx_files, capsys):
+    idx.write_idx_images(tmp_path / "imgs", np.zeros((0, 28, 28), dtype=np.uint8))
+    idx.write_idx_labels(tmp_path / "labels", [])
+    assert run_cli(*command,
+                   "--images", idx_files["train_images"],
+                   "--labels", idx_files["train_labels"],
+                   "--test-images", tmp_path / "imgs",
+                   "--test-labels", tmp_path / "labels",
+                   "--epochs", 1, "--out", tmp_path / "x.csv") == 1
+    assert "error: empty test set" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_train_report_sweep_plot_pipeline(tmp_path, idx_files):

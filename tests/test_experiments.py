@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -266,6 +269,90 @@ class TestSharedTrainings:
         assert configs == []
         init_ablation(small_dataset, FAST, seed=0)         # oldest: evicted
         assert len(configs) == 4
+
+
+@pytest.fixture(scope="module")
+def study_round(small_dataset, tmp_path_factory):
+    """One ``run_round`` at FAST on a clear record; returns it and the configs it trained."""
+    experiments._summaries.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        configs = count_trainings(mp)
+        result = experiments.run_round(small_dataset, FAST, STUDY_SEED,
+                                       tmp_path_factory.mktemp("round"))
+    return result, configs
+
+
+class TestRound:
+    def test_one_training_per_configuration(self, study_round, fresh_trainings):
+        result, configs = study_round
+        assert len(configs) == 6
+        assert {(c.init_strategy, c.granularity) for c in configs} == set(fresh_trainings)
+        clean = {r.model: r.accuracy for r in result.sweep.rows if r.sigma == 0.0}
+        assert clean == {"arcgate": fresh_trainings["soft_relu", "layer_wise"][0],
+                         "relu": fresh_trainings["relu_baseline", "layer_wise"][0]}
+        for row in result.init_rows:
+            assert row.test_accuracy == fresh_trainings[row.strategy, "layer_wise"][0]
+        for row in result.granularity_rows:
+            assert ((row.test_accuracy, row.learnable_activation_params)
+                    == fresh_trainings["soft_relu", row.granularity])
+        assert result.paths["init_ablation"].read_bytes() == saved_study("init")
+        assert result.paths["granularity_ablation"].read_bytes() == saved_study("granularity")
+
+    def test_each_study_csv_is_its_runner_alone(self, study_round, small_dataset, tmp_path):
+        result, _ = study_round
+        alone = {
+            "noise_sweep": lambda path: write_sweep_csv(
+                noise_sweep(small_dataset, config=FAST, seed=STUDY_SEED), path),
+            "init_ablation": lambda path: write_init_csv(
+                init_ablation(small_dataset, FAST, STUDY_SEED), path, FAST, STUDY_SEED),
+            "granularity_ablation": lambda path: write_granularity_csv(
+                granularity_ablation(small_dataset, FAST, STUDY_SEED), path, FAST, STUDY_SEED),
+        }
+        for name, write in alone.items():
+            experiments._summaries.clear()
+            path = tmp_path / f"{name}.csv"
+            write(path)
+            assert path.read_bytes() == result.paths[name].read_bytes(), name
+        for name, path in sensitivity_curves(tmp_path / "curves", seed=STUDY_SEED).items():
+            assert path.read_bytes() == result.paths[name].read_bytes(), name
+        assert len(result.paths) == 10
+        assert sorted(p.name for p in result.paths["noise_sweep"].parent.iterdir()) \
+            == sorted(p.name for p in result.paths.values())
+
+    def test_layer_csv_is_the_report_of_a_fresh_training(self, study_round, small_dataset,
+                                                         tmp_path):
+        result, _ = study_round
+        cfg = replace(FAST, seed=STUDY_SEED, init_strategy="soft_relu", granularity="layer_wise")
+        model, _ = engine.train(experiments._spec_for(small_dataset), small_dataset, cfg)
+        report = layer_evolution_report(model)
+        experiments.write_layer_csv(report, tmp_path / "layers.csv")
+        assert (tmp_path / "layers.csv").read_bytes() \
+            == result.paths["layer_evolution"].read_bytes()
+        assert result.layers == report
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_diverged_sweep_training_stops_before_the_layer_report(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.5, 1.0, (64, 8)) * 1e300
+        y = rng.integers(0, 2, 64)
+        diverging = TrainConfig(epochs=1, batch_size=16, learning_rate=1e12, seed=0)
+        with pytest.raises(RuntimeError, match="ArcGate training diverged"):
+            experiments.run_round((x, y, x, y), diverging, 0, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["granularity_ablation.csv", "init_ablation.csv", "noise_sweep.csv"]
+
+
+def test_the_script_rejects_a_bad_config_before_it_builds_the_fixture(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, root / "scripts" / "run_experiments.py",
+                           "--epochs", "0", "--out-dir", tmp_path / "out"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.endswith("error: epochs must be >= 1\n")
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_desk_scale_ablation_beats_double_chance(desk_dataset):

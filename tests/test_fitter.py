@@ -44,6 +44,12 @@ class TestFitTarget:
         with pytest.raises(ValueError):
             FitTarget(np.linspace(0, 1, 20), np.zeros(21), "shape")
 
+    @pytest.mark.parametrize("n_points", [-1, 0, 15])
+    def test_too_few_points_rejected(self, n_points):
+        with pytest.raises(ValueError,
+                           match=rf"^target grid needs at least 16 points, got {n_points}$"):
+            FitTarget.from_kind(ActivationKind("relu"), -1, 1, n_points)
+
     @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
                                         (0.0, math.nan)])
     def test_non_finite_window_rejected(self, lo, hi):
