@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import re
 import sys
@@ -41,6 +42,26 @@ def _parse_sigmas(text: str) -> list[float]:
     return values
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text!r}")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     low = str(text).strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -53,18 +74,20 @@ def _parse_bool(text: str) -> bool:
 # Option tables drive both argparse and the config-file merge.
 # dest -> (flag, type, default, help); required options have default=None
 # and appear in _REQUIRED.
+_SEED = ("--seed", _seed, 0, "RNG seed (>= 0)")
 _OPTIONS: dict[str, dict] = {
     "gradcheck": {
         "samples": ("--samples", int, 1000, "random draws for the gate gradient suite"),
-        "seed": ("--seed", int, 0, "RNG seed"),
-        "tol": ("--tol", float, 1e-5, "relative tolerance (absolute floor 1e-8)"),
+        "seed": _SEED,
+        "tol": ("--tol", _tolerance, 1e-5,
+                "relative tolerance, finite and > 0 (absolute floor 1e-8)"),
     },
     "fit": {
         "target": ("--target", str, None, "one of %s or file:PATH" % (_FIT_TARGETS,)),
         "range": ("--range", float, (-6.0, 6.0), "fit window LO HI"),
         "points": ("--points", int, 1001, "grid size"),
         "budget": ("--budget", int, 5000, "maximum LM iterations per descent"),
-        "seed": ("--seed", int, 0, "RNG seed"),
+        "seed": _SEED,
         "out": ("--out", str, None, "output CSV"),
     },
     "train": {
@@ -78,7 +101,7 @@ _OPTIONS: dict[str, dict] = {
         "batch_size": ("--batch-size", int, 64, "minibatch size"),
         "lr": ("--lr", float, 1e-4, "learning rate"),
         "weight_decay": ("--weight-decay", float, 1e-2, "decoupled weight decay"),
-        "seed": ("--seed", int, 0, "RNG seed"),
+        "seed": _SEED,
         "out": ("--out", str, None, "output model file (AGM1)"),
     },
     "sweep": {
@@ -91,7 +114,7 @@ _OPTIONS: dict[str, dict] = {
         "test_images": ("--test-images", str, "", "test images (IDX, full mode)"),
         "test_labels": ("--test-labels", str, "", "test labels (IDX, full mode)"),
         "epochs": ("--epochs", int, 5, "training epochs (full mode)"),
-        "seed": ("--seed", int, 0, "RNG seed"),
+        "seed": _SEED,
         "out": ("--out", str, None, "output CSV"),
     },
     "ablate": {
@@ -101,7 +124,7 @@ _OPTIONS: dict[str, dict] = {
         "test_images": ("--test-images", str, "", "test images (IDX, optional)"),
         "test_labels": ("--test-labels", str, "", "test labels (IDX, optional)"),
         "epochs": ("--epochs", int, 5, "training epochs"),
-        "seed": ("--seed", int, 0, "RNG seed"),
+        "seed": _SEED,
         "out": ("--out", str, None, "output CSV"),
     },
     "report": {

@@ -220,7 +220,10 @@ class GateTape:
     every other array is ``(k, x.size)``.  The transition value ``u`` is not
     kept: no gradient reads it, and :func:`eval_u` and :func:`eval_F` derive
     it from ``z``, ``theta`` and ``psmall`` (``theta/pi + 1/2`` where
-    ``z >= 0``, else ``psmall/pi``).
+    ``z >= 0``, else ``psmall/pi``).  No gradient reads ``t`` either: with
+    :class:`GateBuffers` that share scratch, ``t`` lives in ``scratch[1]``
+    and the next :func:`batch_vjp` or :func:`batch_eval` on that scratch
+    overwrites it.
     """
 
     x: np.ndarray
@@ -243,16 +246,28 @@ class GateBuffers:
     pass the same buffers to every call and allocate nothing per call: each
     ``batch_eval`` overwrites the previous tape and each ``batch_vjp`` the
     previous results.
+
+    ``scratch``, when given, is four arrays of ``shape`` used in place of
+    fresh ones; other buffers may share them, as the gate layers of one
+    training step do, since each call uses scratch only while it runs.
+    Such buffers keep ``t`` in ``scratch[1]`` (see the liveness note of
+    :func:`batch_eval`), so a tape's ``t`` is overwritten by the next
+    ``batch_vjp`` or ``batch_eval`` on that scratch, and nothing reads it
+    after its own ``batch_eval``.
     """
 
     _ARRAYS = ("z", "theta", "psmall", "log_odds", "t", "e", "v", "f")
     __slots__ = ("shape", "scratch", *_ARRAYS)
 
-    def __init__(self, shape: tuple[int, ...]):
+    def __init__(self, shape: tuple[int, ...], scratch: Sequence[np.ndarray] | None = None):
         self.shape = tuple(shape)
+        shared = scratch is not None
+        if shared and (len(scratch) != 4 or any(s.shape != self.shape for s in scratch)):
+            raise ValueError(f"scratch must be four arrays of shape {self.shape}")
+        self.scratch = tuple(scratch) if shared else tuple(np.empty(self.shape) for _ in range(4))
         for name in self._ARRAYS:
-            setattr(self, name, np.empty(self.shape))
-        self.scratch = tuple(np.empty(self.shape) for _ in range(4))
+            setattr(self, name, self.scratch[1] if shared and name == "t"
+                    else np.empty(self.shape))
 
     @classmethod
     def value_only(cls, shape: tuple[int, ...]) -> "GateBuffers":
@@ -325,7 +340,10 @@ def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTa
     # log_odds /= psmall; z and scratch[1] at the sign step; log_odds at t;
     # e at side (scratch[0] again); t at v; side at v -= side; v at f *= v.
     # A slot may share an array only with slots first written after these
-    # points; x is read to the end and shares with none.
+    # points; x is read to the end and shares with none.  So t may live in
+    # scratch[1] (GateBuffers with shared scratch): it is first written
+    # after the sign step's last read of scratch[1], its own last read is
+    # the v step, and batch_vjp, which next writes scratch, never reads it.
     with np.errstate(over="ignore", under="ignore"):
         z = np.subtract(x, c, out=b.z)
         z *= a

@@ -9,7 +9,8 @@ first (the only values weight decay touches), then biases and learnable gate
 vectors, with each layer's arrays as views into it.  ``backward`` writes a
 gradient vector with the same layout, and ``adamw_step`` updates the arena in
 chunks that stay in cache.  ``train`` allocates one set of
-:class:`StepBuffers` and reuses it on every step.
+:class:`StepBuffers` per epoch, reuses it on every step of that epoch, and
+drops it before the epoch's test evaluation.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.init_strategy not in INIT_STRATEGIES:
             raise ValueError(f"init_strategy must be one of {INIT_STRATEGIES}")
         if self.granularity not in GRANULARITIES:
@@ -284,24 +287,36 @@ def build_model(spec: ModelSpec, config: TrainConfig,
 class StepBuffers:
     """Arrays one training step writes into, for batches of ``n_rows`` rows.
 
-    Per layer index: ``gates[i]`` receives gate layer i's tape, ``out[i]``
-    dense layer i's output and ``d_in[i]`` its input gradient (never formed
-    for layer 0).  ``grad`` is the gradient arena, laid out like
-    ``model.arena``.  Entries that do not apply to a layer are None.  Each
-    step overwrites the previous one's tapes, outputs and gradients.
+    ``x`` receives the float input batch when it comes as
+    :class:`idx.PixelRows`.  Per layer index: ``gates[i]`` receives gate
+    layer i's tape, ``out[i]`` dense layer i's output and ``d_in[i]`` its
+    input gradient (never formed for layer 0).  The gate layers share one
+    set of four scratch vectors, sized for the widest of them: each gate
+    call uses scratch only while it runs, and a tape's ``t``, which lives
+    there, is overwritten by the next gate call (see
+    :class:`core.GateBuffers`).  ``grad`` is the gradient arena, laid out
+    like ``model.arena``.  Entries that do not apply to a layer are None.
+    Each step overwrites the previous one's input, tapes, outputs and
+    gradients.
     """
 
     def __init__(self, model: MLPModel, n_rows: int):
         self.n_rows = n_rows
         self.grad = np.empty(model.arena.size)
+        self.x = np.empty((n_rows, model.in_dim))
+        gated = {i for i, layer in enumerate(model.layers)
+                 if isinstance(layer, ActivationLayer) and layer.baseline is None}
+        widest = max((model.layers[i - 1].w.shape[1] for i in gated), default=0)
+        scratch = [np.empty(n_rows * widest) for _ in range(4)]
         self.gates: list[core.GateBuffers | None] = []
         self.out: list[np.ndarray | None] = []
         self.d_in: list[np.ndarray | None] = []
         width = model.in_dim
         for i, layer in enumerate(model.layers):
             dense = isinstance(layer, DenseLayer)
-            gate = not dense and layer.baseline is None
-            self.gates.append(core.GateBuffers((n_rows, width)) if gate else None)
+            shape = (n_rows, width)
+            views = [s[:n_rows * width].reshape(shape) for s in scratch] if i in gated else None
+            self.gates.append(None if views is None else core.GateBuffers(shape, views))
             self.d_in.append(np.empty((n_rows, width)) if dense and i > 0 else None)
             if dense:
                 width = layer.w.shape[1]
@@ -311,6 +326,7 @@ class StepBuffers:
         """Views of the first ``k`` rows (sharing ``grad``), for a short last batch."""
         view = copy.copy(self)
         view.n_rows = k
+        view.x = self.x[:k]
         view.gates = [None if b is None else b.rows(k) for b in self.gates]
         view.out = [None if a is None else a[:k] for a in self.out]
         view.d_in = [None if a is None else a[:k] for a in self.d_in]
@@ -341,8 +357,14 @@ def _check_width(model: MLPModel, x):
     return x
 
 
-def _input_batch(model: MLPModel, batch: np.ndarray) -> np.ndarray:
-    """The float64 rows a model reads: where :class:`idx.PixelRows` become floats."""
+def _input_batch(model: MLPModel, batch: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The float64 rows a model reads: where :class:`idx.PixelRows` become floats.
+
+    Pixel rows are scaled into ``out`` when it is given, instead of a fresh array.
+    """
+    if out is not None and isinstance(batch, idx.PixelRows):
+        return _check_width(model, batch).scale_into(out)
     return _check_width(model, np.asarray(batch, dtype=np.float64))
 
 
@@ -357,10 +379,11 @@ def forward(model: MLPModel, batch: np.ndarray,
             buffers: StepBuffers | None = None) -> tuple[np.ndarray, list]:
     """Logits plus the per-layer cache consumed by :func:`backward`.
 
-    With ``buffers`` every layer writes into them instead of fresh arrays,
-    so the logits and the cache live only until the next buffered call.
+    With ``buffers`` every layer, and the scaling of a :class:`idx.PixelRows`
+    batch, writes into them instead of fresh arrays, so the logits and the
+    cache live only until the next buffered call.
     """
-    x = _input_batch(model, batch)
+    x = _input_batch(model, batch, None if buffers is None else buffers.x)
     none = [None] * len(model.layers)
     out, gates = (none, none) if buffers is None else (buffers.out, buffers.gates)
     cache: list = []
@@ -552,31 +575,46 @@ def train(model_spec: ModelSpec, dataset, config: TrainConfig) -> tuple[MLPModel
 
     state = AdamState.init_like(model.arena)
     n = x_train.shape[0]
-    full = StepBuffers(model, min(config.batch_size, n))
-    tail = full.rows(n % config.batch_size or full.n_rows)
     step = 0
     trace: list[TraceRow] = []
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
-            buffers = full if len(idx) == full.n_rows else tail
-            logits, cache = forward(model, xb, buffers)
-            loss, grad_logits = softmax_cross_entropy(logits, yb)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch, step + 1, loss)
-            backward(model, cache, grad_logits, buffers)
-            step += 1
-            adamw_step(model.arena, buffers.grad, state, config.learning_rate,
-                       config.weight_decay, step)
-            loss_sum += loss * len(idx)
-            correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+        loss_sum, correct, step = _epoch_steps(model, state, x_train, y_train, order,
+                                               config, epoch, step)
         test_acc = evaluate(model, (x_test, y_test), 0.0, 0)
         trace.append(TraceRow(epoch, loss_sum / n, correct / n, test_acc))
     return model, trace
+
+
+def _epoch_steps(model: MLPModel, state: AdamState, x_train, y_train: np.ndarray,
+                 order: np.ndarray, config: TrainConfig, epoch: int,
+                 step: int) -> tuple[float, int, int]:
+    """One epoch's steps over the rows in ``order``: loss sum, correct count, last step.
+
+    The step buffers, and the logits, cache and gradients held in them,
+    live only while this runs, so they are gone before the epoch's
+    evaluation allocates its row blocks.
+    """
+    n = order.size
+    full = StepBuffers(model, min(config.batch_size, n))
+    tail = full.rows(n % config.batch_size or full.n_rows)
+    loss_sum = 0.0
+    correct = 0
+    for start in range(0, n, config.batch_size):
+        rows = order[start:start + config.batch_size]
+        xb, yb = x_train[rows], y_train[rows]
+        buffers = full if len(rows) == full.n_rows else tail
+        logits, cache = forward(model, xb, buffers)
+        loss, grad_logits = softmax_cross_entropy(logits, yb)
+        if not math.isfinite(loss):
+            raise TrainingDivergedError(epoch, step + 1, loss)
+        backward(model, cache, grad_logits, buffers)
+        step += 1
+        adamw_step(model.arena, buffers.grad, state, config.learning_rate,
+                   config.weight_decay, step)
+        loss_sum += loss * len(rows)
+        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+    return loss_sum, correct, step
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ class PixelRows:
     int row or a single pixel comes back as its float64 value
     ``byte / 255.0``.  ``np.asarray(rows)`` builds the float rows, the same
     quotients whatever the selection, so a training batch or an inference
-    block is converted only where a model reads it (8 bytes per pixel).
+    block is converted only where a model reads it (8 bytes per pixel);
+    :meth:`scale_into` writes those quotients into a caller's array instead.
     """
 
     __slots__ = ("_pixels",)
@@ -96,15 +97,24 @@ class PixelRows:
         x = _scaled(self._pixels)
         return x if dtype is None else x.astype(dtype, copy=False)
 
+    def scale_into(self, out: np.ndarray) -> np.ndarray:
+        """``np.asarray(self)``'s float rows, written into ``out`` (float64, this shape)."""
+        if out.shape != self.shape:
+            raise ValueError(f"cannot scale {self.shape} rows into an array of shape {out.shape}")
+        return _scaled(self._pixels, out)
+
     def __repr__(self) -> str:
         return f"PixelRows({self.shape[0]} rows of {self.shape[1]} bytes)"
 
 
-def _scaled(pixels):
-    """Bytes as the [0, 1] values they stand for: ``byte / 255.0``, in one fresh array."""
-    x = pixels.astype(np.float64)
-    x /= 255.0      # in place: the same quotients, without a second float copy
-    return x
+def _scaled(pixels, out=None):
+    """Bytes as their [0, 1] values ``byte / 255.0``, written into ``out`` or one fresh array."""
+    if out is None:
+        out = pixels.astype(np.float64)
+    else:
+        out[...] = pixels    # exact: a byte casts to float64 without rounding
+    out /= 255.0      # in place: the same quotients, without a second float copy
+    return out
 
 
 class Dataset(NamedTuple):

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import math
 import os
 import re
 import warnings
@@ -79,6 +80,41 @@ def test_gradcheck_stderr_matches_saved_bytes(seed, capsys):
     assert run_cli("gradcheck", "--seed", seed) == 0
     want = (DATA / f"gradcheck_seed{seed}.stderr").read_bytes()
     assert capsys.readouterr().err.encode() == want
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "-0.0", "1e-400", "nan", "inf", "-inf"])
+def test_gradcheck_rejects_a_tolerance_that_checks_nothing(tol, capsys, monkeypatch):
+    monkeypatch.setattr(core, "gate_gradcheck", None)      # rejected before any draw
+    monkeypatch.setattr(engine, "net_gradcheck", None)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gradcheck", f"--tol={tol}")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --tol: tolerance must be finite and > 0, got '{tol}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck"], ["fit", "--target", "relu"], ["sweep", "--full"], ["ablate", "init"],
+    ["train", "--images", "i", "--labels", "l", "--test-images", "t", "--test-labels", "u"]],
+    ids=lambda argv: argv[0])
+def test_a_negative_seed_is_a_usage_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", tmp_path / "out", "--seed", -1)
+    assert exc.value.code == 2
+    assert "error: argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed=-2", "bad value for seed: seed must be >= 0, got -2"),
+    ("tol=0", "bad value for tol: tolerance must be finite and > 0, got '0'")])
+def test_a_config_file_seed_and_tolerance_are_checked(tmp_path, capsys, line, message):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", cfg, "gradcheck")
+    assert exc.value.code == 2
+    assert f"error: {cfg}:1: {message}" in capsys.readouterr().err
 
 
 def test_fit_identity_writes_csv(tmp_path):
@@ -434,6 +470,13 @@ def test_plot_rejects_a_bad_table(tmp_path, capsys, figure, text, message):
 # Junk put in place of one token of a valid command; "MISSING" stands for a
 # path that does not exist.
 _JUNK = ("", "-1", "nan", "inf", "x", "--bogus", "MISSING")
+# Appended to a command: a seed or a tolerance that every subcommand refuses
+# as a usage error (a subcommand without that flag refuses the flag itself).
+_BAD_FLAGS = st.one_of(
+    st.integers(max_value=-1).map(lambda seed: ["--seed", str(seed)]),
+    st.one_of(st.floats(max_value=0.0), st.just(math.inf), st.just(math.nan))
+    .map(lambda tol: [f"--tol={tol!r}"]),
+    st.just(["--tol=1e-400"]))
 
 
 @pytest.fixture(scope="module")
@@ -460,6 +503,8 @@ def test_a_broken_command_exits_0_1_or_2(cheap_commands, data):
         del argv[pos]
     else:
         argv[pos] = str(work / "no-such-dir" / "no-such-file") if junk == "MISSING" else junk
+    bad = data.draw(st.none() | _BAD_FLAGS, label="bad --seed or --tol appended")
+    argv += bad or []
     err = io.StringIO()
     with contextlib.chdir(work), mock.patch.dict(os.environ, {"ARCGATE_OUT": str(work)}), \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -469,5 +514,6 @@ def test_a_broken_command_exits_0_1_or_2(cheap_commands, data):
             code = exc.code
     message = err.getvalue()
     assert code in (0, 1, 2), (argv, code, message)
+    assert bad is None or code == 2, (argv, code, message)
     assert (code == 2) == ("usage:" in message), (argv, code, message)
     assert (code == 1) == message.startswith("error: "), (argv, code, message)

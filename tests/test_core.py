@@ -253,6 +253,30 @@ class TestBatchRows:
             d_x, d_eff = core.batch_vjp(tape, cot[:k], rows)
             assert np.array_equal(d_x, fresh_vjp[0]) and np.array_equal(d_eff, fresh_vjp[1])
 
+    def test_buffers_sharing_scratch_match_fresh_arrays(self):
+        # two gate layers of one step: both forward, then both backward
+        grid, eff, cot = self.rows_and_cotangent()
+        scratch = [np.empty((len(eff), grid.size)) for _ in range(4)]
+        effs = (eff, eff[::-1])
+        layers = [core.GateBuffers(scratch[0].shape, scratch) for _ in effs]
+        tapes = []
+        for e, buffers in zip(effs, layers):
+            tapes.append(core.batch_eval(grid, e, buffers))
+            assert tapes[-1].t is buffers.t and np.shares_memory(buffers.t, scratch[1])
+            assert np.array_equal(tapes[-1].t, core.batch_eval(grid, e).t)
+        for e, buffers, tape in reversed(list(zip(effs, layers, tapes))):
+            fresh = core.batch_eval(grid, e)
+            for name in self.FIELDS:
+                if name != "t":        # overwritten by the later layer's batch_eval
+                    assert np.array_equal(getattr(tape, name), getattr(fresh, name)), name
+            d_x, d_eff = core.batch_vjp(tape, cot, buffers)
+            want_x, want_eff = core.batch_vjp(fresh, cot)
+            assert np.array_equal(d_x, want_x) and np.array_equal(d_eff, want_eff)
+        with pytest.raises(ValueError, match="four arrays"):
+            core.GateBuffers(scratch[0].shape, scratch[:3])
+        with pytest.raises(ValueError, match="four arrays"):
+            core.GateBuffers((len(eff), grid.size - 1), scratch)
+
     def test_rejects_bad_shapes(self):
         grid, eff, _ = self.rows_and_cotangent()
         with pytest.raises(ValueError, match="1-D grid"):

@@ -470,6 +470,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="epochs must be >= 1"):
             TrainConfig(epochs=epochs)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=seed)
+
     def test_empty_dataset_rejected(self):
         empty = (np.zeros((0, 2)), np.zeros(0, dtype=int),
                  np.zeros((0, 2)), np.zeros(0, dtype=int))
@@ -680,6 +685,64 @@ class TestPredict:
         ints = 256      # a few live block offsets; Python caches only those up to 256
         for name, lo, hi in zip(("predict", "evaluate"), small, large):
             assert hi - lo <= result_bytes + ints, (name, lo, hi)
+
+
+class TestStepMemory:
+    """A training step holds one step's state, and only while an epoch's steps run."""
+
+    def test_desk_training_peak_stays_under_six_and_a_half_arenas(self, desk_dataset):
+        data = (desk_dataset.x_train[:640], desk_dataset.y_train[:640],
+                desk_dataset.x_test[:200], desk_dataset.y_test[:200])
+        config = TrainConfig(epochs=2, seed=3)
+        train(DESK_SPEC, data, config)                 # first-call allocations
+        _fill_free_lists()
+        tracemalloc.start()
+        try:
+            model, _ = train(DESK_SPEC, data, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the model, AdamW's two moments and one epoch's step buffers; 7.27
+        # arenas when the buffers outlived the steps and every gate layer
+        # had a scratch set of its own
+        assert peak < 6.5 * model.arena.values.nbytes, peak / model.arena.values.nbytes
+
+    @pytest.mark.parametrize("granularity, strategy", [
+        ("layer_wise", "soft_relu"), ("global_shared", "random"), ("fixed", "identity")])
+    def test_gate_layers_share_one_scratch_set(self, granularity, strategy):
+        model = tiny_model(granularity=granularity, strategy=strategy,
+                           spec=ModelSpec(5, (8, 16, 4), 3))
+        full = StepBuffers(model, 6)
+        for buffers in (full, full.rows(4)):
+            gates = [b for b in buffers.gates if b is not None]
+            assert [b.shape for b in gates] == [(buffers.n_rows, w) for w in (8, 16, 4)]
+            for j in range(4):
+                one = gates[0].scratch[j].base
+                assert one is not None and one.size == 6 * 16     # the widest layer's rows
+                assert all(b.scratch[j].base is one for b in gates)
+                assert not any(np.shares_memory(one, gates[0].scratch[i]) for i in range(j))
+            assert all(np.shares_memory(b.t, b.scratch[1]) for b in gates)
+
+    def test_buffered_input_batch_is_the_float_rows(self, small_dataset):
+        model = tiny_model(spec=ModelSpec(784, (8,), 10))
+        full = StepBuffers(model, 64)
+        for k in (64, 24, 1):
+            batch = small_dataset.x_train[np.arange(k) * 7]
+            assert isinstance(batch, idx.PixelRows)
+            buffers = full if k == 64 else full.rows(k)
+            logits, cache = forward(model, batch, buffers)
+            assert cache[0] is not None and np.shares_memory(cache[0], full.x)
+            assert cache[0].tobytes() == np.asarray(batch).tobytes()
+            assert logits.tobytes() == forward(model, np.asarray(batch))[0].tobytes()
+
+    def test_a_wrong_width_is_rejected_before_the_input_is_written(self):
+        model = tiny_model(spec=ModelSpec(6, (4,), 2))
+        buffers = StepBuffers(model, 3)
+        buffers.x[...] = 0.5
+        wide = idx.PixelRows(np.zeros((3, 7), dtype=np.uint8))
+        with pytest.raises(ValueError, match="does not match input width 6"):
+            forward(model, wide, buffers)
+        assert np.all(buffers.x == 0.5)
 
 
 class TestPixelRows:

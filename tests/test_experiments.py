@@ -342,15 +342,26 @@ class TestRound:
             == ["granularity_ablation.csv", "init_ablation.csv", "noise_sweep.csv"]
 
 
-def test_the_script_rejects_a_bad_config_before_it_builds_the_fixture(tmp_path):
+def _run_script(*args) -> subprocess.CompletedProcess:
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, root / "scripts" / "run_experiments.py",
-                           "--epochs", "0", "--out-dir", tmp_path / "out"],
+    return subprocess.run([sys.executable, root / "scripts" / "run_experiments.py", *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_the_script_rejects_a_bad_config_before_it_builds_the_fixture(tmp_path):
+    done = _run_script("--epochs", "0", "--out-dir", tmp_path / "out")
     assert done.returncode == 2
     assert done.stderr.endswith("error: epochs must be >= 1\n")
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_script_rejects_a_negative_seed_before_it_builds_the_fixture(tmp_path):
+    done = _run_script("--seed", "-1", "--epochs", "1", "--out-dir", tmp_path / "out")
+    assert done.returncode == 2
+    assert done.stderr.endswith("error: seed must be >= 0\n")
     assert "Traceback" not in done.stderr and done.stdout == ""
     assert not (tmp_path / "out").exists()
 

@@ -255,6 +255,17 @@ def test_pixel_rows_are_read_only_bytes(tmp_path):
             idx.PixelRows(bad)
 
 
+def test_pixel_rows_scale_into_a_given_array():
+    u8 = np.arange(256, dtype=np.uint8).reshape(8, 32)
+    rows = idx.PixelRows(u8)
+    out = np.full(u8.shape, np.nan)
+    assert rows.scale_into(out) is out
+    assert out.tobytes() == np.asarray(rows).tobytes()
+    for bad in (np.empty((8, 31)), np.empty((1, 32)), np.empty((9, 32))):
+        with pytest.raises(ValueError, match="cannot scale"):
+            rows.scale_into(bad)
+
+
 def test_synthesized_files_hold_the_fixture_bytes(tmp_path):
     paths = idx.synthesize_idx_files(tmp_path, n_train=30, n_test=10, seed=9)
     direct = idx.synthesize_arrays(n_train=30, n_test=10, seed=9)
