@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, engine, experiments, fitter, idx, svg
-from .engine import TrainConfig
+from .engine import GRANULARITIES, INIT_STRATEGIES, TrainConfig
 
 __all__ = ["main", "run"]
 
@@ -72,9 +72,9 @@ def _parse_bool(text: str) -> bool:
 
 
 # Option tables drive both argparse and the config-file merge.
-# dest -> (flag, type, default, help); required options have default=None
-# and appear in _REQUIRED.
+# dest -> (flag, type, default, help); required options have default=None.
 _SEED = ("--seed", _seed, 0, "RNG seed (>= 0)")
+_TRAIN = TrainConfig()
 _OPTIONS: dict[str, dict] = {
     "gradcheck": {
         "samples": ("--samples", int, 1000, "random draws for the gate gradient suite"),
@@ -95,12 +95,12 @@ _OPTIONS: dict[str, dict] = {
         "labels": ("--labels", str, None, "training labels (IDX)"),
         "test_images": ("--test-images", str, None, "test images (IDX)"),
         "test_labels": ("--test-labels", str, None, "test labels (IDX)"),
-        "granularity": ("--granularity", str, "layer_wise", "fixed|global_shared|layer_wise"),
-        "init": ("--init", str, "soft_relu", "soft_relu|identity|random|relu_baseline"),
-        "epochs": ("--epochs", int, 5, "training epochs"),
-        "batch_size": ("--batch-size", int, 64, "minibatch size"),
-        "lr": ("--lr", float, 1e-4, "learning rate"),
-        "weight_decay": ("--weight-decay", float, 1e-2, "decoupled weight decay"),
+        "granularity": ("--granularity", str, _TRAIN.granularity, "|".join(GRANULARITIES)),
+        "init": ("--init", str, _TRAIN.init_strategy, "|".join(INIT_STRATEGIES)),
+        "epochs": ("--epochs", int, _TRAIN.epochs, "training epochs"),
+        "batch_size": ("--batch-size", int, _TRAIN.batch_size, "minibatch size"),
+        "lr": ("--lr", float, _TRAIN.learning_rate, "learning rate"),
+        "weight_decay": ("--weight-decay", float, _TRAIN.weight_decay, "decoupled weight decay"),
         "seed": _SEED,
         "out": ("--out", str, None, "output model file (AGM1)"),
     },
@@ -113,7 +113,7 @@ _OPTIONS: dict[str, dict] = {
         "labels": ("--labels", str, "", "eval/train labels (IDX)"),
         "test_images": ("--test-images", str, "", "test images (IDX, full mode)"),
         "test_labels": ("--test-labels", str, "", "test labels (IDX, full mode)"),
-        "epochs": ("--epochs", int, 5, "training epochs (full mode)"),
+        "epochs": ("--epochs", int, _TRAIN.epochs, "training epochs (full mode)"),
         "seed": _SEED,
         "out": ("--out", str, None, "output CSV"),
     },
@@ -123,7 +123,7 @@ _OPTIONS: dict[str, dict] = {
         "labels": ("--labels", str, "", "training labels (IDX, optional)"),
         "test_images": ("--test-images", str, "", "test images (IDX, optional)"),
         "test_labels": ("--test-labels", str, "", "test labels (IDX, optional)"),
-        "epochs": ("--epochs", int, 5, "training epochs"),
+        "epochs": ("--epochs", int, _TRAIN.epochs, "training epochs"),
         "seed": _SEED,
         "out": ("--out", str, None, "output CSV"),
     },
@@ -138,14 +138,10 @@ _OPTIONS: dict[str, dict] = {
     },
 }
 
-_REQUIRED = {
-    "fit": ("target", "out"),
-    "train": ("images", "labels", "test_images", "test_labels", "out"),
-    "sweep": ("out",),
-    "ablate": ("study", "out"),
-    "report": ("model", "out"),
-    "plot": ("figure", "infile", "out"),
-}
+# a train, sweep or ablate option -> the TrainConfig field it sets
+_CONFIG_FIELDS = {"epochs": "epochs", "batch_size": "batch_size", "lr": "learning_rate",
+                  "weight_decay": "weight_decay", "seed": "seed", "init": "init_strategy",
+                  "granularity": "granularity"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -219,7 +215,8 @@ def _merge(args: argparse.Namespace, parser) -> dict:
     for dest in _OPTIONS[command]:
         if hasattr(args, dest):
             opts[dest] = getattr(args, dest)
-    missing = [dest for dest in _REQUIRED.get(command, ()) if opts.get(dest) in (None, "")]
+    missing = [dest for dest, spec in _OPTIONS[command].items()
+               if spec[2] is None and opts[dest] in (None, "")]
     if command == "sweep" and not opts["full"] and not opts["model"]:
         missing.append("model")
     if missing:
@@ -306,13 +303,8 @@ def _read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _train_config(opts) -> TrainConfig:
-    return TrainConfig(epochs=opts["epochs"],
-                       batch_size=opts.get("batch_size", 64),
-                       learning_rate=opts.get("lr", 1e-4),
-                       weight_decay=opts.get("weight_decay", 1e-2),
-                       seed=opts["seed"],
-                       init_strategy=opts.get("init", "soft_relu"),
-                       granularity=opts.get("granularity", "layer_wise"))
+    return TrainConfig(**{field: opts[dest] for dest, field in _CONFIG_FIELDS.items()
+                          if dest in opts})
 
 
 def _load_dataset(opts) -> idx.Dataset:
@@ -339,7 +331,7 @@ def _cmd_sweep(opts) -> int:
     sigmas = sorted(float(s) for s in opts["sigmas"])
     out = _out_path(opts["out"])
     if opts["full"]:
-        config = _train_config({**opts, "init": "soft_relu", "granularity": "layer_wise"})
+        config = _train_config(opts)
         dataset = _load_dataset(opts)
         report = experiments.noise_sweep(dataset, sigmas, config, seed=opts["seed"])
         experiments.write_sweep_csv(report, out)

@@ -220,10 +220,8 @@ class GateTape:
     every other array is ``(k, x.size)``.  The transition value ``u`` is not
     kept: no gradient reads it, and :func:`eval_u` and :func:`eval_F` derive
     it from ``z``, ``theta`` and ``psmall`` (``theta/pi + 1/2`` where
-    ``z >= 0``, else ``psmall/pi``).  No gradient reads ``t`` either: with
-    :class:`GateBuffers` that share scratch, ``t`` lives in ``scratch[1]``
-    and the next :func:`batch_vjp` or :func:`batch_eval` on that scratch
-    overwrites it.
+    ``z >= 0``, else ``psmall/pi``).  Nor is ``t = p * log_odds``: no
+    gradient reads it, so :func:`batch_eval` keeps it in ``scratch[1]``.
     """
 
     x: np.ndarray
@@ -231,8 +229,7 @@ class GateTape:
     theta: np.ndarray        # arctan(|z|)
     psmall: np.ndarray       # arctan2(1, |z|) = pi * min(u, 1 - u)
     log_odds: np.ndarray     # log(u / (1 - u))
-    t: np.ndarray            # p * log_odds
-    e: np.ndarray            # exp(-|t|)
+    e: np.ndarray            # exp(-|p * log_odds|)
     v: np.ndarray
     f: np.ndarray
     eff: tuple[float, float, float, float, float, float, float] | np.ndarray
@@ -249,25 +246,22 @@ class GateBuffers:
 
     ``scratch``, when given, is four arrays of ``shape`` used in place of
     fresh ones; other buffers may share them, as the gate layers of one
-    training step do, since each call uses scratch only while it runs.
-    Such buffers keep ``t`` in ``scratch[1]`` (see the liveness note of
-    :func:`batch_eval`), so a tape's ``t`` is overwritten by the next
-    ``batch_vjp`` or ``batch_eval`` on that scratch, and nothing reads it
-    after its own ``batch_eval``.
+    training step do, since each call uses scratch only while it runs.  A
+    fresh set is eleven arrays: the tape's seven and the four scratch.
     """
 
-    _ARRAYS = ("z", "theta", "psmall", "log_odds", "t", "e", "v", "f")
+    _ARRAYS = ("z", "theta", "psmall", "log_odds", "e", "v", "f")
     __slots__ = ("shape", "scratch", *_ARRAYS)
 
     def __init__(self, shape: tuple[int, ...], scratch: Sequence[np.ndarray] | None = None):
         self.shape = tuple(shape)
-        shared = scratch is not None
-        if shared and (len(scratch) != 4 or any(s.shape != self.shape for s in scratch)):
+        if scratch is None:
+            scratch = [np.empty(self.shape) for _ in range(4)]
+        elif len(scratch) != 4 or any(s.shape != self.shape for s in scratch):
             raise ValueError(f"scratch must be four arrays of shape {self.shape}")
-        self.scratch = tuple(scratch) if shared else tuple(np.empty(self.shape) for _ in range(4))
+        self.scratch = tuple(scratch)
         for name in self._ARRAYS:
-            setattr(self, name, self.scratch[1] if shared and name == "t"
-                    else np.empty(self.shape))
+            setattr(self, name, np.empty(self.shape))
 
     @classmethod
     def value_only(cls, shape: tuple[int, ...]) -> "GateBuffers":
@@ -282,7 +276,7 @@ class GateBuffers:
         buffers = object.__new__(cls)
         buffers.shape = tuple(shape)
         a, b, c, d = (np.empty(buffers.shape) for _ in range(4))
-        buffers.z, buffers.t, buffers.f = a, a, a
+        buffers.z, buffers.f = a, a
         buffers.log_odds, buffers.scratch = b, (b, c)
         buffers.theta, buffers.v = c, c
         buffers.psmall, buffers.e = d, d
@@ -340,10 +334,9 @@ def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTa
     # log_odds /= psmall; z and scratch[1] at the sign step; log_odds at t;
     # e at side (scratch[0] again); t at v; side at v -= side; v at f *= v.
     # A slot may share an array only with slots first written after these
-    # points; x is read to the end and shares with none.  So t may live in
-    # scratch[1] (GateBuffers with shared scratch): it is first written
-    # after the sign step's last read of scratch[1], its own last read is
-    # the v step, and batch_vjp, which next writes scratch, never reads it.
+    # points; x is read to the end and shares with none.  t lives in
+    # scratch[1], first written after the sign step's last read of it (in
+    # value_only also theta's, read earlier, and v's, written over t in place).
     with np.errstate(over="ignore", under="ignore"):
         z = np.subtract(x, c, out=b.z)
         z *= a
@@ -358,7 +351,7 @@ def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTa
         log_odds /= psmall
         np.log1p(log_odds, out=log_odds)
         log_odds *= np.sign(z, out=b.scratch[1])              # odd in z; 0 at 0
-        t = np.multiply(p, log_odds, out=b.t)
+        t = np.multiply(p, log_odds, out=b.scratch[1])
         e = np.abs(t, out=b.e)
         np.negative(e, out=e)
         np.exp(e, out=e)
@@ -376,11 +369,11 @@ def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTa
         linear += delta
         f += linear
     return GateTape(x=x, z=z, theta=theta, psmall=psmall,
-                    log_odds=log_odds, t=t, e=e, v=v, f=f, eff=eff)
+                    log_odds=log_odds, e=e, v=v, f=f, eff=eff)
 
 
 def batch_value(x: np.ndarray, eff) -> np.ndarray:
-    """``batch_eval(x, eff).f`` bit for bit, from four arrays of its shape instead of twelve."""
+    """``batch_eval(x, eff).f`` bit for bit, from four arrays of its shape instead of eleven."""
     x, eff, shape = _operands(x, eff)
     return batch_eval(x, eff, GateBuffers.value_only(shape)).f
 

@@ -40,7 +40,15 @@ __all__ = [
 ]
 
 GRANULARITIES = ("fixed", "global_shared", "layer_wise")
-INIT_STRATEGIES = ("soft_relu", "identity", "random", "relu_baseline")
+# init strategy -> (the gates' starting preset, or None for a seeded random
+# draw per gate; the fixed activation that replaces every gate, or None)
+_INITS = {
+    "soft_relu": ("soft_relu_init", None),
+    "identity": ("identity", None),
+    "random": (None, None),
+    "relu_baseline": ("soft_relu_init", ActivationKind("relu")),
+}
+INIT_STRATEGIES = tuple(_INITS)
 
 _BASELINE_CODES = {None: 0, "relu": 1, "leaky_relu": 2, "sigmoid": 3,
                    "tanh": 4, "silu": 5, "gelu": 6, "identity": 7}
@@ -196,10 +204,6 @@ class MLPModel:
     def activation_layers(self) -> list[ActivationLayer]:
         return [l for l in self.layers if isinstance(l, ActivationLayer)]
 
-    def trainables(self) -> list["Slot"]:
-        """Optimizer slots in deterministic order; a shared gate vector appears once."""
-        return list(self.arena.slots)
-
     def learnable_activation_parameter_count(self) -> int:
         """Traversal count of gate parameters that receive gradients."""
         gate_slots = {k for layer, k in zip(self.layers, self._slot_of)
@@ -247,26 +251,17 @@ class Arena:
                 for start, shape in self._regions]
 
 
-def _strategy_raw(strategy: str, rng: np.random.Generator) -> np.ndarray:
-    if strategy in ("soft_relu", "relu_baseline"):
-        return core.preset("soft_relu_init").raw_vector()
-    if strategy == "identity":
-        return core.preset("identity").raw_vector()
-    if strategy == "random":
-        return core.random_raw(rng)
-    raise ValueError(f"unknown init strategy {strategy!r}")
-
-
 def build_model(spec: ModelSpec, config: TrainConfig,
                 rng: np.random.Generator) -> MLPModel:
     """Dense stack with a gate after each hidden layer, seeded Kaiming-uniform init."""
     widths = [spec.in_dim, *spec.hidden, spec.n_classes]
-    baseline = ActivationKind("relu") if config.init_strategy == "relu_baseline" else None
+    start, baseline = _INITS[config.init_strategy]
     granularity = "fixed" if baseline is not None else config.granularity
 
-    shared: np.ndarray | None = None
-    if granularity == "global_shared":
-        shared = _strategy_raw(config.init_strategy, rng)
+    def gate_raw() -> np.ndarray:
+        return core.random_raw(rng) if start is None else core.preset(start).raw_vector()
+
+    shared = gate_raw() if granularity == "global_shared" else None
 
     layers: list[DenseLayer | ActivationLayer] = []
     for i in range(len(widths) - 1):
@@ -275,7 +270,7 @@ def build_model(spec: ModelSpec, config: TrainConfig,
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         layers.append(DenseLayer(w, np.zeros(fan_out)))
         if i < len(widths) - 2:
-            raw = shared if shared is not None else _strategy_raw(config.init_strategy, rng)
+            raw = shared if shared is not None else gate_raw()
             layers.append(ActivationLayer(raw, granularity, baseline))
     return MLPModel(layers)
 
@@ -291,9 +286,8 @@ class StepBuffers:
     :class:`idx.PixelRows`.  Per layer index: ``gates[i]`` receives gate
     layer i's tape, ``out[i]`` dense layer i's output and ``d_in[i]`` its
     input gradient (never formed for layer 0).  The gate layers share one
-    set of four scratch vectors, sized for the widest of them: each gate
-    call uses scratch only while it runs, and a tape's ``t``, which lives
-    there, is overwritten by the next gate call (see
+    set of four scratch vectors, sized for the widest of them, since each
+    gate call uses scratch only while it runs (see
     :class:`core.GateBuffers`).  ``grad`` is the gradient arena, laid out
     like ``model.arena``.  Entries that do not apply to a layer are None.
     Each step overwrites the previous one's input, tapes, outputs and
@@ -403,7 +397,7 @@ def forward(model: MLPModel, batch: np.ndarray,
 
 def backward(model: MLPModel, cache: list, grad_logits: np.ndarray,
              buffers: StepBuffers | None = None) -> list[np.ndarray]:
-    """Gradients aligned with ``model.trainables()``: views into one gradient arena.
+    """Gradients aligned with ``model.arena.slots``: views into one gradient arena.
 
     Gate-parameter gradients are w.r.t. the raw vectors (positive-map chain
     applied); a shared vector is assigned by the last layer using it and
@@ -467,6 +461,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 # Elements per AdamW pass: six 256 KiB vectors (parameters, gradient, both
 # moments, two scratch) stay in a core's L2 cache between the passes.
 _ADAM_CHUNK = 1 << 15
+# AdamW's published defaults (Loshchilov & Hutter, arXiv:1711.05101)
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -487,8 +483,7 @@ class AdamState:
 
 
 def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
-               lr: float, weight_decay: float, step: int,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> AdamState:
+               lr: float, weight_decay: float, step: int) -> AdamState:
     """One decoupled-decay Adam update of the whole arena, in place.
 
     ``grad`` is a vector with the arena's layout.  Decay multiplies the
@@ -508,9 +503,8 @@ def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
                 raise NonFiniteGradientError(
                     f"non-finite gradient for {slot.label} at step {step}: "
                     f"max|g|={np.max(np.abs(g))!r}")
-    b1, b2 = betas
-    bc1 = 1.0 - b1 ** step
-    bc2 = 1.0 - b2 ** step
+    bc1 = 1.0 - _BETA1 ** step
+    bc2 = 1.0 - _BETA2 ** step
     keep = 1.0 - lr * weight_decay
     n_decay = arena.n_decay
     for lo, hi, decay in ((0, n_decay, weight_decay > 0.0), (n_decay, arena.size, False)):
@@ -521,18 +515,18 @@ def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
             v = state.v[start:stop]
             p = arena.values[start:stop]
             s1, s2 = (s[:stop - start] for s in state.scratch)
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=s1)
-            v *= b2
+            m *= _BETA1
+            m += np.multiply(1.0 - _BETA1, g, out=s1)
+            v *= _BETA2
             s1 = np.multiply(g, g, out=s1)
-            s1 *= 1.0 - b2
+            s1 *= 1.0 - _BETA2
             v += s1
             if decay:
                 p *= keep
             # lr * (m / bc1) / (sqrt(v / bc2) + eps)
             den = np.divide(v, bc2, out=s1)
             np.sqrt(den, out=den)
-            den += eps
+            den += _ADAM_EPS
             upd = np.divide(m, bc1, out=s2)
             upd *= lr
             upd /= den
@@ -744,7 +738,7 @@ def net_gradcheck(seed: int) -> float:
         return softmax_cross_entropy(_logits(model, x), y)[0]
 
     worst = 0.0
-    for slot, g in zip(model.trainables(), grads):
+    for slot, g in zip(model.arena.slots, grads):
         flat, gflat = slot.array.ravel(), g.ravel()
         for k in range(flat.size):
             h = 1e-6 * max(1.0, abs(flat[k]))
@@ -820,8 +814,9 @@ def load_model(path) -> MLPModel:
         (tag,) = struct.unpack("<B", take(1))
         if tag == 0:
             rows, cols = struct.unpack("<II", take(8))
-            w = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols).copy()
-            b = np.frombuffer(take(cols * 8), dtype="<f8").copy()
+            # views of the file's bytes: MLPModel copies them into its arena
+            w = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
+            b = np.frombuffer(take(cols * 8), dtype="<f8")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ModelFormatError(f"{path}: layer {k} has non-finite dense weights")
             layers.append(DenseLayer(w, b))

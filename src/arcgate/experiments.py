@@ -31,8 +31,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import core, fitter, idx
-from .engine import (MLPModel, ModelSpec, TrainConfig, TrainingDivergedError,
-                     _correct_counts, train)
+from .engine import (GRANULARITIES, MLPModel, ModelSpec, TrainConfig,
+                     TrainingDivergedError, _correct_counts, train)
 
 __all__ = [
     "DEFAULT_SIGMAS", "LayerReport", "Round", "SweepReport",
@@ -268,10 +268,9 @@ class GranularityRow:
 def granularity_ablation(dataset, config: TrainConfig | None = None,
                          seed: int = 0) -> list[GranularityRow]:
     """Fixed vs global-shared vs layer-wise gate parameters; counts by traversal."""
-    granularities = ("fixed", "global_shared", "layer_wise")
     runs = _study_summaries(dataset, config, seed,
-                            [{**_ARCGATE, "granularity": g} for g in granularities])
-    return [GranularityRow(g, run.gate_count, run.test_acc) for g, run in zip(granularities, runs)]
+                            [{**_ARCGATE, "granularity": g} for g in GRANULARITIES])
+    return [GranularityRow(g, run.gate_count, run.test_acc) for g, run in zip(GRANULARITIES, runs)]
 
 
 def write_granularity_csv(rows: list[GranularityRow], path,

@@ -101,7 +101,7 @@ class FitResult:
 
 
 def fit(target: FitTarget, init: ArcGateParams, budget: int = 5000, seed: int = 0,
-        restarts: int = 3, effective_cap: float | None = None) -> FitResult:
+        restarts: int = 3) -> FitResult:
     """Minimize mean squared error of the gate against ``target`` on its grid.
 
     Restart 0 descends from ``init``; later restarts from seeded random
@@ -112,19 +112,15 @@ def fit(target: FitTarget, init: ArcGateParams, budget: int = 5000, seed: int = 
     the budget.  A restart stops early, not converged, once an earlier
     restart has reached a loss of exactly 0, since it could no longer win.
     ``iterations`` sums the iterations of all restarts, stopped ones
-    included.  ``effective_cap`` optionally clamps the effective steepness
-    and sharpness below a ceiling (projected after every step), which is how
-    the hard-rectifier limit is probed.  Best parameters across all restarts
-    win; the init itself is the starting incumbent.  ``budget`` and
-    ``restarts`` must be at least 1.
+    included.  Best parameters across all restarts win; the init itself is
+    the starting incumbent.  ``budget`` and ``restarts`` must be at least 1.
     """
     return _fit_targets(target.grid, target.values[None, :], [init], [seed],
-                        [effective_cap], budget, restarts)[0]
+                        budget, restarts)[0]
 
 
 def _fit_targets(grid: np.ndarray, values: np.ndarray, inits: list[ArcGateParams],
-                 seeds: list[int], effective_caps: list[float | None], budget: int,
-                 restarts: int) -> list[FitResult]:
+                 seeds: list[int], budget: int, restarts: int) -> list[FitResult]:
     """Fit row ``j`` of ``values`` on ``grid`` as :func:`fit` would from ``inits[j]``.
 
     The restarts of every target descend together in one batch.
@@ -133,9 +129,7 @@ def _fit_targets(grid: np.ndarray, values: np.ndarray, inits: list[ArcGateParams
         raise ValueError("budget must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    raw_caps = np.array([math.inf if cap is None else core.raw_from_effective(cap)
-                         for cap in effective_caps])
-    init_raws = _clamp(np.array([init.raw_vector() for init in inits]), raw_caps)
+    init_raws = np.array([init.raw_vector() for init in inits])
     # restart draws never depend on a descent's outcome, so they are all made up front
     starts = []
     for init_raw, seed in zip(init_raws, seeds):
@@ -143,9 +137,7 @@ def _fit_targets(grid: np.ndarray, values: np.ndarray, inits: list[ArcGateParams
         starts += [init_raw if restart == 0 else core.random_raw(rng)
                    for restart in range(restarts)]
     job = np.repeat(np.arange(len(inits)), restarts)
-    outcomes = _descend_rows(grid, values[job],
-                             _clamp(np.array(starts).reshape(-1, 7), raw_caps[job]),
-                             raw_caps[job], job, budget)
+    outcomes = _descend_rows(grid, values[job], np.array(starts).reshape(-1, 7), job, budget)
 
     picks = []
     for j, (init_loss, _, _) in enumerate(_errors(grid, init_raws, values)):
@@ -162,13 +154,6 @@ def _fit_targets(grid: np.ndarray, values: np.ndarray, inits: list[ArcGateParams
             if any_finite else FitResult(init, math.inf, math.inf, iters, False)
             for init, (raw, converged, iters, any_finite), (_, l_inf, l2)
             in zip(inits, picks, final)]
-
-
-def _clamp(raws: np.ndarray, raw_caps: np.ndarray) -> np.ndarray:
-    """Project each row's raw a and p below its cap, in place."""
-    np.minimum(raws[:, 0], raw_caps, out=raws[:, 0])
-    np.minimum(raws[:, 2], raw_caps, out=raws[:, 2])
-    return raws
 
 
 def _effective_rows(raws: np.ndarray) -> np.ndarray:
@@ -194,11 +179,10 @@ def _errors(grid: np.ndarray, raws: np.ndarray,
 
 
 def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
-                  caps: np.ndarray, targets: np.ndarray, budget: int) -> list:
+                  targets: np.ndarray, budget: int) -> list:
     """Levenberg–Marquardt descents, one per row, batched into one loop.
 
-    Row ``r`` fits ``values[r]`` from ``starts[r]`` and clamps its raw a and p
-    below ``caps[r]`` after every step.  Returns, per row, (loss, raw,
+    Row ``r`` fits ``values[r]`` from ``starts[r]``.  Returns, per row, (loss, raw,
     iterations, converged), or None if its start is not finite.  Iteration
     ``it`` evaluates the start (``it`` = 1) or the last trial point; a row
     moves only when that lowers its loss, so its point is always its best.
@@ -219,7 +203,7 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
     eye = np.eye(7)
     # per fit, the first row whose loss is exactly 0 (k_all while there is none)
     first_exact = np.full(int(targets.max(initial=-1)) + 1, k_all)
-    ids, raw, trial, cap, target = np.arange(k_all), starts.copy(), starts, caps, targets
+    ids, raw, trial, target = np.arange(k_all), starts.copy(), starts, targets
     loss = np.full(k_all, math.inf)
     lam = np.full(k_all, 10.0 * _LAMBDA_INIT)   # the start's acceptance divides it by 10
     jtj = np.zeros((k_all, 7, 7))
@@ -263,23 +247,22 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
             outcomes[ids[r]] = (float(loss[r]), raw[r].copy(), it, bool(converged[r]))
         if done.any():
             keep = ~done
-            ids, raw, cap, target, values, loss, lam, jtj, jtr = (
-                v[keep] for v in (ids, raw, cap, target, values, loss, lam, jtj, jtr))
+            ids, raw, target, values, loss, lam, jtj, jtr = (
+                v[keep] for v in (ids, raw, target, values, loss, lam, jtj, jtr))
             if not ids.size:
                 break
         diag = np.diagonal(jtj, axis1=1, axis2=2)
         damp = np.maximum(diag, _DIAG_FLOOR * np.max(diag, axis=1, keepdims=True))
         damped = jtj + (lam[:, None] * damp)[:, :, None] * eye
         with np.errstate(invalid="ignore", over="ignore"):
-            trial = _clamp(raw - np.linalg.solve(damped, jtr[:, :, None])[:, :, 0], cap)
+            trial = raw - np.linalg.solve(damped, jtr[:, :, None])[:, :, 0]
     return outcomes
 
 
 def _tape_rows(tape: core.GateTape, rows: np.ndarray) -> core.GateTape:
     """The tape of ``rows`` alone, moved into the first rows of its own arrays.
 
-    Only the arrays :func:`core._partials` reads are moved; ``t`` and ``f``
-    are left out.
+    Only the arrays :func:`core._partials` reads are moved; ``f`` is left out.
     """
     m = rows.size
     moved = {}
@@ -287,7 +270,7 @@ def _tape_rows(tape: core.GateTape, rows: np.ndarray) -> core.GateTape:
         array = getattr(tape, name)
         array[:m] = array[rows]
         moved[name] = array[:m]
-    return core.GateTape(x=tape.x, t=None, f=None, eff=tape.eff[rows], **moved)
+    return core.GateTape(x=tape.x, f=None, eff=tape.eff[rows], **moved)
 
 
 #: Classic targets in table order with the preset each fit starts from.
@@ -314,8 +297,7 @@ def replicate_classics(lo: float = -6.0, hi: float = 6.0, n_points: int = 1001,
     targets = [FitTarget.from_kind(kind, lo, hi, n_points) for kind, _ in CLASSIC_TARGETS]
     inits = [core.preset(*preset_args) for _, preset_args in CLASSIC_TARGETS]
     results = _fit_targets(targets[0].grid, np.array([t.values for t in targets]), inits,
-                           [seed + i for i in range(len(targets))], [None] * len(targets),
-                           budget, restarts=3)
+                           [seed + i for i in range(len(targets))], budget, restarts=3)
     return [(kind, result) for (kind, _), result in zip(CLASSIC_TARGETS, results)]
 
 

@@ -228,40 +228,39 @@ def write_idx_labels(path, labels) -> None:
 # synthetic fixture
 # ---------------------------------------------------------------------------
 
+_SYNTH_CLASSES, _SYNTH_SIDE = 10, 28
+_SYNTH_CONTRAST, _SYNTH_MASK_PIXELS, _SYNTH_PIXEL_NOISE = 0.15, 40, 0.10
 # Rows of floats alive at once while the fixture is made (1.6 MB per block at
 # the desk width).  Any block size gives the same bytes.
 _SYNTH_ROWS = 256
 
 
-def synthesize_arrays(n_train: int = 5000, n_test: int = 1000, n_classes: int = 10,
-                      side: int = 28, seed: int = 2024,
-                      contrast: float = 0.15, mask_pixels: int = 40,
-                      pixel_noise: float = 0.10) -> Dataset:
+def synthesize_arrays(n_train: int = 5000, n_test: int = 1000, seed: int = 2024) -> Dataset:
     """Build the desk-scale synthetic classification fixture.
 
-    Each class is a shared low-contrast background plus a class-specific
-    sparse signed mask; samples add Gaussian pixel noise and quantize to
-    bytes, held as :class:`PixelRows` exactly as an IDX read holds them.
-    Contrast and mask size are tuned so accuracy degrades across evaluation
-    noise levels up to 0.5 instead of saturating.
+    Each of 10 classes is a shared low-contrast background plus a
+    class-specific sparse signed mask; samples add Gaussian pixel noise and
+    quantize to 28 x 28 bytes, held as :class:`PixelRows` exactly as an IDX
+    read holds them.  Contrast and mask size are tuned so accuracy degrades
+    across evaluation noise levels up to 0.5 instead of saturating.
     """
     rng = np.random.default_rng(seed)
-    d = side * side
+    d = _SYNTH_SIDE * _SYNTH_SIDE
     base = rng.uniform(0.35, 0.65, size=d)
-    templates = np.tile(base, (n_classes, 1))
-    for k in range(n_classes):
-        idx = rng.choice(d, size=mask_pixels, replace=False)
-        signs = rng.choice([-1.0, 1.0], size=mask_pixels)
-        templates[k, idx] += contrast * signs
+    templates = np.tile(base, (_SYNTH_CLASSES, 1))
+    for k in range(_SYNTH_CLASSES):
+        idx = rng.choice(d, size=_SYNTH_MASK_PIXELS, replace=False)
+        signs = rng.choice([-1.0, 1.0], size=_SYNTH_MASK_PIXELS)
+        templates[k, idx] += _SYNTH_CONTRAST * signs
 
     def _sample(n: int) -> tuple[PixelRows, np.ndarray]:
-        labels = rng.integers(0, n_classes, size=n)
+        labels = rng.integers(0, _SYNTH_CLASSES, size=n)
         pixels = np.empty((n, d), dtype=np.uint8)
         for start in range(0, n, _SYNTH_ROWS):
             block = labels[start:start + _SYNTH_ROWS]
             # the block's share of one (n, d) draw, then the same IEEE steps
             # as template + noise, * 255, rint and clip on the whole array
-            imgs = rng.normal(0.0, pixel_noise, size=(block.size, d))
+            imgs = rng.normal(0.0, _SYNTH_PIXEL_NOISE, size=(block.size, d))
             imgs += templates[block]
             imgs *= 255.0
             np.rint(imgs, out=imgs)
@@ -278,7 +277,6 @@ def synthesize_idx_files(out_dir, **kwargs) -> dict[str, Path]:
     """Write the synthetic fixture as four IDX files; returns their paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    side = kwargs.get("side", 28)
     data = synthesize_arrays(**kwargs)
     paths = {
         "train_images": out_dir / "train-images-idx3-ubyte",
@@ -288,7 +286,7 @@ def synthesize_idx_files(out_dir, **kwargs) -> dict[str, Path]:
     }
     for split, x, y in (("train", data.x_train, data.y_train),
                         ("test", data.x_test, data.y_test)):
-        write_idx_images(paths[f"{split}_images"], x.pixels.reshape(-1, side, side))
+        write_idx_images(paths[f"{split}_images"], x.pixels.reshape(-1, _SYNTH_SIDE, _SYNTH_SIDE))
         write_idx_labels(paths[f"{split}_labels"], y)
     return paths
 

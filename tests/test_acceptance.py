@@ -168,7 +168,7 @@ def test_criterion_7_end_to_end_gradient_check():
 
     ok = True
     worst = 0.0
-    for slot, g in zip(model.trainables(), grads):
+    for slot, g in zip(model.arena.slots, grads):
         flat, gflat = slot.array.ravel(), g.ravel()
         for k in range(flat.size):
             h = 1e-6 * max(1.0, abs(flat[k]))

@@ -215,6 +215,24 @@ def test_train_missing_paths_is_usage_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("fit", "--target, --out"),
+    ("train", "--images, --labels, --test-images, --test-labels, --out"),
+    ("sweep", "--out, --model"),                  # --model unless --full
+    ("ablate", "study, --out"),
+    ("report", "--model, --out"),
+    ("plot", "--figure, --in, --out"),
+])
+def test_missing_options_are_the_tables_required_ones_in_order(command, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"arcgate: error: missing required option(s): {flags}"
+    required = [spec[0] for spec in cli._OPTIONS[command].values() if spec[2] is None]
+    assert flags.startswith(", ".join(required))
+
+
 def test_train_on_an_empty_test_split_fails(tmp_path, idx_files, capsys):
     idx.write_idx_images(tmp_path / "imgs", np.zeros((0, 28, 28), dtype=np.uint8))
     idx.write_idx_labels(tmp_path / "labels", [])

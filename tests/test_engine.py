@@ -103,7 +103,7 @@ class TestModelStructure:
     def test_trainables_are_views_into_one_arena(self, granularity):
         model = tiny_model(granularity=granularity)
         arena = model.arena
-        for slot in model.trainables():
+        for slot in model.arena.slots:
             assert np.shares_memory(slot.array, arena.values)
         dense = [l for l in model.layers if isinstance(l, DenseLayer)]
         assert arena.n_decay == sum(l.w.size for l in dense)
@@ -114,7 +114,7 @@ class TestModelStructure:
             assert not any(np.shares_memory(a.raw, arena.values) for a in acts)
         else:
             assert all(np.shares_memory(a.raw, arena.values) for a in acts)
-        assert arena.size == sum(s.array.size for s in model.trainables())
+        assert arena.size == sum(s.array.size for s in model.arena.slots)
 
 
 class TestBackward:
@@ -146,7 +146,7 @@ class TestBackward:
             lg, _ = forward(model, x)
             return softmax_cross_entropy(lg, y)[0]
 
-        for slot, g in zip(model.trainables(), grads):
+        for slot, g in zip(model.arena.slots, grads):
             flat, gflat = slot.array.ravel(), g.ravel()
             for k in range(flat.size):
                 h = 1e-6 * max(1.0, abs(flat[k]))
@@ -161,18 +161,18 @@ class TestBackward:
 
     def test_fixed_granularity_yields_no_activation_gradients(self):
         model = tiny_model(granularity="fixed")
-        assert all("act" not in s.label for s in model.trainables())
+        assert all("act" not in s.label for s in model.arena.slots)
         x = np.random.default_rng(2).normal(0, 1, (4, 3))
         logits, cache = forward(model, x)
         _, gl = softmax_cross_entropy(logits, np.array([0, 1, 2, 0]))
         grads = backward(model, cache, gl)
-        assert len(grads) == len(model.trainables())  # dense w/b only
+        assert len(grads) == len(model.arena.slots)  # dense w/b only
 
     def test_global_shared_accumulates_across_layers(self):
         model = tiny_model(granularity="global_shared")
         acts = model.activation_layers()
         assert len({id(a.raw) for a in acts}) == 1
-        slots = model.trainables()
+        slots = model.arena.slots
         assert sum("act" in s.label for s in slots) == 1
         x = np.random.default_rng(2).normal(0, 1, (4, 3))
         logits, cache = forward(model, x)
@@ -190,7 +190,7 @@ class TestBackward:
         lg, cache2 = forward(twin, x)
         _, gl2 = softmax_cross_entropy(lg, np.array([0, 1, 2, 0]))
         grads2 = backward(twin, cache2, gl2)
-        slots2 = twin.trainables()
+        slots2 = twin.arena.slots
         acc = sum(grads2[i] for i, s in enumerate(slots2) if "act" in s.label)
         assert np.allclose(shared_grad, acc, rtol=1e-12, atol=1e-15)
 
@@ -302,7 +302,7 @@ class TestArenaAdamW:
         model = tiny_model(granularity=granularity)
         before = model.arena.values.copy()
         state = AdamState.init_like(model.arena)
-        for k, slot in enumerate(model.trainables()):
+        for k, slot in enumerate(model.arena.slots):
             for bad in (math.nan, math.inf, -math.inf):
                 grad = np.ones(model.arena.size)
                 model.arena.views(grad)[k].flat[-1] = bad
@@ -721,7 +721,6 @@ class TestStepMemory:
                 assert one is not None and one.size == 6 * 16     # the widest layer's rows
                 assert all(b.scratch[j].base is one for b in gates)
                 assert not any(np.shares_memory(one, gates[0].scratch[i]) for i in range(j))
-            assert all(np.shares_memory(b.t, b.scratch[1]) for b in gates)
 
     def test_buffered_input_batch_is_the_float_rows(self, small_dataset):
         model = tiny_model(spec=ModelSpec(784, (8,), 10))
@@ -827,6 +826,33 @@ class TestPersistence:
         act = back.activation_layers()[0]
         assert act.baseline.tag == "leaky_relu"
         assert act.baseline.slope == 0.07
+
+    @pytest.mark.parametrize("strategy, granularity", [
+        ("soft_relu", "layer_wise"), ("identity", "fixed"), ("soft_relu", "global_shared"),
+        ("relu_baseline", "layer_wise")])
+    def test_load_holds_the_file_and_one_copy_of_the_weights(self, tmp_path, strategy,
+                                                               granularity):
+        path, again = tmp_path / "desk.agm", tmp_path / "again.agm"
+        save_model(tiny_model(granularity=granularity, strategy=strategy, spec=DESK_SPEC), path)
+        load_model(path)                                # first-call allocations
+        _fill_free_lists()
+        tracemalloc.start()
+        try:
+            back = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the file's bytes and the arena; 3.00 files when the dense weights were
+        # copied out of the bytes before the arena copied them again
+        size = path.stat().st_size
+        assert peak < 2.2 * size, peak / size
+        save_model(back, again)
+        assert again.read_bytes() == path.read_bytes()
+        for layer in back.layers:
+            if isinstance(layer, DenseLayer):
+                for array in (layer.w, layer.b):
+                    assert array.flags.writeable
+                    assert np.shares_memory(array, back.arena.values)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.agm"

@@ -10,14 +10,6 @@ from arcgate.fitter import FitResult, FitTarget, fit, write_fit_csv
 from arcgate.zoo import ActivationKind
 
 DATA = Path(__file__).parent / "data"
-CAPS = (10.0, 100.0, 1000.0)
-CAPPED_RELU = FitTarget.from_kind(ActivationKind("relu"), -5, 5, 1001)
-
-
-@pytest.fixture(scope="module")
-def capped_fits():
-    return [fit(CAPPED_RELU, core.preset("relu_like", cap), budget=2500, seed=2,
-                effective_cap=cap) for cap in CAPS]
 
 
 class TestFitTarget:
@@ -84,12 +76,6 @@ class TestFit:
         res = fit(tgt, core.preset("soft_relu_init"), budget=300, seed=5)
         assert res.l_inf_error >= res.l2_error / math.sqrt(tgt.grid.size) - 1e-15
         assert res.l_inf_error >= 0 and res.l2_error >= 0
-
-    def test_effective_cap_monotone_toward_hard_rectifier(self, capped_fits):
-        results = [res.l_inf_error for res in capped_fits]
-        assert results[0] > results[1]
-        # the on-grid error saturates at float rounding for large caps
-        assert results[1] >= results[2]
 
     def test_non_finite_target_yields_failure_result(self):
         grid = np.linspace(-1, 1, 20)
@@ -197,13 +183,12 @@ class TestBatchInvariance:
         rng = np.random.default_rng(5)
         starts = np.array([core.preset("leaky", 0.01).raw_vector(), core.random_raw(rng),
                            core.random_raw(rng)])
-        values, caps = np.tile(target.values, (3, 1)), np.full(3, math.inf)
-        together = fitter._descend_rows(target.grid, values, starts.copy(), caps,
-                                        np.zeros(3, int), 300)
+        values = np.tile(target.values, (3, 1))
+        together = fitter._descend_rows(target.grid, values, starts.copy(), np.zeros(3, int), 300)
         assert [iters for _, _, iters, _ in together] == [5, 5, 229]
         for r, (loss, raw, iters, converged) in enumerate(together):
             alone = fitter._descend_rows(target.grid, values[r:r + 1], starts[r:r + 1].copy(),
-                                         caps[r:r + 1], np.zeros(1, int), 300)[0]
+                                         np.zeros(1, int), 300)[0]
             assert alone[0] == loss and alone[1].tobytes() == raw.tobytes()
             assert alone[2:] == (iters, converged)
 
@@ -212,21 +197,15 @@ class TestBatchInvariance:
         starts = np.array([core.preset("sigmoid_like").raw_vector(),
                            core.preset("identity").raw_vector(),
                            core.random_raw(np.random.default_rng(3))])
-        values, caps = np.tile(target.values, (3, 1)), np.full(3, math.inf)
-        first, exact, later = fitter._descend_rows(target.grid, values, starts.copy(), caps,
+        values = np.tile(target.values, (3, 1))
+        first, exact, later = fitter._descend_rows(target.grid, values, starts.copy(),
                                                    np.zeros(3, int), 300)
         assert exact[0] == 0.0 and exact[2:] == (1, True)
         assert later[0] > 0.0 and later[2:] == (1, False)
-        alone = fitter._descend_rows(target.grid, values[:1], starts[:1].copy(), caps[:1],
+        alone = fitter._descend_rows(target.grid, values[:1], starts[:1].copy(),
                                      np.zeros(1, int), 300)[0]
         assert alone[0] == first[0] and alone[1].tobytes() == first[1].tobytes()
         assert alone[2:] == first[2:] and first[2] > 1
-
-    def test_effective_caps(self, capped_fits):
-        inits = [core.preset("relu_like", cap) for cap in CAPS]
-        got = fitter._fit_targets(CAPPED_RELU.grid, np.tile(CAPPED_RELU.values, (3, 1)), inits,
-                                  [2, 2, 2], list(CAPS), budget=2500, restarts=3)
-        assert got == capped_fits
 
     def test_singular_and_non_finite_rows_leave_the_others_intact(self):
         # the identity preset has zero a, c and p Jacobian columns (alpha = beta = 0),
@@ -236,7 +215,7 @@ class TestBatchInvariance:
         values = np.array([0.5 * grid + 0.25, np.full(201, np.nan), sigmoid.values])
         inits = [core.preset("identity"), core.preset("identity"), core.preset("sigmoid_like")]
         line, broken, fitted = fitter._fit_targets(grid, values, inits, [0, 0, 4],
-                                                   [None] * 3, budget=300, restarts=1)
+                                                   budget=300, restarts=1)
         assert line.l_inf_error < 1e-12
         assert math.isinf(broken.l_inf_error) and not broken.converged
         assert fitted == fit(sigmoid, core.preset("sigmoid_like"), budget=300, seed=4,
