@@ -362,9 +362,25 @@ def _input_batch(model: MLPModel, batch: np.ndarray,
     return _check_width(model, np.asarray(batch, dtype=np.float64))
 
 
+# Rows of ``w`` per partial product in :func:`_dense`.  OpenBLAS sums a long
+# inner dimension in pieces whose bounds depend on its thread count, so the
+# whole 784-row first-layer product gave other bits at 1 and 2 threads.
+# Blocks of 384 and 256 gave the same bits at both for every row count from
+# 1 to 1000; 392 did not, though 448 and 512 did, so no block above 384 is
+# relied on (numpy 2.4.6, OpenBLAS 0.3.31; README).
+_DENSE_BLOCK = 384
+
+
 def _dense(layer: DenseLayer, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x @ w + b``, written into ``out`` when given: the dense step of every walk."""
-    y = np.matmul(x, layer.w, out=out)
+    """``x @ w + b``, written into ``out`` when given: the dense step of every walk.
+
+    The product is summed over blocks of ``_DENSE_BLOCK`` rows of ``w`` in
+    order, so its bits do not depend on the BLAS thread count.
+    """
+    w = layer.w
+    y = np.matmul(x[:, :_DENSE_BLOCK], w[:_DENSE_BLOCK], out=out)
+    for k in range(_DENSE_BLOCK, w.shape[0], _DENSE_BLOCK):
+        y += x[:, k:k + _DENSE_BLOCK] @ w[k:k + _DENSE_BLOCK]
     y += layer.b
     return y
 
@@ -458,8 +474,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 # optimizer
 # ---------------------------------------------------------------------------
 
-# Elements per AdamW pass: six 256 KiB vectors (parameters, gradient, both
-# moments, two scratch) stay in a core's L2 cache between the passes.
+# Elements per AdamW pass: five 256 KiB vectors (parameters, gradient, both
+# moments, one scratch) stay in a core's L2 cache between the passes.
 _ADAM_CHUNK = 1 << 15
 # AdamW's published defaults (Loshchilov & Hutter, arXiv:1711.05101)
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -467,15 +483,19 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """AdamW moments laid out like the arena, plus two chunk-sized scratch vectors."""
+    """AdamW's rescaled moments laid out like the arena, plus one chunk-sized scratch vector.
+
+    ``m`` holds the first moment divided by ``1 - beta1`` and ``v`` the second
+    divided by ``1 - beta2``, so each step adds the gradient and its square
+    to them unscaled (see :func:`adamw_step`).
+    """
 
     m: np.ndarray
     v: np.ndarray
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = min(_ADAM_CHUNK, self.m.size)
-        self.scratch = (np.empty(n), np.empty(n))
+        self.scratch = np.empty(min(_ADAM_CHUNK, self.m.size))
 
     @classmethod
     def init_like(cls, arena: Arena) -> "AdamState":
@@ -490,6 +510,13 @@ def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
     parameter directly (never routed through the moments) and only touches
     slots flagged for decay: dense weights; biases and gate raw parameters
     are exempt.  Nothing is updated if any gradient is NaN/Inf.
+
+    With the rescaled moments ``m = m_t / (1 - b1)`` and ``v = v_t / (1 - b2)``
+    of :class:`AdamState`, the published step
+    ``lr * (m_t / bc1) / (sqrt(v_t / bc2) + eps)`` is
+    ``lr * (1 - b1) * r / bc1 * m / (sqrt(v) + eps * r)`` with
+    ``r = sqrt(bc2 / (1 - b2))``: the same in real arithmetic, in 11 passes
+    over a chunk with one divide and one square root.
     """
     if step < 1:
         raise ValueError("step count starts at 1")
@@ -505,6 +532,9 @@ def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
                     f"max|g|={np.max(np.abs(g))!r}")
     bc1 = 1.0 - _BETA1 ** step
     bc2 = 1.0 - _BETA2 ** step
+    r = math.sqrt(bc2 / (1.0 - _BETA2))
+    eps = _ADAM_EPS * r
+    step_size = lr * (1.0 - _BETA1) * r / bc1
     keep = 1.0 - lr * weight_decay
     n_decay = arena.n_decay
     for lo, hi, decay in ((0, n_decay, weight_decay > 0.0), (n_decay, arena.size, False)):
@@ -514,23 +544,19 @@ def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
             m = state.m[start:stop]
             v = state.v[start:stop]
             p = arena.values[start:stop]
-            s1, s2 = (s[:stop - start] for s in state.scratch)
+            s = state.scratch[:stop - start]
             m *= _BETA1
-            m += np.multiply(1.0 - _BETA1, g, out=s1)
+            m += g
+            np.multiply(g, g, out=s)
             v *= _BETA2
-            s1 = np.multiply(g, g, out=s1)
-            s1 *= 1.0 - _BETA2
-            v += s1
+            v += s
             if decay:
                 p *= keep
-            # lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            den = np.divide(v, bc2, out=s1)
-            np.sqrt(den, out=den)
-            den += _ADAM_EPS
-            upd = np.divide(m, bc1, out=s2)
-            upd *= lr
-            upd /= den
-            p -= upd
+            np.sqrt(v, out=s)
+            s += eps
+            np.divide(m, s, out=s)
+            s *= step_size
+            p -= s
     return state
 
 
