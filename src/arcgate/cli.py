@@ -39,6 +39,8 @@ def _parse_sigmas(text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed sigma list {text!r}: {exc}") from None
+    if not all(math.isfinite(v) and v >= 0.0 for v in values):
+        raise argparse.ArgumentTypeError(f"sigmas must be finite and >= 0, got {text!r}")
     return values
 
 
@@ -342,7 +344,7 @@ def _cmd_sweep(opts) -> int:
         if not opts["images"] or not opts["labels"]:
             raise ValueError("sweep without --full needs --images and --labels")
         x, y = idx.load_idx(opts["images"], opts["labels"])
-        report = experiments._sweep_report({Path(opts["model"]).stem: (model, None)}, x, y,
+        report = experiments._sweep_report({Path(opts["model"]).stem: model}, x, y,
                                            sigmas, opts["seed"], ("eval-only", opts["model"]))
         experiments.write_sweep_csv(report, out)
     print(f"sweep -> {out}", file=sys.stderr)

@@ -22,7 +22,9 @@ kernel never forms ``1 - u`` by subtraction and never exponentiates the
 raw odds ratio: the complement side of the transition is computed as
 ``arctan2(1, |z|)`` and the odds power as ``exp(-|p * log_odds|)``, which
 keeps every intermediate finite far beyond the ranges where a naive
-transcription overflows.
+transcription overflows.  The kernel's one record is :class:`GateTape`:
+:func:`batch_eval` writes the forward intermediates into a tape, and
+:func:`batch_vjp` reads them and works in that tape's scratch.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 __all__ = [
     "GATE_EPS",
     "ArcGateParams",
-    "GateBuffers",
     "GateEval",
     "GateGrad",
     "GateTape",
@@ -211,47 +212,29 @@ class GateGrad:
 # vectorized kernel
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GateTape:
-    """Forward intermediates kept for the backward pass.
+    """The arrays :func:`batch_eval` writes, and the ``x`` and ``eff`` of its last call.
 
-    ``eff`` is the 7-tuple of floats the tape was evaluated with, or the
-    ``(k, 7)`` matrix whose rows were broadcast over a 1-D ``x``; in that case
-    every other array is ``(k, x.size)``.  The transition value ``u`` is not
-    kept: no gradient reads it, and :func:`eval_u` and :func:`eval_F` derive
-    it from ``z``, ``theta`` and ``psmall`` (``theta/pi + 1/2`` where
-    ``z >= 0``, else ``psmall/pi``).  Nor is ``t = p * log_odds``: no
-    gradient reads it, so :func:`batch_eval` keeps it in ``scratch[1]``.
-    """
+    ``eff`` is the 7-tuple of floats, or the ``(k, 7)`` matrix whose rows
+    were broadcast over a 1-D ``x``; then every array is ``(k, x.size)``.
+    The backward pass reads ``x``, ``v`` and ``z = a * (x - c)`` clipped to
+    +-_Z_CAP, ``theta = arctan(|z|)``, ``psmall = arctan2(1, |z|) =
+    pi * min(u, 1 - u)``, ``log_odds = log(u / (1 - u))`` and
+    ``e = exp(-|p * log_odds|)``; ``f`` is the output.  No gradient reads
+    ``u`` or ``t = p * log_odds``, so neither is kept: :func:`eval_u` and
+    :func:`eval_F` derive ``u`` from ``z``, ``theta`` and ``psmall``, and
+    :func:`batch_eval` keeps ``t`` in ``scratch[1]``.
 
-    x: np.ndarray
-    z: np.ndarray            # a * (x - c), clipped to +-_Z_CAP
-    theta: np.ndarray        # arctan(|z|)
-    psmall: np.ndarray       # arctan2(1, |z|) = pi * min(u, 1 - u)
-    log_odds: np.ndarray     # log(u / (1 - u))
-    e: np.ndarray            # exp(-|p * log_odds|)
-    v: np.ndarray
-    f: np.ndarray
-    eff: tuple[float, float, float, float, float, float, float] | np.ndarray
-
-
-class GateBuffers:
-    """Caller-owned arrays that :func:`batch_eval` and :func:`batch_vjp` write into.
-
-    Without buffers every call allocates its outputs, so a caller may keep
-    any number of tapes alive.  A caller that holds one tape at a time can
-    pass the same buffers to every call and allocate nothing per call: each
-    ``batch_eval`` overwrites the previous tape and each ``batch_vjp`` the
-    previous results.
-
-    ``scratch``, when given, is four arrays of ``shape`` used in place of
-    fresh ones; other buffers may share them, as the gate layers of one
-    training step do, since each call uses scratch only while it runs.  A
-    fresh set is eleven arrays: the tape's seven and the four scratch.
+    ``scratch`` is four arrays of ``shape`` that :func:`batch_eval` and
+    :func:`batch_vjp` use only while they run, but for the ``d_x`` that
+    ``batch_vjp`` returns in one of them; tapes may share it, as the gate
+    layers of one training step do.  A fresh tape is eleven arrays, kept
+    while it lives.  A caller that holds one tape at a time passes it to
+    every call and allocates nothing per call.
     """
 
     _ARRAYS = ("z", "theta", "psmall", "log_odds", "e", "v", "f")
-    __slots__ = ("shape", "scratch", *_ARRAYS)
+    __slots__ = ("shape", "scratch", "x", "eff", *_ARRAYS)
 
     def __init__(self, shape: tuple[int, ...], scratch: Sequence[np.ndarray] | None = None):
         self.shape = tuple(shape)
@@ -260,32 +243,33 @@ class GateBuffers:
         elif len(scratch) != 4 or any(s.shape != self.shape for s in scratch):
             raise ValueError(f"scratch must be four arrays of shape {self.shape}")
         self.scratch = tuple(scratch)
+        self.x = self.eff = None
         for name in self._ARRAYS:
             setattr(self, name, np.empty(self.shape))
 
     @classmethod
-    def value_only(cls, shape: tuple[int, ...]) -> "GateBuffers":
+    def value_only(cls, shape: tuple[int, ...]) -> "GateTape":
         """Four arrays shared among the slots: enough for ``f`` alone.
 
         A slot shares its array only with slots that :func:`batch_eval` first
         writes after that slot's last read (see the liveness note there), so
-        ``f`` comes out exactly as with separate arrays and every other tape
-        array is overwritten.  These buffers must not reach :func:`batch_vjp`:
-        ``_partials`` unpacks four scratch arrays and these hold two.
+        ``f`` comes out exactly as with separate arrays and every other array
+        is overwritten.  :func:`batch_vjp` refuses such a tape: ``_partials``
+        unpacks four scratch arrays and it holds two.
         """
-        buffers = object.__new__(cls)
-        buffers.shape = tuple(shape)
-        a, b, c, d = (np.empty(buffers.shape) for _ in range(4))
-        buffers.z, buffers.f = a, a
-        buffers.log_odds, buffers.scratch = b, (b, c)
-        buffers.theta, buffers.v = c, c
-        buffers.psmall, buffers.e = d, d
-        return buffers
+        tape = object.__new__(cls)
+        tape.shape, tape.x, tape.eff = tuple(shape), None, None
+        a, b, c, d = (np.empty(tape.shape) for _ in range(4))
+        tape.z, tape.f = a, a
+        tape.log_odds, tape.scratch = b, (b, c)
+        tape.theta, tape.v = c, c
+        tape.psmall, tape.e = d, d
+        return tape
 
-    def rows(self, k: int) -> "GateBuffers":
-        """Views of the first ``k`` rows, for a ``(k, n)`` batch that has shrunk."""
-        view = object.__new__(GateBuffers)
-        view.shape = (k, *self.shape[1:])
+    def rows(self, k: int) -> "GateTape":
+        """Views of the first ``k`` rows, ``x`` and ``eff`` kept, for a ``(k, n)`` batch."""
+        view = object.__new__(GateTape)
+        view.shape, view.x, view.eff = (k, *self.shape[1:]), self.x, self.eff
         for name in self._ARRAYS:
             setattr(view, name, getattr(self, name)[:k])
         view.scratch = tuple(s[:k] for s in self.scratch)
@@ -313,23 +297,22 @@ def _operands(x, eff) -> tuple[np.ndarray, tuple | np.ndarray, tuple[int, ...]]:
     return x, tuple(map(float, eff)), x.shape
 
 
-def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTape:
+def batch_eval(x: np.ndarray, eff, tape: GateTape | None = None) -> GateTape:
     """Evaluate the gate elementwise over ``x`` for effective parameters ``eff``.
 
     ``eff`` is (a, c, p, alpha, beta, gamma, delta) with a, p already
     positive-mapped, or a ``(k, 7)`` array of such rows: each row is
     evaluated over the whole 1-D ``x``, giving ``(k, x.size)`` tape arrays.
-    ``buffers`` of that shape receive the tape instead of fresh arrays.
-    Returns the tape consumed by :func:`batch_vjp`.
+    A ``tape`` of that shape is overwritten, else a fresh one is made;
+    returns it, for :func:`batch_vjp`.
     """
     x, eff, shape = _operands(x, eff)
     a, c, p, alpha, beta, gamma, delta = _columns(eff)
-    if buffers is None:
-        buffers = GateBuffers(shape)
-    elif buffers.shape != shape:
-        raise ValueError(f"buffers of shape {buffers.shape} cannot hold a {shape} tape")
-    b = buffers
-    # Liveness, which GateBuffers.value_only relies on.  Last reads, in order:
+    if tape is None:
+        tape = GateTape(shape)
+    elif tape.shape != shape:
+        raise ValueError(f"a tape of shape {tape.shape} cannot hold a {shape} evaluation")
+    # Liveness, which GateTape.value_only relies on.  Last reads, in order:
     # scratch[0] (|z|) at psmall; theta at log_odds = 2 theta; psmall at
     # log_odds /= psmall; z and scratch[1] at the sign step; log_odds at t;
     # e at side (scratch[0] again); t at v; side at v -= side; v at f *= v.
@@ -338,53 +321,53 @@ def batch_eval(x: np.ndarray, eff, buffers: GateBuffers | None = None) -> GateTa
     # scratch[1], first written after the sign step's last read of it (in
     # value_only also theta's, read earlier, and v's, written over t in place).
     with np.errstate(over="ignore", under="ignore"):
-        z = np.subtract(x, c, out=b.z)
+        z = np.subtract(x, c, out=tape.z)
         z *= a
         _clip(z, -_Z_CAP, _Z_CAP)
-        az = np.abs(z, out=b.scratch[0])
-        theta = np.arctan(az, out=b.theta)
-        psmall = np.arctan2(1.0, az, out=b.psmall)
+        az = np.abs(z, out=tape.scratch[0])
+        theta = np.arctan(az, out=tape.theta)
+        psmall = np.arctan2(1.0, az, out=tape.psmall)
         # Branches are selected arithmetically, exactly: a sign factor for
         # log_odds and a distance of finite, non-negative terms for v.
         # np.where and masked ufuncs cost ten simple passes when signs are mixed.
-        log_odds = np.multiply(2.0, theta, out=b.log_odds)
+        log_odds = np.multiply(2.0, theta, out=tape.log_odds)
         log_odds /= psmall
         np.log1p(log_odds, out=log_odds)
-        log_odds *= np.sign(z, out=b.scratch[1])              # odd in z; 0 at 0
-        t = np.multiply(p, log_odds, out=b.scratch[1])
-        e = np.abs(t, out=b.e)
+        log_odds *= np.sign(z, out=tape.scratch[1])           # odd in z; 0 at 0
+        t = np.multiply(p, log_odds, out=tape.scratch[1])
+        e = np.abs(t, out=tape.e)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        side = np.arctan(e, out=b.scratch[0])
+        side = np.arctan(e, out=tape.scratch[0])
         side /= _HALF_PI
         # heaviside(t, 1) as a comparison; a NaN t steps to 0, but side keeps v NaN
-        v = np.greater_equal(t, 0.0, out=b.v)
+        v = np.greater_equal(t, 0.0, out=tape.v)
         v -= side
         np.abs(v, out=v)
         _clip(v, GATE_EPS, 1.0 - GATE_EPS)
-        f = np.multiply(alpha, x, out=b.f)
+        f = np.multiply(alpha, x, out=tape.f)
         f += beta
         f *= v
-        linear = np.multiply(gamma, x, out=b.scratch[0])
+        linear = np.multiply(gamma, x, out=tape.scratch[0])
         linear += delta
         f += linear
-    return GateTape(x=x, z=z, theta=theta, psmall=psmall,
-                    log_odds=log_odds, e=e, v=v, f=f, eff=eff)
+    tape.x, tape.eff = x, eff
+    return tape
 
 
 def batch_value(x: np.ndarray, eff) -> np.ndarray:
     """``batch_eval(x, eff).f`` bit for bit, from four arrays of its shape instead of eleven."""
     x, eff, shape = _operands(x, eff)
-    return batch_eval(x, eff, GateBuffers.value_only(shape)).f
+    return batch_eval(x, eff, GateTape.value_only(shape)).f
 
 
-def _partials(tape: GateTape, scratch: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Elementwise partials of F w.r.t. (x, a, c, p), written into the four ``scratch`` arrays.
+def _partials(tape: GateTape) -> tuple[np.ndarray, ...]:
+    """Elementwise partials of F w.r.t. (x, a, c, p), written into the tape's four scratch arrays.
 
     The affine four are closed-form.
     """
     a, c, p, alpha, beta, gamma, _delta = _columns(tape.eff)
-    s0, s1, s2, s3 = scratch
+    s0, s1, s2, s3 = tape.scratch
     with np.errstate(over="ignore", under="ignore"):
         dvdt = np.multiply(tape.e, tape.e, out=s0)
         dvdt += 1.0
@@ -413,8 +396,7 @@ def _partials(tape: GateTape, scratch: Sequence[np.ndarray]) -> tuple[np.ndarray
     return d_x, d_a, d_c, d_p
 
 
-def batch_vjp(tape: GateTape, cotangent: np.ndarray,
-              buffers: GateBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
+def batch_vjp(tape: GateTape, cotangent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backward through one gate application.
 
     Returns ``(d_x, d_eff)`` where ``d_x`` matches the shape of the tape and
@@ -422,18 +404,14 @@ def batch_vjp(tape: GateTape, cotangent: np.ndarray,
     beta, gamma, delta): one 7-vector summed over all elements, or for a
     ``(k, 7)`` tape a ``(k, 7)`` matrix summed along each row.
     Effective-parameter gradients; the positive-map chain factor is the
-    caller's job.  ``buffers`` receive ``d_x`` and the temporaries instead
-    of fresh arrays.
+    caller's job.  ``d_x`` and the temporaries are written into the tape's
+    scratch, so ``d_x`` lives until the tape's scratch is next written.
     """
     g = np.asarray(cotangent, dtype=np.float64)
-    if buffers is None:
-        scratch = tuple(np.empty(tape.f.shape) for _ in range(4))
-    else:
-        scratch = buffers.scratch
     rows = isinstance(tape.eff, np.ndarray)
     d_eff = np.empty(tape.eff.shape if rows else 7)
     axis = -1 if rows else None
-    d_x, d_a, d_c, d_p = _partials(tape, scratch)
+    d_x, d_a, d_c, d_p = _partials(tape)
     for j, partial in ((0, d_a), (1, d_c), (2, d_p)):
         np.add.reduce(np.multiply(g, partial, out=partial), axis=axis, out=d_eff[..., j])
     gx = np.multiply(g, tape.x, out=d_a)
@@ -508,7 +486,7 @@ def eval_F_batch(xs: Sequence[float], params: ArcGateParams) -> np.ndarray:
 def grad(x: float, params: ArcGateParams) -> GateGrad:
     """F and all eight partials w.r.t. the input and the effective parameters."""
     tape = _scalar_tape(x, params.effective())
-    d_x, d_a, d_c, d_p = _partials(tape, tuple(np.empty(1) for _ in range(4)))
+    d_x, d_a, d_c, d_p = _partials(tape)
     xv = float(tape.x[0]) * float(tape.v[0])
     return GateGrad(
         f=float(tape.f[0]),

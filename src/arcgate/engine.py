@@ -98,10 +98,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
@@ -283,15 +283,14 @@ class StepBuffers:
     """Arrays one training step writes into, for batches of ``n_rows`` rows.
 
     ``x`` receives the float input batch when it comes as
-    :class:`idx.PixelRows`.  Per layer index: ``gates[i]`` receives gate
-    layer i's tape, ``out[i]`` dense layer i's output and ``d_in[i]`` its
-    input gradient (never formed for layer 0).  The gate layers share one
-    set of four scratch vectors, sized for the widest of them, since each
-    gate call uses scratch only while it runs (see
-    :class:`core.GateBuffers`).  ``grad`` is the gradient arena, laid out
-    like ``model.arena``.  Entries that do not apply to a layer are None.
-    Each step overwrites the previous one's input, tapes, outputs and
-    gradients.
+    :class:`idx.PixelRows`.  Per layer index: ``gates[i]`` is gate layer
+    i's tape, ``out[i]`` dense layer i's output and ``d_in[i]`` its input
+    gradient (never formed for layer 0).  The gate tapes share one set of
+    four scratch vectors, sized for the widest of them, since each gate
+    call uses scratch only while it runs (see :class:`core.GateTape`).
+    ``grad`` is the gradient arena, laid out like ``model.arena``.  Entries
+    that do not apply to a layer are None.  Each step overwrites the
+    previous one's input, tapes, outputs and gradients.
     """
 
     def __init__(self, model: MLPModel, n_rows: int):
@@ -302,7 +301,7 @@ class StepBuffers:
                  if isinstance(layer, ActivationLayer) and layer.baseline is None}
         widest = max((model.layers[i - 1].w.shape[1] for i in gated), default=0)
         scratch = [np.empty(n_rows * widest) for _ in range(4)]
-        self.gates: list[core.GateBuffers | None] = []
+        self.gates: list[GateTape | None] = []
         self.out: list[np.ndarray | None] = []
         self.d_in: list[np.ndarray | None] = []
         width = model.in_dim
@@ -310,7 +309,7 @@ class StepBuffers:
             dense = isinstance(layer, DenseLayer)
             shape = (n_rows, width)
             views = [s[:n_rows * width].reshape(shape) for s in scratch] if i in gated else None
-            self.gates.append(None if views is None else core.GateBuffers(shape, views))
+            self.gates.append(None if views is None else GateTape(shape, views))
             self.d_in.append(np.empty((n_rows, width)) if dense and i > 0 else None)
             if dense:
                 width = layer.w.shape[1]
@@ -424,10 +423,9 @@ def backward(model: MLPModel, cache: list, grad_logits: np.ndarray,
     if len(cache) != len(model.layers):
         raise ValueError("cache does not match model (stale or from another model)")
     if buffers is None:
-        none = [None] * len(model.layers)
-        grad, d_in, gates = np.empty(model.arena.size), none, none
+        grad, d_in = np.empty(model.arena.size), [None] * len(model.layers)
     else:
-        grad, d_in, gates = buffers.grad, buffers.d_in, buffers.gates
+        grad, d_in = buffers.grad, buffers.d_in
     grads = model.arena.views(grad)
     g = np.asarray(grad_logits, dtype=np.float64)
     written: set[int] = set()
@@ -445,7 +443,7 @@ def backward(model: MLPModel, cache: list, grad_logits: np.ndarray,
         else:
             if not isinstance(entry, GateTape):
                 raise ValueError("cache does not match model (stale or from another model)")
-            g, d_eff = core.batch_vjp(entry, g, gates[i])
+            g, d_eff = core.batch_vjp(entry, g)
             if slot is not None:
                 d_eff[0] *= core.positive_map_grad(layer.raw[0])
                 d_eff[2] *= core.positive_map_grad(layer.raw[2])
@@ -655,16 +653,19 @@ def _logits(model: MLPModel, batch: np.ndarray) -> np.ndarray:
     Each layer's output replaces its input as soon as it exists, and gate
     layers compute only their values (:func:`core.batch_value`), so at most
     a gate's input and its four arrays, or a dense layer's input and output,
-    are alive at once.
+    are alive at once.  Overflow and invalid operations give their IEEE
+    results without a warning, as in the gate kernel: a model that
+    :func:`load_model` accepts may hold any finite weights.
     """
     x = _input_batch(model, batch)
-    for layer in model.layers:
-        if isinstance(layer, DenseLayer):
-            x = _dense(layer, x)
-        elif layer.baseline is not None:
-            x = zoo.act_batch(layer.baseline, x)
-        else:
-            x = core.batch_value(x, layer.effective_params())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in model.layers:
+            if isinstance(layer, DenseLayer):
+                x = _dense(layer, x)
+            elif layer.baseline is not None:
+                x = zoo.act_batch(layer.baseline, x)
+            else:
+                x = core.batch_value(x, layer.effective_params())
     return x
 
 
@@ -713,8 +714,7 @@ def _correct_counts(models: Sequence[MLPModel], x, y, noise_sigma: float,
     if y.shape != x.shape[:1]:
         raise ValueError(f"labels of shape {y.shape} do not match inputs of shape {x.shape}: "
                          f"expected one label per row, shape {x.shape[:1]}")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    _check_sigma(noise_sigma)
     rng = np.random.default_rng(seed) if noise_sigma > 0 else None
     counts = [0] * len(models)
     for rows in _row_blocks(x.shape[0]):
@@ -729,13 +729,17 @@ def _correct_counts(models: Sequence[MLPModel], x, y, noise_sigma: float,
     return counts
 
 
+def _check_sigma(noise_sigma: float) -> None:
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
+
+
 def add_noise(x: np.ndarray, noise_sigma: float, seed: int) -> np.ndarray:
     """``x`` plus Gaussian noise of deviation ``noise_sigma`` drawn from ``seed``.
 
     ``noise_sigma=0`` returns ``x`` itself and touches no generator.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    _check_sigma(noise_sigma)
     if noise_sigma == 0:
         return x
     noisy = np.random.default_rng(seed).normal(0.0, noise_sigma, size=x.shape)

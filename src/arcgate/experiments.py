@@ -176,17 +176,17 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
 
     Both models share the seed, the architecture, and per-sigma noise draws;
     only the activation differs.  Each sigma's noise is drawn once and both
-    models are evaluated on it; sigma 0 is the clean test accuracy that
-    training recorded.  If one training run diverges the report is returned
-    partial, with whatever rows were completed.
+    models are evaluated on it; sigma 0 draws none, so it gives the clean
+    test accuracy that training recorded.  If one training run diverges the
+    report is returned partial, with whatever rows were completed.
     """
     sigmas = [float(s) for s in sigmas]
-    if any(s < 0 for s in sigmas) or sorted(sigmas) != sigmas:
-        raise ValueError("sigmas must be sorted and non-negative")
+    if not all(math.isfinite(s) and s >= 0 for s in sigmas) or sorted(sigmas) != sigmas:
+        raise ValueError(f"sigmas must be sorted, finite and >= 0, got {sigmas}")
     config = config or TrainConfig()
     spec, data_digest = _spec_for(dataset), _dataset_digest(dataset)
 
-    models: dict[str, tuple[MLPModel, float]] = {}   # label -> (model, clean test accuracy)
+    models: dict[str, MLPModel] = {}
     partial = False
     for label, cfg in (("arcgate", replace(config, seed=seed, **_ARCGATE)),
                        ("relu", replace(config, seed=seed, init_strategy="relu_baseline"))):
@@ -194,14 +194,13 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
         if model is None:
             partial = True
         else:
-            models[label] = model, summary.test_acc
+            models[label] = model
     return _sweep_report(models, dataset[2], dataset[3], sigmas, seed, (spec, config), partial)
 
 
-def _sweep_report(models: dict[str, tuple[MLPModel, float | None]], x, y,
-                  sigmas: list[float], seed: int, key: tuple,
-                  partial: bool = False) -> SweepReport:
-    """Evaluate each ``label -> (model, clean accuracy or None)`` on one noise draw per sigma.
+def _sweep_report(models: dict[str, MLPModel], x, y, sigmas: list[float], seed: int,
+                  key: tuple, partial: bool = False) -> SweepReport:
+    """Evaluate each ``label -> model`` on one noise draw per sigma.
 
     Sigma ``i`` draws from seed ``seed * 1000 + i``, one row block at a time,
     and every model is run on each noisy block, so no noisy copy of ``x`` is
@@ -210,14 +209,8 @@ def _sweep_report(models: dict[str, tuple[MLPModel, float | None]], x, y,
     noise_seeds = {s: seed * 1000 + i for i, s in enumerate(sigmas)}
     rows: list[SweepRow] = []
     for s in sigmas:
-        accuracy = {label: clean_acc for label, (_, clean_acc) in models.items()
-                    if s == 0 and clean_acc is not None}
-        pending = [label for label in models if label not in accuracy]
-        if pending:
-            counts = _correct_counts([models[label][0] for label in pending], x, y, s,
-                                     noise_seeds[s])
-            accuracy.update((label, c / len(y)) for label, c in zip(pending, counts))
-        rows.extend(SweepRow(label, s, accuracy[label]) for label in models)
+        counts = _correct_counts(list(models.values()), x, y, s, noise_seeds[s])
+        rows.extend(SweepRow(label, s, c / len(y)) for label, c in zip(models, counts))
     gains = []
     if len(models) == 2:
         acc = {(r.model, r.sigma): r.accuracy for r in rows}

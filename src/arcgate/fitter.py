@@ -195,7 +195,7 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
     """
     k_all, n = values.shape
     outcomes: list = [None] * k_all
-    all_buffers = core.GateBuffers((k_all, n))
+    all_rows = core.GateTape((k_all, n))
     # d(residual)/d(raw) of the rows that moved, in its first rows; the gamma and delta
     # columns are x and 1
     jac = np.zeros((k_all, 7, n))
@@ -208,11 +208,11 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
     lam = np.full(k_all, 10.0 * _LAMBDA_INIT)   # the start's acceptance divides it by 10
     jtj = np.zeros((k_all, 7, 7))
     jtr = np.full((k_all, 7), math.nan)        # NaN until a row's start is accepted
-    buffers = all_buffers
+    tape = all_rows
     for it in range(1, budget + 1):
-        if buffers.shape[0] != ids.size:
-            buffers = all_buffers.rows(ids.size)
-        tape = core.batch_eval(grid, _effective_rows(trial), buffers)
+        if tape.shape[0] != ids.size:
+            tape = all_rows.rows(ids.size)
+        core.batch_eval(grid, _effective_rows(trial), tape)
         trial_resid = tape.f - values
         trial_loss = np.sum(trial_resid * trial_resid, axis=-1) / n
         accept = np.isfinite(trial_loss) & (trial_loss < loss)
@@ -220,17 +220,16 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
         moved = np.flatnonzero(accept)
         if moved.size:
             m = moved.size
-            if m < ids.size:
-                tape = _tape_rows(tape, moved)
-            _, d_a, d_c, d_p = core._partials(tape, [s[:m] for s in buffers.scratch])
+            view = tape if m == ids.size else _tape_rows(tape, moved)
+            _, d_a, d_c, d_p = core._partials(view)
             chain = np.array([[core.positive_map_grad(a), core.positive_map_grad(p)]
                               for a, p in trial[moved][:, [0, 2]].tolist()])
             jm = jac[:m]
             jm[:, 0] = d_a * chain[:, :1]
             jm[:, 1] = d_c
             jm[:, 2] = d_p * chain[:, 1:]
-            jm[:, 3] = grid * tape.v
-            jm[:, 4] = tape.v
+            jm[:, 3] = grid * view.v
+            jm[:, 4] = view.v
             jtr[moved] = (jm @ trial_resid[moved][:, :, None])[:, :, 0]
             jtj[moved] = jm @ jm.transpose(0, 2, 1)
         raw[accept], loss[accept] = trial[accept], trial_loss[accept]
@@ -262,15 +261,13 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
 def _tape_rows(tape: core.GateTape, rows: np.ndarray) -> core.GateTape:
     """The tape of ``rows`` alone, moved into the first rows of its own arrays.
 
-    Only the arrays :func:`core._partials` reads are moved; ``f`` is left out.
+    Only the arrays :func:`core._partials` reads are moved; the view's ``f`` is stale.
     """
-    m = rows.size
-    moved = {}
+    view = tape.rows(rows.size)
     for name in ("z", "theta", "psmall", "log_odds", "e", "v"):
-        array = getattr(tape, name)
-        array[:m] = array[rows]
-        moved[name] = array[:m]
-    return core.GateTape(x=tape.x, f=None, eff=tape.eff[rows], **moved)
+        getattr(view, name)[...] = getattr(tape, name)[rows]
+    view.eff = tape.eff[rows]
+    return view
 
 
 #: Classic targets in table order with the preset each fit starts from.

@@ -340,6 +340,34 @@ def test_malformed_sigma_list_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("sigmas", ["0,0.1,nan", "0,inf", "-inf,0", "-0.1,0.2"])
+def test_a_non_finite_or_negative_sigma_is_a_usage_error(sigmas, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--model", tmp_path / "m.agm", f"--sigmas={sigmas}",
+                "--images", "i", "--labels", "l", "--out", tmp_path / "s.csv")
+    assert exc.value.code == 2
+    assert f"sigmas must be finite and >= 0, got '{sigmas}'" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "nan", "learning_rate must be finite and > 0"),
+    ("--lr", "inf", "learning_rate must be finite and > 0"),
+    ("--weight-decay", "inf", "weight_decay must be finite and >= 0"),
+    ("--weight-decay", "nan", "weight_decay must be finite and >= 0")])
+def test_train_with_a_non_finite_step_size_fails_with_a_message(flag, value, message, tmp_path,
+                                                                 idx_files, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "train", None)             # rejected before any training
+    assert run_cli("train",
+                   "--images", idx_files["train_images"],
+                   "--labels", idx_files["train_labels"],
+                   "--test-images", idx_files["test_images"],
+                   "--test-labels", idx_files["test_labels"],
+                   flag, value, "--out", tmp_path / "m.agm") == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "m.agm").exists()
+
+
 def test_train_with_zero_epochs_fails_with_a_message(tmp_path, idx_files, capsys):
     assert run_cli("train",
                    "--images", idx_files["train_images"],

@@ -242,16 +242,17 @@ class TestBatchRows:
 
     def test_buffers_match_fresh_arrays(self):
         grid, eff, cot = self.rows_and_cotangent()
-        buffers = core.GateBuffers((len(eff), grid.size))
+        whole = core.GateTape((len(eff), grid.size))
         for k in (len(eff), 2):
             fresh = core.batch_eval(grid, eff[:k])
             fresh_vjp = core.batch_vjp(fresh, cot[:k])
-            rows = buffers.rows(k)
+            rows = whole.rows(k)
             tape = core.batch_eval(grid, eff[:k], rows)
-            assert tape.f is rows.f
+            assert tape is rows and tape.f.base is whole.f
             for name in self.FIELDS:
                 assert np.array_equal(getattr(tape, name), getattr(fresh, name)), name
-            d_x, d_eff = core.batch_vjp(tape, cot[:k], rows)
+            d_x, d_eff = core.batch_vjp(tape, cot[:k])
+            assert d_x.base is whole.scratch[0]
             assert np.array_equal(d_x, fresh_vjp[0]) and np.array_equal(d_eff, fresh_vjp[1])
 
     def test_buffers_sharing_scratch_match_fresh_arrays(self):
@@ -259,28 +260,28 @@ class TestBatchRows:
         grid, eff, cot = self.rows_and_cotangent()
         scratch = [np.empty((len(eff), grid.size)) for _ in range(4)]
         effs = (eff, eff[::-1])
-        layers = [core.GateBuffers(scratch[0].shape, scratch) for _ in effs]
+        layers = [core.GateTape(scratch[0].shape, scratch) for _ in effs]
         tapes = []
-        for e, buffers in zip(effs, layers):
-            tapes.append(core.batch_eval(grid, e, buffers))
-        for e, buffers, tape in reversed(list(zip(effs, layers, tapes))):
+        for e, layer in zip(effs, layers):
+            tapes.append(core.batch_eval(grid, e, layer))
+        for e, tape in reversed(list(zip(effs, tapes))):
             fresh = core.batch_eval(grid, e)
             for name in self.FIELDS:
                 assert np.array_equal(getattr(tape, name), getattr(fresh, name)), name
-            d_x, d_eff = core.batch_vjp(tape, cot, buffers)
+            d_x, d_eff = core.batch_vjp(tape, cot)
             want_x, want_eff = core.batch_vjp(fresh, cot)
             assert np.array_equal(d_x, want_x) and np.array_equal(d_eff, want_eff)
         with pytest.raises(ValueError, match="four arrays"):
-            core.GateBuffers(scratch[0].shape, scratch[:3])
+            core.GateTape(scratch[0].shape, scratch[:3])
         with pytest.raises(ValueError, match="four arrays"):
-            core.GateBuffers((len(eff), grid.size - 1), scratch)
+            core.GateTape((len(eff), grid.size - 1), scratch)
 
     def test_rejects_bad_shapes(self):
         grid, eff, _ = self.rows_and_cotangent()
         with pytest.raises(ValueError, match="1-D grid"):
             core.batch_eval(grid.reshape(7, 43), eff)
-        with pytest.raises(ValueError, match="buffers"):
-            core.batch_eval(grid, eff, core.GateBuffers((2, grid.size)))
+        with pytest.raises(ValueError, match="tape of shape"):
+            core.batch_eval(grid, eff, core.GateTape((2, grid.size)))
 
 
 class TestBatchValue:
@@ -321,9 +322,9 @@ class TestBatchValue:
             assert got.tobytes() == core.batch_eval(x, tuple(row)).f.tobytes()
 
     def test_value_only_buffers_share_four_arrays(self):
-        buffers = core.GateBuffers.value_only((3, 5))
-        arrays = {id(getattr(buffers, name)) for name in core.GateBuffers._ARRAYS}
-        assert len(arrays | {id(s) for s in buffers.scratch}) == 4
+        tape = core.GateTape.value_only((3, 5))
+        arrays = {id(getattr(tape, name)) for name in core.GateTape._ARRAYS}
+        assert len(arrays | {id(s) for s in tape.scratch}) == 4
 
     def test_a_fresh_tape_is_eleven_arrays(self):
         x = np.random.default_rng(3).normal(0.0, 2.0, (64, 256))
@@ -338,11 +339,26 @@ class TestBatchValue:
         # the tape's seven arrays and four scratch; 12.09 inputs when the tape kept t
         assert peak < 11.5 * x.nbytes, peak / x.nbytes
 
+    def test_vjp_works_in_the_tape_scratch(self):
+        x = np.random.default_rng(3).normal(0.0, 2.0, (64, 256))
+        tape = core.batch_eval(x, tuple(self.ROWS[0]))
+        cot = np.random.default_rng(4).normal(size=x.shape)
+        core.batch_vjp(tape, cot)                      # first-call allocations
+        tracemalloc.start()
+        try:
+            d_x, _ = core.batch_vjp(tape, cot)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # no array of the tape's shape; four when batch_vjp made its own scratch
+        assert peak < x.nbytes, peak / x.nbytes
+        assert d_x is tape.scratch[0]
+
     def test_value_only_buffers_refused_by_vjp(self):
-        buffers = core.GateBuffers.value_only(self.GRID.shape)
-        tape = core.batch_eval(self.GRID, tuple(self.ROWS[0]), buffers)
+        tape = core.batch_eval(self.GRID, tuple(self.ROWS[0]),
+                               core.GateTape.value_only(self.GRID.shape))
         with pytest.raises(ValueError):
-            core.batch_vjp(tape, np.ones_like(self.GRID), buffers)
+            core.batch_vjp(tape, np.ones_like(self.GRID))
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -414,8 +430,8 @@ class TestGateGradcheck:
         batch_eval, eval_F = core.batch_eval, core.eval_F
         batched, scalar = [], []
 
-        def recording_batch_eval(x, eff, buffers=None):
-            tape = batch_eval(x, eff, buffers)
+        def recording_batch_eval(x, eff, tape=None):
+            tape = batch_eval(x, eff, tape)
             batched.append(tape.f.ravel().copy())
             return tape
 

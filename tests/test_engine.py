@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -512,6 +513,20 @@ class TestTrain:
         with pytest.raises(ValueError, match="epochs must be >= 1"):
             TrainConfig(epochs=epochs)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("learning_rate", math.nan, "learning_rate must be finite and > 0"),
+        ("learning_rate", math.inf, "learning_rate must be finite and > 0"),
+        ("learning_rate", 0.0, "learning_rate must be finite and > 0"),
+        ("weight_decay", math.nan, "weight_decay must be finite and >= 0"),
+        ("weight_decay", math.inf, "weight_decay must be finite and >= 0"),
+        ("weight_decay", -1e-3, "weight_decay must be finite and >= 0")])
+    def test_a_non_finite_or_out_of_range_step_size_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
+    def test_a_huge_finite_learning_rate_is_legal(self):
+        assert TrainConfig(learning_rate=1e12, weight_decay=1e12).learning_rate == 1e12
+
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
     def test_negative_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -630,6 +645,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(trained, (blob_dataset.x_test, blob_dataset.y_test), -0.1, 0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, trained, blob_dataset, sigma):
+        x, y = blob_dataset.x_test, blob_dataset.y_test
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            evaluate(trained, (x, y), sigma, 0)
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            engine.add_noise(x, sigma, 0)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows, y_shape", [(10, (1,)), (10, (10, 1)), (0, (1,)), (10, (3,))],
                              ids=["one_label", "column_labels", "empty_x_one_label",
@@ -678,7 +701,7 @@ class TestPredict:
                              init_strategy=strategy)
         spec = ModelSpec(784, (48, 24), 10)
         model, _ = train(spec, small_dataset, config)
-        models = {"arcgate": (model, None), "relu": (tiny_model(spec=spec), None)}
+        models = {"arcgate": model, "relu": tiny_model(spec=spec)}
 
         def reference(m, x, y, sigma, seed):
             logits, _ = forward(m, engine.add_noise(x, sigma, seed))
@@ -697,9 +720,20 @@ class TestPredict:
             assert [(r.model, r.sigma) for r in report.rows] == [
                 (label, s) for s in (0.0, 0.4) for label in models]
             for row in report.rows:
-                want = reference(models[row.model][0], x, y, row.sigma,
+                want = reference(models[row.model], x, y, row.sigma,
                                  report.noise_seeds[row.sigma])
                 assert row.accuracy == want, (n, row)
+
+    def test_overflowing_finite_weights_give_labels_without_a_warning(self):
+        # finite weights that load_model accepts; the second dense product
+        # overflows, to +inf in the third logit
+        model = build_model(ModelSpec(4, (8,), 3), TrainConfig(seed=0),
+                            np.random.default_rng(0))
+        model.layers[0].b[...] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = engine.predict(model, np.zeros((3, 4)))
+        assert labels.tolist() == [2, 2, 2]
 
     @pytest.mark.parametrize("n", [256, 1000])
     def test_row_blocks_match_the_whole_batch_on_the_desk_net(self, desk_dataset, n):

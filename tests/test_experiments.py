@@ -54,6 +54,12 @@ class TestNoiseSweep:
         with pytest.raises(ValueError):
             noise_sweep(small_dataset, sigmas=(-0.1, 0.5), config=FAST, seed=1)
 
+    @pytest.mark.parametrize("sigmas", [(0.0, 0.1, math.nan), (0.0, math.inf)])
+    def test_non_finite_sigmas_rejected(self, small_dataset, sigmas, monkeypatch):
+        monkeypatch.setattr(experiments, "train", None)     # rejected before any training
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            noise_sweep(small_dataset, sigmas=sigmas, config=FAST, seed=1)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_yields_partial_report(self):
         rng = np.random.default_rng(0)
