@@ -1,4 +1,4 @@
-"""Deterministic feed-forward engine: dense + adaptive-gate layers, AdamW, training.
+"""Deterministic feed-forward engine: dense, gate and fixed layers, AdamW, training.
 
 Everything is float64 numpy.  Given the same seed, initialization, batch
 order, and every update are reproducible bit-for-bit, which the experiment
@@ -30,8 +30,8 @@ from .zoo import ActivationKind
 
 __all__ = [
     "GRANULARITIES", "INIT_STRATEGIES",
-    "AdamState", "ActivationLayer", "Arena", "DenseLayer", "MLPModel", "ModelSpec",
-    "ModelFormatError", "NonFiniteGradientError", "Slot", "StepBuffers",
+    "AdamState", "Arena", "DenseLayer", "FixedActivation", "GateLayer", "MLPModel",
+    "ModelSpec", "ModelFormatError", "NonFiniteGradientError", "Slot", "StepBuffers",
     "TrainingDivergedError",
     "TraceRow", "TrainConfig",
     "adamw_step", "add_noise", "backward", "build_model", "evaluate", "forward",
@@ -41,18 +41,20 @@ __all__ = [
 
 GRANULARITIES = ("fixed", "global_shared", "layer_wise")
 # init strategy -> (the gates' starting preset, or None for a seeded random
-# draw per gate; the fixed activation that replaces every gate, or None)
+# draw per gate; the fixed activation that takes every gate's place, or None)
 _INITS = {
     "soft_relu": ("soft_relu_init", None),
     "identity": ("identity", None),
     "random": (None, None),
-    "relu_baseline": ("soft_relu_init", ActivationKind("relu")),
+    "relu_baseline": (None, ActivationKind("relu")),
 }
 INIT_STRATEGIES = tuple(_INITS)
 
 _BASELINE_CODES = {None: 0, "relu": 1, "leaky_relu": 2, "sigmoid": 3,
                    "tanh": 4, "silu": 5, "gelu": 6, "identity": 7}
 _BASELINE_TAGS = {v: k for k, v in _BASELINE_CODES.items()}
+# The gate vector in an AGM1 fixed-activation record, which never reads it
+_FIXED_RAW = core.preset("soft_relu_init").raw_vector().astype("<f8").tobytes()
 
 
 class TrainingDivergedError(RuntimeError):
@@ -112,73 +114,135 @@ class TrainConfig:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
 
 
+# Rows of ``w`` per partial product in :meth:`DenseLayer.value`.  OpenBLAS
+# sums a long inner dimension in pieces whose bounds depend on its thread
+# count, so the whole 784-row first-layer product gave other bits at 1 and 2
+# threads.  Blocks of 384 and 256 gave the same bits at both for every row
+# count from 1 to 1000; 392 did not, though 448 and 512 did, so no block
+# above 384 is relied on (numpy 2.4.6, OpenBLAS 0.3.31; README).
+_DENSE_BLOCK = 384
+
+
 class DenseLayer:
+    """``x @ w + b``; ``w`` is the only value that weight decay touches."""
+
     def __init__(self, w: np.ndarray, b: np.ndarray):
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise ValueError(f"inconsistent dense shapes {self.w.shape} / {self.b.shape}")
 
+    def value(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``x @ w + b`` into ``out`` when given, summed over blocks of ``_DENSE_BLOCK``
+        rows of ``w`` in order, so its bits do not depend on the BLAS thread count."""
+        w = self.w
+        y = np.matmul(x[:, :_DENSE_BLOCK], w[:_DENSE_BLOCK], out=out)
+        for k in range(_DENSE_BLOCK, w.shape[0], _DENSE_BLOCK):
+            y += x[:, k:k + _DENSE_BLOCK] @ w[k:k + _DENSE_BLOCK]
+        y += self.b
+        return y
 
-class ActivationLayer:
-    """Elementwise gate layer.
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None):
+        return self.value(x, out), x
 
-    ``raw`` holds (a_raw, c, p_raw, alpha, beta, gamma, delta).  In
-    global_shared mode every layer aliases one array; in fixed mode the values
-    never move.  ``baseline`` bypasses the gate entirely.
+    def backward(self, x: np.ndarray, g: np.ndarray, grads: list, d_in=None) -> np.ndarray:
+        """Writes ``w``'s and ``b``'s gradients; the input gradient only if given ``d_in``."""
+        np.matmul(x.T, g, out=grads[0])
+        np.add.reduce(g, axis=0, out=grads[1])
+        return None if d_in is None else np.matmul(g, self.w.T, out=d_in)
+
+
+class GateLayer:
+    """Elementwise ArcGate over ``raw``: (a_raw, c, p_raw, alpha, beta, gamma, delta).
+
+    In global_shared mode every layer aliases one array; in fixed mode the
+    values never move.
     """
 
-    def __init__(self, raw: np.ndarray, granularity: str = "layer_wise",
-                 baseline: ActivationKind | None = None):
+    def __init__(self, raw: np.ndarray, granularity: str = "layer_wise"):
         if granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
         self.raw = np.asarray(raw, dtype=np.float64)
         if self.raw.shape != (7,):
-            raise ValueError("activation layer needs a 7-vector of raw parameters")
+            raise ValueError("gate layer needs a 7-vector of raw parameters")
         self.granularity = granularity
-        self.baseline = baseline
-
-    @property
-    def params(self) -> ArcGateParams:
-        return ArcGateParams.from_raw_vector(self.raw)
 
     def effective_params(self) -> tuple[float, ...]:
-        return self.params.effective()
+        return ArcGateParams.from_raw_vector(self.raw).effective()
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return core.batch_value(x, self.effective_params())
+
+    def forward(self, x: np.ndarray, tape: GateTape | None = None):
+        tape = core.batch_eval(x, self.effective_params(), tape)
+        return tape.f, tape
+
+    def backward(self, tape: GateTape, g: np.ndarray, grads: list, d_in=None) -> np.ndarray:
+        """Adds a learned raw vector's gradient (positive-map chain applied) into ``grads``."""
+        if not isinstance(tape, GateTape):
+            raise ValueError("cache does not match model (stale or from another model)")
+        g, d_eff = core.batch_vjp(tape, g)
+        if grads:                      # a learned vector; fixed granularity has none
+            d_eff[0] *= core.positive_map_grad(self.raw[0])
+            d_eff[2] *= core.positive_map_grad(self.raw[2])
+            grads[0] += d_eff
+        return g
+
+
+@dataclass(frozen=True)
+class FixedActivation:
+    """A fixed :mod:`zoo` activation in a gate's place: no parameters."""
+
+    kind: ActivationKind
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return zoo.act_batch(self.kind, x)
+
+    def forward(self, x: np.ndarray, out=None):
+        return self.value(x), x
+
+    def backward(self, x: np.ndarray, g: np.ndarray, grads: list, d_in=None) -> np.ndarray:
+        return g * zoo.act_grad_batch(self.kind, x)
+
+
+Layer = DenseLayer | GateLayer | FixedActivation
 
 
 class MLPModel:
-    """Dense layers with optional gate layers between them.
+    """Dense layers with a gate layer or a fixed activation between them.
 
     The structure is checked when the model is built: at least one dense
-    layer, chained widths, every gate directly after a dense layer, and a
-    dense final layer.  All trainable values live in one :class:`Arena`;
-    each layer's ``w``, ``b`` and learnable ``raw`` are views into it, and
-    layers that shared one raw vector share one region.
+    layer, chained widths, every gate or fixed activation directly after a
+    dense layer, and a dense final layer.  All trainable values live in one
+    :class:`Arena`; each layer's ``w``, ``b`` and learnable ``raw`` are
+    views into it, and layers that shared one raw vector share one region.
+    Each layer type has the same steps: ``forward`` (its output and what its
+    ``backward`` needs), ``backward`` and ``value`` (inference).
     """
 
-    def __init__(self, layers: Sequence[DenseLayer | ActivationLayer]):
+    def __init__(self, layers: Sequence[Layer]):
         self.layers = list(layers)
         self._check_structure()
         slots: list[Slot] = []
-        self._slot_of: list = [None] * len(self.layers)   # layer index -> slot index(es)
+        self._slot_of: list[tuple[int, ...]] = [()] * len(self.layers)   # layer -> slot indices
         gate_slot: dict[int, int] = {}
         for i, layer in enumerate(self.layers):
             if isinstance(layer, DenseLayer):
                 self._slot_of[i] = (len(slots), len(slots) + 1)
                 slots.append(Slot(layer.w, True, f"dense{i}.w"))
                 slots.append(Slot(layer.b, False, f"dense{i}.b"))
-            elif layer.baseline is None and layer.granularity != "fixed":
+            elif isinstance(layer, GateLayer) and layer.granularity != "fixed":
                 if id(layer.raw) not in gate_slot:
                     gate_slot[id(layer.raw)] = len(slots)
                     slots.append(Slot(layer.raw, False, f"act{i}.raw"))
-                self._slot_of[i] = gate_slot[id(layer.raw)]
+                self._slot_of[i] = (gate_slot[id(layer.raw)],)
         self.arena = Arena(slots)
         views = [s.array for s in self.arena.slots]
-        for i, layer in enumerate(self.layers):
+        for layer, ks in zip(self.layers, self._slot_of):
             if isinstance(layer, DenseLayer):
-                layer.w, layer.b = (views[k] for k in self._slot_of[i])
-            elif self._slot_of[i] is not None:
-                layer.raw = views[self._slot_of[i]]
+                layer.w, layer.b = (views[k] for k in ks)
+            elif ks:
+                layer.raw, = (views[k] for k in ks)
 
     def _check_structure(self):
         if not any(isinstance(l, DenseLayer) for l in self.layers):
@@ -186,29 +250,28 @@ class MLPModel:
         if not isinstance(self.layers[-1], DenseLayer):
             raise ValueError("the final layer must be dense")
         width = None
-        previous = None
         for i, layer in enumerate(self.layers):
             if isinstance(layer, DenseLayer):
                 if width is not None and layer.w.shape[0] != width:
                     raise ValueError(f"dense input width {layer.w.shape[0]} does not "
                                      f"match previous output width {width}")
                 width = layer.w.shape[1]
-            elif not isinstance(previous, DenseLayer):
+            elif i == 0 or not isinstance(self.layers[i - 1], DenseLayer):
                 raise ValueError(f"gate layer {i} does not follow a dense layer")
-            previous = layer
 
     @property
     def in_dim(self) -> int:
         return self.layers[0].w.shape[0]
 
-    def activation_layers(self) -> list[ActivationLayer]:
-        return [l for l in self.layers if isinstance(l, ActivationLayer)]
+    def activation_layers(self) -> list[GateLayer]:
+        """The gate layers, by depth; a fixed activation is not one."""
+        return [l for l in self.layers if isinstance(l, GateLayer)]
 
     def learnable_activation_parameter_count(self) -> int:
         """Traversal count of gate parameters that receive gradients."""
-        gate_slots = {k for layer, k in zip(self.layers, self._slot_of)
-                      if isinstance(layer, ActivationLayer) and k is not None}
-        return sum(self.arena.slots[k].array.size for k in gate_slots)
+        learned = {id(l.raw): l.raw.size for l in self.activation_layers()
+                   if l.granularity != "fixed"}
+        return sum(learned.values())
 
 
 @dataclass
@@ -253,25 +316,24 @@ class Arena:
 
 def build_model(spec: ModelSpec, config: TrainConfig,
                 rng: np.random.Generator) -> MLPModel:
-    """Dense stack with a gate after each hidden layer, seeded Kaiming-uniform init."""
+    """Seeded Kaiming-uniform dense stack, a gate or fixed activation after each hidden layer."""
     widths = [spec.in_dim, *spec.hidden, spec.n_classes]
-    start, baseline = _INITS[config.init_strategy]
-    granularity = "fixed" if baseline is not None else config.granularity
+    start, fixed = _INITS[config.init_strategy]
 
     def gate_raw() -> np.ndarray:
         return core.random_raw(rng) if start is None else core.preset(start).raw_vector()
 
-    shared = gate_raw() if granularity == "global_shared" else None
+    shared = gate_raw() if config.granularity == "global_shared" and fixed is None else None
 
-    layers: list[DenseLayer | ActivationLayer] = []
+    layers: list[Layer] = []
     for i in range(len(widths) - 1):
         fan_in, fan_out = widths[i], widths[i + 1]
         bound = math.sqrt(6.0 / fan_in)
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         layers.append(DenseLayer(w, np.zeros(fan_out)))
         if i < len(widths) - 2:
-            raw = shared if shared is not None else gate_raw()
-            layers.append(ActivationLayer(raw, granularity, baseline))
+            layers.append(FixedActivation(fixed) if fixed is not None else
+                          GateLayer(gate_raw() if shared is None else shared, config.granularity))
     return MLPModel(layers)
 
 
@@ -283,45 +345,44 @@ class StepBuffers:
     """Arrays one training step writes into, for batches of ``n_rows`` rows.
 
     ``x`` receives the float input batch when it comes as
-    :class:`idx.PixelRows`.  Per layer index: ``gates[i]`` is gate layer
-    i's tape, ``out[i]`` dense layer i's output and ``d_in[i]`` its input
-    gradient (never formed for layer 0).  The gate tapes share one set of
-    four scratch vectors, sized for the widest of them, since each gate
-    call uses scratch only while it runs (see :class:`core.GateTape`).
-    ``grad`` is the gradient arena, laid out like ``model.arena``.  Entries
-    that do not apply to a layer are None.  Each step overwrites the
-    previous one's input, tapes, outputs and gradients.
+    :class:`idx.PixelRows`.  Per layer index, ``layers[i]`` is what layer
+    i's forward step writes into (a dense layer's output, a gate layer's
+    tape, None for a fixed activation) and ``d_in[i]`` a dense layer's input
+    gradient (None for layer 0, whose input gradient is never formed, and
+    for the other layer types).  The gate tapes share one set of four
+    scratch vectors, sized for the widest of them, since each gate call uses
+    scratch only while it runs (see :class:`core.GateTape`).  ``grad`` is
+    the gradient arena, laid out like ``model.arena``.  Each step overwrites
+    the previous one's input, tapes, outputs and gradients.
     """
 
     def __init__(self, model: MLPModel, n_rows: int):
         self.n_rows = n_rows
         self.grad = np.empty(model.arena.size)
         self.x = np.empty((n_rows, model.in_dim))
-        gated = {i for i, layer in enumerate(model.layers)
-                 if isinstance(layer, ActivationLayer) and layer.baseline is None}
+        gated = {i for i, layer in enumerate(model.layers) if isinstance(layer, GateLayer)}
         widest = max((model.layers[i - 1].w.shape[1] for i in gated), default=0)
         scratch = [np.empty(n_rows * widest) for _ in range(4)]
-        self.gates: list[GateTape | None] = []
-        self.out: list[np.ndarray | None] = []
+        self.layers: list[np.ndarray | GateTape | None] = []
         self.d_in: list[np.ndarray | None] = []
         width = model.in_dim
         for i, layer in enumerate(model.layers):
             dense = isinstance(layer, DenseLayer)
             shape = (n_rows, width)
             views = [s[:n_rows * width].reshape(shape) for s in scratch] if i in gated else None
-            self.gates.append(None if views is None else GateTape(shape, views))
-            self.d_in.append(np.empty((n_rows, width)) if dense and i > 0 else None)
+            self.d_in.append(np.empty(shape) if dense and i > 0 else None)
             if dense:
                 width = layer.w.shape[1]
-            self.out.append(np.empty((n_rows, width)) if dense else None)
+            self.layers.append(np.empty((n_rows, width)) if dense else
+                               None if views is None else GateTape(shape, views))
 
     def rows(self, k: int) -> "StepBuffers":
         """Views of the first ``k`` rows (sharing ``grad``), for a short last batch."""
         view = copy.copy(self)
         view.n_rows = k
         view.x = self.x[:k]
-        view.gates = [None if b is None else b.rows(k) for b in self.gates]
-        view.out = [None if a is None else a[:k] for a in self.out]
+        view.layers = [b.rows(k) if isinstance(b, GateTape) else None if b is None else b[:k]
+                       for b in self.layers]
         view.d_in = [None if a is None else a[:k] for a in self.d_in]
         return view
 
@@ -361,29 +422,6 @@ def _input_batch(model: MLPModel, batch: np.ndarray,
     return _check_width(model, np.asarray(batch, dtype=np.float64))
 
 
-# Rows of ``w`` per partial product in :func:`_dense`.  OpenBLAS sums a long
-# inner dimension in pieces whose bounds depend on its thread count, so the
-# whole 784-row first-layer product gave other bits at 1 and 2 threads.
-# Blocks of 384 and 256 gave the same bits at both for every row count from
-# 1 to 1000; 392 did not, though 448 and 512 did, so no block above 384 is
-# relied on (numpy 2.4.6, OpenBLAS 0.3.31; README).
-_DENSE_BLOCK = 384
-
-
-def _dense(layer: DenseLayer, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x @ w + b``, written into ``out`` when given: the dense step of every walk.
-
-    The product is summed over blocks of ``_DENSE_BLOCK`` rows of ``w`` in
-    order, so its bits do not depend on the BLAS thread count.
-    """
-    w = layer.w
-    y = np.matmul(x[:, :_DENSE_BLOCK], w[:_DENSE_BLOCK], out=out)
-    for k in range(_DENSE_BLOCK, w.shape[0], _DENSE_BLOCK):
-        y += x[:, k:k + _DENSE_BLOCK] @ w[k:k + _DENSE_BLOCK]
-    y += layer.b
-    return y
-
-
 def forward(model: MLPModel, batch: np.ndarray,
             buffers: StepBuffers | None = None) -> tuple[np.ndarray, list]:
     """Logits plus the per-layer cache consumed by :func:`backward`.
@@ -393,20 +431,11 @@ def forward(model: MLPModel, batch: np.ndarray,
     cache live only until the next buffered call.
     """
     x = _input_batch(model, batch, None if buffers is None else buffers.x)
-    none = [None] * len(model.layers)
-    out, gates = (none, none) if buffers is None else (buffers.out, buffers.gates)
+    per_layer = [None] * len(model.layers) if buffers is None else buffers.layers
     cache: list = []
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, DenseLayer):
-            cache.append(x)
-            x = _dense(layer, x, out[i])
-        elif layer.baseline is not None:
-            cache.append(x)
-            x = zoo.act_batch(layer.baseline, x)
-        else:
-            tape = core.batch_eval(x, layer.effective_params(), gates[i])
-            cache.append(tape)
-            x = tape.f
+    for layer, buffer in zip(model.layers, per_layer):
+        x, saved = layer.forward(x, buffer)
+        cache.append(saved)
     return x, cache
 
 
@@ -415,43 +444,20 @@ def backward(model: MLPModel, cache: list, grad_logits: np.ndarray,
     """Gradients aligned with ``model.arena.slots``: views into one gradient arena.
 
     Gate-parameter gradients are w.r.t. the raw vectors (positive-map chain
-    applied); a shared vector is assigned by the last layer using it and
-    accumulates the earlier layers' contributions.  The gradient w.r.t. the
-    input batch is never formed.  With ``buffers`` the arena is
-    ``buffers.grad`` and the temporaries are written into the buffers too.
+    applied); a shared vector sums every layer's contribution, the last
+    layer's first.  The gradient w.r.t. the input batch is never formed
+    (``StepBuffers.d_in[0]`` is None).  The arena is ``buffers.grad`` and
+    the temporaries are written into the buffers, a fresh set by default.
     """
     if len(cache) != len(model.layers):
         raise ValueError("cache does not match model (stale or from another model)")
-    if buffers is None:
-        grad, d_in = np.empty(model.arena.size), [None] * len(model.layers)
-    else:
-        grad, d_in = buffers.grad, buffers.d_in
-    grads = model.arena.views(grad)
     g = np.asarray(grad_logits, dtype=np.float64)
-    written: set[int] = set()
+    buffers = StepBuffers(model, g.shape[0]) if buffers is None else buffers
+    grads = model.arena.views(buffers.grad)
+    buffers.grad[model.arena.n_decay:] = 0.0      # gate layers add into it; dense layers write
     for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        entry = cache[i]
-        slot = model._slot_of[i]
-        if isinstance(layer, DenseLayer):
-            np.matmul(entry.T, g, out=grads[slot[0]])
-            np.add.reduce(g, axis=0, out=grads[slot[1]])
-            if i > 0:
-                g = np.matmul(g, layer.w.T, out=d_in[i])
-        elif layer.baseline is not None:
-            g = g * zoo.act_grad_batch(layer.baseline, entry)
-        else:
-            if not isinstance(entry, GateTape):
-                raise ValueError("cache does not match model (stale or from another model)")
-            g, d_eff = core.batch_vjp(entry, g)
-            if slot is not None:
-                d_eff[0] *= core.positive_map_grad(layer.raw[0])
-                d_eff[2] *= core.positive_map_grad(layer.raw[2])
-                if slot in written:
-                    grads[slot] += d_eff
-                else:
-                    grads[slot][...] = d_eff
-                    written.add(slot)
+        layer_grads = [grads[k] for k in model._slot_of[i]]
+        g = model.layers[i].backward(cache[i], g, layer_grads, buffers.d_in[i])
     return grads
 
 
@@ -660,12 +666,7 @@ def _logits(model: MLPModel, batch: np.ndarray) -> np.ndarray:
     x = _input_batch(model, batch)
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in model.layers:
-            if isinstance(layer, DenseLayer):
-                x = _dense(layer, x)
-            elif layer.baseline is not None:
-                x = zoo.act_batch(layer.baseline, x)
-            else:
-                x = core.batch_value(x, layer.effective_params())
+            x = layer.value(x)
     return x
 
 
@@ -804,14 +805,13 @@ def save_model(model: MLPModel, path) -> None:
             blob += struct.pack("<II", *layer.w.shape)
             blob += layer.w.astype("<f8").tobytes()
             blob += layer.b.astype("<f8").tobytes()
-        else:
-            blob += struct.pack("<B", 1)
-            blob += struct.pack("<B", _GRAN_CODES[layer.granularity])
-            tag = None if layer.baseline is None else layer.baseline.tag
-            blob += struct.pack("<B", _BASELINE_CODES[tag])
-            slope = layer.baseline.slope if layer.baseline is not None else 0.0
-            blob += struct.pack("<d", slope)
+        elif isinstance(layer, GateLayer):
+            blob += struct.pack("<BBBd", 1, _GRAN_CODES[layer.granularity], 0, 0.0)
             blob += layer.raw.astype("<f8").tobytes()
+        else:
+            blob += struct.pack("<BBBd", 1, _GRAN_CODES["fixed"],
+                                _BASELINE_CODES[layer.kind.tag], layer.kind.slope)
+            blob += _FIXED_RAW
     Path(path).write_bytes(bytes(blob))
 
 
@@ -820,8 +820,8 @@ def load_model(path) -> MLPModel:
 
     Raises :class:`ModelFormatError` for a malformed container, non-finite
     weights or gate values, global-shared layers whose stored vectors
-    differ, a bad baseline slope, or a layer structure :class:`MLPModel`
-    rejects.
+    differ, a fixed activation not stored as :func:`save_model` writes it,
+    a bad baseline slope, or a layer structure :class:`MLPModel` rejects.
     """
     data = Path(path).read_bytes()
     view = memoryview(data)
@@ -838,7 +838,7 @@ def load_model(path) -> MLPModel:
         return chunk
 
     (n_layers,) = struct.unpack("<I", take(4))
-    layers: list[DenseLayer | ActivationLayer] = []
+    layers: list[Layer] = []
     shared: np.ndarray | None = None
     for k in range(n_layers):
         (tag,) = struct.unpack("<B", take(1))
@@ -863,19 +863,27 @@ def load_model(path) -> MLPModel:
                 raise ModelFormatError(f"{path}: layer {k} has non-finite gate values")
             granularity = GRANULARITIES[gran_code]
             base_tag = _BASELINE_TAGS[base_code]
+            if base_tag is None:
+                if granularity == "global_shared":
+                    if shared is None:
+                        shared = raw
+                    elif raw.tobytes() != shared.tobytes():
+                        raise ModelFormatError(f"{path}: layer {k} stores a global_shared gate "
+                                               f"vector that differs from the first one")
+                    raw = shared
+                layers.append(GateLayer(raw, granularity))
+                continue
+            if granularity != "fixed":
+                raise ModelFormatError(f"{path}: layer {k} stores a fixed activation "
+                                       f"with granularity {granularity}, not fixed")
+            if raw.tobytes() != _FIXED_RAW:
+                raise ModelFormatError(f"{path}: layer {k} stores a fixed activation "
+                                       f"with a gate vector other than soft_relu_init")
             try:
-                baseline = None if base_tag is None else ActivationKind(
-                    base_tag, slope if base_tag == "leaky_relu" else 0.01)
+                kind = ActivationKind(base_tag, slope if base_tag == "leaky_relu" else 0.01)
             except ValueError as exc:
                 raise ModelFormatError(f"{path}: layer {k}: {exc}") from exc
-            if granularity == "global_shared":
-                if shared is None:
-                    shared = raw
-                elif raw.tobytes() != shared.tobytes():
-                    raise ModelFormatError(f"{path}: layer {k} stores a global_shared gate "
-                                           f"vector that differs from the first one")
-                raw = shared
-            layers.append(ActivationLayer(raw, granularity, baseline))
+            layers.append(FixedActivation(kind))
         else:
             raise ModelFormatError(f"{path}: unknown layer tag {tag}")
     if off != len(data):

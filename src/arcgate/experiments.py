@@ -80,7 +80,7 @@ _SUMMARY_CAP = 256      # entries; the oldest is evicted first
 class _Summary(NamedTuple):
     test_acc: float                              # final test accuracy
     gate_count: int                              # learnable activation parameters
-    gate_params: tuple[tuple[float, ...], ...]   # effective, per activation layer
+    gate_params: tuple[tuple[float, ...], ...]   # effective, per gate layer
 
 
 _DIVERGED = _Summary(math.nan, -1, ())    # the record of every diverged run
@@ -296,21 +296,20 @@ class LayerReport:
 
 
 def layer_evolution_report(model: MLPModel) -> LayerReport:
-    """Effective gate parameters per activation layer, ordered by depth.
+    """Effective gate parameters per gate layer, ordered by depth.
 
     Only meaningful for layer-wise models, where the vectors can diverge.
     """
     acts = model.activation_layers()
     if not acts:
-        raise ValueError("model has no activation layers")
-    for layer in acts:
-        if layer.baseline is not None or layer.granularity != "layer_wise":
-            raise ValueError("layer evolution requires a layer_wise gate model")
+        raise ValueError("model has no gate layers")
+    if any(layer.granularity != "layer_wise" for layer in acts):
+        raise ValueError("layer evolution requires a layer_wise gate model")
     return _layer_report(layer.effective_params() for layer in acts)
 
 
 def _layer_report(gate_params) -> LayerReport:
-    """Rows from effective gate parameters, one 7-tuple per activation layer by depth."""
+    """Rows from effective gate parameters, one 7-tuple per gate layer by depth."""
     return LayerReport(rows=[LayerRow(i, *params) for i, params in enumerate(gate_params)])
 
 

@@ -292,9 +292,8 @@ def synthesize_idx_files(out_dir, **kwargs) -> dict[str, Path]:
 
 
 def load_or_synthesize(train_images=None, train_labels=None,
-                       test_images=None, test_labels=None,
-                       seed: int = 2024) -> Dataset:
-    """Load the four IDX files when all are given, else build the synthetic fixture."""
+                       test_images=None, test_labels=None) -> Dataset:
+    """Load the four IDX files when all are given, else build the default synthetic fixture."""
     paths = (train_images, train_labels, test_images, test_labels)
     if all(p is not None for p in paths):
         x_train, y_train = load_idx(train_images, train_labels)
@@ -302,4 +301,4 @@ def load_or_synthesize(train_images=None, train_labels=None,
         return Dataset(x_train, y_train, x_test, y_test)
     if any(p is not None for p in paths):
         raise ValueError("provide all four dataset paths or none")
-    return synthesize_arrays(seed=seed)
+    return synthesize_arrays()

@@ -49,4 +49,12 @@ BAD_MODELS = {
     "bad_leaky_slope": (agm1(dense(), gate(granularity="fixed", baseline_code=2, slope=1.5),
                              dense()),
                         "leaky slope must be in (0, 1)"),
+    "shared_fixed_activation": (agm1(dense(), gate(granularity="global_shared"), dense(),
+                                     gate(_OTHER_RAW, "global_shared", baseline_code=5), dense()),
+                                "layer 3 stores a fixed activation with granularity "
+                                "global_shared, not fixed"),
+    "fixed_activation_with_a_gate_vector": (agm1(dense(), gate(_OTHER_RAW, "fixed",
+                                                               baseline_code=1), dense()),
+                                            "layer 1 stores a fixed activation with a gate "
+                                            "vector other than soft_relu_init"),
 }

@@ -413,6 +413,20 @@ def test_report_on_a_bad_model_file_fails_with_a_message(tmp_path, name, capsys)
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_report_on_a_relu_baseline_model_says_it_has_no_gate_layers(tmp_path, idx_files,
+                                                                     capsys):
+    model = tmp_path / "relu.agm"
+    assert run_cli("train", "--images", idx_files["train_images"],
+                   "--labels", idx_files["train_labels"],
+                   "--test-images", idx_files["test_images"],
+                   "--test-labels", idx_files["test_labels"],
+                   "--init", "relu_baseline", "--epochs", 1, "--out", model) == 0
+    capsys.readouterr()
+    assert run_cli("report", "--model", model, "--out", tmp_path / "x.csv") == 1
+    assert capsys.readouterr().err == "error: model has no gate layers\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_plot_sensitivity_and_fit_figures(tmp_path):
     from arcgate import experiments
     paths = experiments.sensitivity_curves(tmp_path / "curves", fit_budget=60, seed=0)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from agm1_files import BAD_MODELS
 from arcgate import core, engine, experiments, idx, zoo
-from arcgate.engine import (ActivationLayer, AdamState, Arena, DenseLayer, MLPModel,
-                            ModelSpec, Slot, StepBuffers, TrainConfig, adamw_step,
+from arcgate.engine import (AdamState, Arena, DenseLayer, FixedActivation, GateLayer,
+                            MLPModel, ModelSpec, Slot, StepBuffers, TrainConfig, adamw_step,
                             backward, build_model, evaluate, forward, load_model,
                             save_model, softmax_cross_entropy, train)
 from train_oracle import per_slot_adamw_step, per_slot_rescaled_adamw_step
@@ -35,7 +35,7 @@ def tiny_model(seed=11, granularity="layer_wise", strategy="soft_relu",
 class TestForward:
     def test_identity_network_passes_batch_through(self):
         layers = [DenseLayer(np.eye(4), np.zeros(4)),
-                  ActivationLayer(core.preset("identity").raw_vector()),
+                  GateLayer(core.preset("identity").raw_vector()),
                   DenseLayer(np.eye(4), np.zeros(4))]
         model = MLPModel(layers)
         batch = np.random.default_rng(0).normal(0, 1, (6, 4))
@@ -45,7 +45,7 @@ class TestForward:
     def test_zero_weights_pass_gated_biases_through(self):
         bias = np.array([0.0, 1.0, -2.0])
         layers = [DenseLayer(np.zeros((2, 3)), bias),
-                  ActivationLayer(core.preset("soft_relu_init").raw_vector()),
+                  GateLayer(core.preset("soft_relu_init").raw_vector()),
                   DenseLayer(np.eye(3), np.zeros(3))]
         model = MLPModel(layers)
         logits, _ = forward(model, np.ones((4, 2)))
@@ -85,14 +85,14 @@ class TestForward:
 class TestModelStructure:
     @pytest.mark.parametrize("layers, message", [
         ([], "no dense layer"),
-        ([ActivationLayer(core.preset("identity").raw_vector())], "no dense layer"),
+        ([GateLayer(core.preset("identity").raw_vector())], "no dense layer"),
         ([DenseLayer(np.eye(2), np.zeros(2)),
-          ActivationLayer(core.preset("identity").raw_vector())], "final layer must be dense"),
-        ([ActivationLayer(core.preset("identity").raw_vector()),
+          GateLayer(core.preset("identity").raw_vector())], "final layer must be dense"),
+        ([GateLayer(core.preset("identity").raw_vector()),
           DenseLayer(np.eye(2), np.zeros(2))], "gate layer 0 does not follow"),
         ([DenseLayer(np.eye(2), np.zeros(2)),
-          ActivationLayer(core.preset("identity").raw_vector()),
-          ActivationLayer(core.preset("identity").raw_vector()),
+          GateLayer(core.preset("identity").raw_vector()),
+          GateLayer(core.preset("identity").raw_vector()),
           DenseLayer(np.eye(2), np.zeros(2))], "gate layer 2 does not follow"),
         ([DenseLayer(np.eye(2), np.zeros(2)), DenseLayer(np.eye(3), np.zeros(3))],
          "does not match previous output width"),
@@ -480,10 +480,11 @@ class TestTrain:
                              weight_decay=0.0, seed=5, init_strategy="relu_baseline")
         model, trace = train(ModelSpec(2, (8,), 2), blob_dataset, config)
         assert len(trace) == 3
-        init_raw = core.preset("soft_relu_init").raw_vector()
-        for act in model.activation_layers():
-            assert act.baseline is not None and act.baseline.tag == "relu"
-            assert np.array_equal(act.raw, init_raw)
+        assert [type(layer) for layer in model.layers] == [DenseLayer, FixedActivation,
+                                                           DenseLayer]
+        assert model.layers[1].kind == zoo.ActivationKind("relu")
+        assert model.activation_layers() == []
+        assert all("act" not in slot.label for slot in model.arena.slots)
 
     def test_fixed_mode_parameters_bit_frozen(self, blob_dataset):
         config = TrainConfig(epochs=5, batch_size=16, learning_rate=0.01,
@@ -797,7 +798,7 @@ class TestStepMemory:
                            spec=ModelSpec(5, (8, 16, 4), 3))
         full = StepBuffers(model, 6)
         for buffers in (full, full.rows(4)):
-            gates = [b for b in buffers.gates if b is not None]
+            gates = [b for b in buffers.layers if isinstance(b, core.GateTape)]
             assert [b.shape for b in gates] == [(buffers.n_rows, w) for w in (8, 16, 4)]
             for j in range(4):
                 one = gates[0].scratch[j].base
@@ -900,15 +901,14 @@ class TestPersistence:
 
     def test_baseline_and_slope_survive(self, tmp_path):
         layers = [DenseLayer(np.eye(2), np.zeros(2)),
-                  ActivationLayer(core.preset("soft_relu_init").raw_vector(),
-                                  "fixed", zoo.ActivationKind("leaky_relu", 0.07)),
+                  FixedActivation(zoo.ActivationKind("leaky_relu", 0.07)),
                   DenseLayer(np.eye(2), np.zeros(2))]
         path = tmp_path / "m.agm"
         save_model(MLPModel(layers), path)
         back = load_model(path)
-        act = back.activation_layers()[0]
-        assert act.baseline.tag == "leaky_relu"
-        assert act.baseline.slope == 0.07
+        act = back.layers[1]
+        assert act.kind.tag == "leaky_relu"
+        assert act.kind.slope == 0.07
 
     @pytest.mark.parametrize("strategy, granularity", [
         ("soft_relu", "layer_wise"), ("identity", "fixed"), ("soft_relu", "global_shared"),
@@ -968,7 +968,8 @@ class TestPersistence:
 
 @st.composite
 def agm1_models(draw) -> MLPModel:
-    """A small model of random widths, one granularity and a random baseline per gate."""
+    """A small model of random widths, one granularity, and per activation a gate or a
+    random fixed activation."""
     widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
     granularity = draw(st.sampled_from(engine.GRANULARITIES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -978,10 +979,12 @@ def agm1_models(draw) -> MLPModel:
         layers.append(DenseLayer(rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out)))
         if i < len(widths) - 2:
             tag = draw(st.sampled_from((None, *zoo.KIND_TAGS)))
-            baseline = None if tag is None else zoo.ActivationKind(
-                tag, draw(st.floats(0.001, 0.999)) if tag == "leaky_relu" else 0.01)
-            raw = shared if granularity == "global_shared" else core.random_raw(rng)
-            layers.append(ActivationLayer(raw, granularity, baseline))
+            if tag is None:
+                raw = shared if granularity == "global_shared" else core.random_raw(rng)
+                layers.append(GateLayer(raw, granularity))
+            else:
+                layers.append(FixedActivation(zoo.ActivationKind(
+                    tag, draw(st.floats(0.001, 0.999)) if tag == "leaky_relu" else 0.01)))
     return MLPModel(layers)
 
 

@@ -394,11 +394,11 @@ class TestLayerReport:
 
     def test_rejects_non_layer_wise(self):
         spec = ModelSpec(12, (8,), 3)
-        for kwargs in ({"granularity": "global_shared"},
-                       {"init_strategy": "relu_baseline"}):
+        for kwargs, message in (({"granularity": "global_shared"}, "requires a layer_wise"),
+                                ({"init_strategy": "relu_baseline"}, "has no gate layers")):
             cfg = TrainConfig(seed=0, **kwargs)
             model = engine.build_model(spec, cfg, np.random.default_rng(0))
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 layer_evolution_report(model)
 
     def test_csv_roundtrip(self, tmp_path):
