@@ -257,7 +257,8 @@ class MLPModel:
                                      f"match previous output width {width}")
                 width = layer.w.shape[1]
             elif i == 0 or not isinstance(self.layers[i - 1], DenseLayer):
-                raise ValueError(f"gate layer {i} does not follow a dense layer")
+                what = "gate" if isinstance(layer, GateLayer) else "fixed activation"
+                raise ValueError(f"{what} layer {i} does not follow a dense layer")
 
     @property
     def in_dim(self) -> int:
@@ -792,6 +793,8 @@ def net_gradcheck(seed: int) -> float:
 
 _MAGIC = b"AGM1"
 _GRAN_CODES = {g: i for i, g in enumerate(GRANULARITIES)}
+# the slope stored for every fixed kind but leaky ReLU, which stores its own
+_FIXED_SLOPE = ActivationKind("relu").slope
 
 
 def save_model(model: MLPModel, path) -> None:
@@ -809,8 +812,9 @@ def save_model(model: MLPModel, path) -> None:
             blob += struct.pack("<BBBd", 1, _GRAN_CODES[layer.granularity], 0, 0.0)
             blob += layer.raw.astype("<f8").tobytes()
         else:
-            blob += struct.pack("<BBBd", 1, _GRAN_CODES["fixed"],
-                                _BASELINE_CODES[layer.kind.tag], layer.kind.slope)
+            kind = layer.kind
+            blob += struct.pack("<BBBd", 1, _GRAN_CODES["fixed"], _BASELINE_CODES[kind.tag],
+                                kind.slope if kind.tag == "leaky_relu" else _FIXED_SLOPE)
             blob += _FIXED_RAW
     Path(path).write_bytes(bytes(blob))
 
@@ -821,7 +825,9 @@ def load_model(path) -> MLPModel:
     Raises :class:`ModelFormatError` for a malformed container, non-finite
     weights or gate values, global-shared layers whose stored vectors
     differ, a fixed activation not stored as :func:`save_model` writes it,
-    a bad baseline slope, or a layer structure :class:`MLPModel` rejects.
+    a bad leaky slope, a stored slope other than 0.01 for any other fixed
+    kind or other than 0.0 for a gate, or a layer structure
+    :class:`MLPModel` rejects.
     """
     data = Path(path).read_bytes()
     view = memoryview(data)
@@ -853,7 +859,8 @@ def load_model(path) -> MLPModel:
         elif tag == 1:
             (gran_code,) = struct.unpack("<B", take(1))
             (base_code,) = struct.unpack("<B", take(1))
-            (slope,) = struct.unpack("<d", take(8))
+            slope_bytes = bytes(take(8))
+            (slope,) = struct.unpack("<d", slope_bytes)
             raw = np.frombuffer(take(7 * 8), dtype="<f8").copy()
             if gran_code >= len(GRANULARITIES):
                 raise ModelFormatError(f"{path}: unknown granularity code {gran_code}")
@@ -864,6 +871,9 @@ def load_model(path) -> MLPModel:
             granularity = GRANULARITIES[gran_code]
             base_tag = _BASELINE_TAGS[base_code]
             if base_tag is None:
+                if slope_bytes != bytes(8):   # the bytes of +0.0
+                    raise ModelFormatError(f"{path}: layer {k} stores a gate with slope "
+                                           f"{slope!r}, not 0.0")
                 if granularity == "global_shared":
                     if shared is None:
                         shared = raw
@@ -879,8 +889,11 @@ def load_model(path) -> MLPModel:
             if raw.tobytes() != _FIXED_RAW:
                 raise ModelFormatError(f"{path}: layer {k} stores a fixed activation "
                                        f"with a gate vector other than soft_relu_init")
+            if base_tag != "leaky_relu" and slope != _FIXED_SLOPE:
+                raise ModelFormatError(f"{path}: layer {k} stores a fixed {base_tag} "
+                                       f"activation with slope {slope!r}, not {_FIXED_SLOPE!r}")
             try:
-                kind = ActivationKind(base_tag, slope if base_tag == "leaky_relu" else 0.01)
+                kind = ActivationKind(base_tag, slope)
             except ValueError as exc:
                 raise ModelFormatError(f"{path}: layer {k}: {exc}") from exc
             layers.append(FixedActivation(kind))

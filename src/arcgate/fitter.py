@@ -8,7 +8,7 @@ it was handed.
 Every descent (each restart of each target fitted together) is one row of a
 single loop.  Each iteration evaluates the running rows' trial points in one
 kernel call, keeps a trial only where it lowers the loss (dividing that
-row's damping λ by 10, else multiplying it by 10), takes the kernel's
+row's damping λ by 3, else multiplying it by 2), takes the kernel's
 partials once for the rows that moved, and solves the damped normal
 equations ``(JᵀJ + λ·D) δ = −Jᵀr`` of all rows at once, with D Marquardt's
 ``diag(JᵀJ)``.  A row leaves the batch when it stops, so it follows exactly
@@ -24,6 +24,13 @@ loss of exactly 0: no loss is below 0 and ties go to the earlier restart,
 so it could never win.  This ends the random restarts of the identity
 target, which would otherwise crawl to the budget towards the
 unidentifiable alpha = beta = 0.
+
+The ÷3/×2 damping schedule is Transtrum & Sethna's "delayed gratification"
+(arXiv:1201.5885).  Under Marquardt's ÷10/×10, λ steps up and down on
+alternate iterations while the sloppy classic fits creep towards
+parameters at infinity, and about half of their trials are rejected; at
+the default budget ÷3/×2 reaches the same losses in about a third of the
+iterations.
 
 Each row keeps the undamped ``JᵀJ`` and ``Jᵀr`` of its current point.  A
 rejected trial changes neither, so only the rows whose trial was accepted
@@ -50,6 +57,8 @@ __all__ = ["FitResult", "FitTarget", "fit", "replicate_classics", "write_fit_csv
 _GTOL = 1e-13
 _FTOL = 1e-8          # MINPACK's default, the square root of the double epsilon
 _LAMBDA_INIT = 1e-3
+_LAMBDA_DOWN = 3.0    # λ is divided by this on an accepted trial
+_LAMBDA_UP = 2.0      # and multiplied by this on a rejected one
 _LAMBDA_MIN = 1e-10   # keeps λ·D above the rounding noise of a rank-deficient JᵀJ
 _LAMBDA_CAP = 1e16
 # D floors each row's diagonal at this share of its largest entry: the identity
@@ -205,7 +214,8 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
     first_exact = np.full(int(targets.max(initial=-1)) + 1, k_all)
     ids, raw, trial, target = np.arange(k_all), starts.copy(), starts, targets
     loss = np.full(k_all, math.inf)
-    lam = np.full(k_all, 10.0 * _LAMBDA_INIT)   # the start's acceptance divides it by 10
+    # the start's acceptance lowers λ to _LAMBDA_INIT
+    lam = np.full(k_all, _LAMBDA_DOWN * _LAMBDA_INIT)
     jtj = np.zeros((k_all, 7, 7))
     jtr = np.full((k_all, 7), math.nan)        # NaN until a row's start is accepted
     tape = all_rows
@@ -233,7 +243,7 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
             jtr[moved] = (jm @ trial_resid[moved][:, :, None])[:, :, 0]
             jtj[moved] = jm @ jm.transpose(0, 2, 1)
         raw[accept], loss[accept] = trial[accept], trial_loss[accept]
-        lam = np.where(accept, np.maximum(lam / 10.0, _LAMBDA_MIN), lam * 10.0)
+        lam = np.where(accept, np.maximum(lam / _LAMBDA_DOWN, _LAMBDA_MIN), lam * _LAMBDA_UP)
         finite = np.all(np.isfinite(jtr), axis=1)   # false for a non-finite start or Jacobian
         converged = finite & (small_step | (np.max(np.abs(jtr), axis=1) <= _GTOL)
                               | (lam > _LAMBDA_CAP))

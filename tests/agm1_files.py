@@ -57,4 +57,9 @@ BAD_MODELS = {
                                                                baseline_code=1), dense()),
                                             "layer 1 stores a fixed activation with a gate "
                                             "vector other than soft_relu_init"),
+    "relu_with_a_slope": (agm1(dense(), gate(granularity="fixed", baseline_code=1, slope=0.5),
+                               dense()),
+                          "layer 1 stores a fixed relu activation with slope 0.5, not 0.01"),
+    "gate_with_a_slope": (agm1(dense(), gate(slope=0.5), dense()),
+                          "layer 1 stores a gate with slope 0.5, not 0.0"),
 }

@@ -96,6 +96,8 @@ class TestModelStructure:
           DenseLayer(np.eye(2), np.zeros(2))], "gate layer 2 does not follow"),
         ([DenseLayer(np.eye(2), np.zeros(2)), DenseLayer(np.eye(3), np.zeros(3))],
          "does not match previous output width"),
+        ([FixedActivation(zoo.ActivationKind("relu")), DenseLayer(np.eye(2), np.zeros(2))],
+         "fixed activation layer 0 does not follow"),
     ])
     def test_rejected_when_built(self, layers, message):
         with pytest.raises(ValueError, match=message):
@@ -909,6 +911,18 @@ class TestPersistence:
         act = back.layers[1]
         assert act.kind.tag == "leaky_relu"
         assert act.kind.slope == 0.07
+
+    def test_a_fixed_kind_other_than_leaky_stores_the_slope_0_01(self, tmp_path):
+        # its slope means nothing, so the file holds the one slope the loader accepts
+        layers = [DenseLayer(np.eye(2), np.zeros(2)),
+                  FixedActivation(zoo.ActivationKind("relu", 0.5)),
+                  DenseLayer(np.eye(2), np.zeros(2))]
+        path, again = tmp_path / "m.agm", tmp_path / "again.agm"
+        save_model(MLPModel(layers), path)
+        back = load_model(path)
+        assert back.layers[1].kind == zoo.ActivationKind("relu", 0.01)
+        save_model(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("strategy, granularity", [
         ("soft_relu", "layer_wise"), ("identity", "fixed"), ("soft_relu", "global_shared"),

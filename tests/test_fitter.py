@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 from pathlib import Path
 
@@ -113,9 +114,21 @@ class TestFit:
         assert np.max(np.abs(fitted - tgt.values)) < 1e-3  # full bound in acceptance
 
 
+@functools.cache
+def classics_n201_b300(seed):
+    return fitter.replicate_classics(n_points=201, budget=300, seed=seed)
+
+
+def saved_l_inf(name):
+    """Target tag -> l_inf of a saved fit table; a ``#`` comment line is skipped."""
+    with open(DATA / name, newline="") as f:
+        rows = list(csv.reader(line for line in f if not line.startswith("#")))
+    return {row[0]: float(row[9]) for row in rows[1:]}
+
+
 @pytest.fixture(scope="module")
 def table():
-    return fitter.replicate_classics(n_points=201, budget=300, seed=0)
+    return classics_n201_b300(0)
 
 
 class TestReplicateClassics:
@@ -153,20 +166,24 @@ class TestReplicateClassics:
         assert list(csv.reader(lines))[1][0] == "samples.csv"
 
     def test_csv_matches_saved_output(self, table, tmp_path):
-        # written by the Levenberg–Marquardt fitter when it replaced Adam
+        # written by the Levenberg–Marquardt fitter with the ÷3/×2 damping schedule
         path = tmp_path / "fits.csv"
         write_fit_csv(table, path, (-6.0, 6.0), 300, 0)
         assert path.read_bytes() == (DATA / "fit_classics_n201_b300_seed0.csv").read_bytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
-    def test_no_worse_than_the_saved_adam_table(self, table, seed):
+    def test_no_worse_than_the_saved_adam_table(self, seed):
         # the Adam fitter's seed-0 table at the same grid and budget
-        with open(DATA / "fit_classics_adam_n201_b300_seed0.csv", newline="") as f:
-            adam_l_inf = {row[0]: float(row[9]) for row in list(csv.reader(f))[1:]}
-        rows = table if seed == 0 else fitter.replicate_classics(n_points=201, budget=300,
-                                                                 seed=seed)
-        for kind, res in rows:
+        adam_l_inf = saved_l_inf("fit_classics_adam_n201_b300_seed0.csv")
+        for kind, res in classics_n201_b300(seed):
             assert res.l_inf_error <= adam_l_inf[kind.tag], kind.tag
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
+    def test_no_worse_than_the_saved_tenfold_table(self, seed):
+        # the seed-0 table of Levenberg–Marquardt with ÷10/×10 damping, same grid and budget
+        lm10_l_inf = saved_l_inf("fit_classics_lm10_n201_b300_seed0.csv")
+        for kind, res in classics_n201_b300(seed):
+            assert res.l_inf_error <= lm10_l_inf[kind.tag], kind.tag
 
 
 class TestBatchInvariance:
@@ -185,7 +202,7 @@ class TestBatchInvariance:
                            core.random_raw(rng)])
         values = np.tile(target.values, (3, 1))
         together = fitter._descend_rows(target.grid, values, starts.copy(), np.zeros(3, int), 300)
-        assert [iters for _, _, iters, _ in together] == [5, 5, 229]
+        assert [iters for _, _, iters, _ in together] == [6, 6, 40]
         for r, (loss, raw, iters, converged) in enumerate(together):
             alone = fitter._descend_rows(target.grid, values[r:r + 1], starts[r:r + 1].copy(),
                                          np.zeros(1, int), 300)[0]
