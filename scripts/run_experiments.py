@@ -29,7 +29,7 @@ def main() -> None:
           *(f"  {r.granularity:14s} params={r.learnable_activation_params:3d} "
             f"acc={r.test_accuracy:.4f}" for r in result.granularity_rows),
           *(f"  layer {r.layer_index}: a={r.a:.3f} alpha={r.alpha:.4f} gamma={r.gamma:+.4f}"
-            for r in result.layers.rows), sep="\n")
+            for r in result.layers), sep="\n")
     for name, figure in CHARTS.items():
         cli.run(["plot", "--figure", figure, "--in", str(result.paths[name]),
                  "--out", str(result.paths[name].with_name(f"{name}.svg"))])

@@ -370,10 +370,10 @@ def _cmd_ablate(opts) -> int:
 
 def _cmd_report(opts) -> int:
     model = engine.load_model(opts["model"])
-    report = experiments.layer_evolution_report(model)
+    rows = experiments.layer_evolution_report(model)
     out = _out_path(opts["out"])
-    experiments.write_layer_csv(report, out)
-    print(f"report ({len(report.rows)} activation layers) -> {out}", file=sys.stderr)
+    experiments.write_layer_csv(rows, out)
+    print(f"report ({len(rows)} activation layers) -> {out}", file=sys.stderr)
     return 0
 
 

@@ -34,7 +34,7 @@ __all__ = [
     "ModelSpec", "ModelFormatError", "NonFiniteGradientError", "Slot", "StepBuffers",
     "TrainingDivergedError",
     "TraceRow", "TrainConfig",
-    "adamw_step", "add_noise", "backward", "build_model", "evaluate", "forward",
+    "adamw_step", "backward", "build_model", "evaluate", "forward",
     "load_model", "net_gradcheck", "predict", "save_model", "softmax_cross_entropy",
     "train",
 ]
@@ -155,8 +155,8 @@ class DenseLayer:
 class GateLayer:
     """Elementwise ArcGate over ``raw``: (a_raw, c, p_raw, alpha, beta, gamma, delta).
 
-    In global_shared mode every layer aliases one array; in fixed mode the
-    values never move.
+    In global_shared mode :class:`MLPModel` ties every such layer to one
+    vector; in fixed mode the values never move.
     """
 
     def __init__(self, raw: np.ndarray, granularity: str = "layer_wise"):
@@ -215,7 +215,8 @@ class MLPModel:
     layer, chained widths, every gate or fixed activation directly after a
     dense layer, and a dense final layer.  All trainable values live in one
     :class:`Arena`; each layer's ``w``, ``b`` and learnable ``raw`` are
-    views into it, and layers that shared one raw vector share one region.
+    views into it.  Every ``global_shared`` gate layer is tied to the first
+    one's region, and a vector that differs from the first one is rejected.
     Each layer type has the same steps: ``forward`` (its output and what its
     ``backward`` needs), ``backward`` and ``value`` (inference).
     """
@@ -225,17 +226,22 @@ class MLPModel:
         self._check_structure()
         slots: list[Slot] = []
         self._slot_of: list[tuple[int, ...]] = [()] * len(self.layers)   # layer -> slot indices
-        gate_slot: dict[int, int] = {}
+        shared: int | None = None        # the slot of the first global_shared gate
         for i, layer in enumerate(self.layers):
             if isinstance(layer, DenseLayer):
                 self._slot_of[i] = (len(slots), len(slots) + 1)
                 slots.append(Slot(layer.w, True, f"dense{i}.w"))
                 slots.append(Slot(layer.b, False, f"dense{i}.b"))
             elif isinstance(layer, GateLayer) and layer.granularity != "fixed":
-                if id(layer.raw) not in gate_slot:
-                    gate_slot[id(layer.raw)] = len(slots)
+                k = len(slots)
+                if layer.granularity == "global_shared":
+                    k = shared = k if shared is None else shared
+                if k == len(slots):
                     slots.append(Slot(layer.raw, False, f"act{i}.raw"))
-                self._slot_of[i] = (gate_slot[id(layer.raw)],)
+                elif layer.raw.tobytes() != slots[k].array.tobytes():
+                    raise ValueError(f"layer {i} stores a global_shared gate vector "
+                                     f"that differs from the first one")
+                self._slot_of[i] = (k,)
         self.arena = Arena(slots)
         views = [s.array for s in self.arena.slots]
         for layer, ks in zip(self.layers, self._slot_of):
@@ -269,10 +275,10 @@ class MLPModel:
         return [l for l in self.layers if isinstance(l, GateLayer)]
 
     def learnable_activation_parameter_count(self) -> int:
-        """Traversal count of gate parameters that receive gradients."""
-        learned = {id(l.raw): l.raw.size for l in self.activation_layers()
-                   if l.granularity != "fixed"}
-        return sum(learned.values())
+        """Gate parameters that receive gradients: 7 per gate slot of the arena."""
+        gate_slots = {k for layer, ks in zip(self.layers, self._slot_of)
+                      if isinstance(layer, GateLayer) for k in ks}
+        return sum(self.arena.slots[k].array.size for k in gate_slots)
 
 
 @dataclass
@@ -688,10 +694,10 @@ def predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
 def evaluate(model: MLPModel, dataset, noise_sigma: float = 0.0, seed: int = 0) -> float:
     """Accuracy on (x, y), optionally under additive Gaussian input noise.
 
-    Noise is added to the already [0,1]-scaled inputs and not re-clamped; it
-    is :func:`add_noise`'s draw, taken one row block at a time.
-    ``noise_sigma=0`` touches no generator, so clean evaluation is identical
-    regardless of seed.
+    Noise is added to the already [0,1]-scaled inputs and not re-clamped:
+    ``x + default_rng(seed).normal(0, noise_sigma, x.shape)``, drawn per row
+    block.  ``noise_sigma=0`` touches no generator, so clean evaluation is
+    identical regardless of seed.
     """
     x, y = dataset[0], dataset[1]
     return _correct_counts([model], x, y, noise_sigma, seed)[0] / len(y)
@@ -699,12 +705,12 @@ def evaluate(model: MLPModel, dataset, noise_sigma: float = 0.0, seed: int = 0) 
 
 def _correct_counts(models: Sequence[MLPModel], x, y, noise_sigma: float,
                     seed: int) -> list[int]:
-    """How many rows of ``x`` each model labels ``y`` under the noise of ``add_noise``.
+    """How many rows of ``x`` each model labels ``y`` under Gaussian input noise.
 
     Rows go through in blocks of ``_INFER_ROWS``, so no array of ``x``'s
-    full size is made.  One generator draws each block's noise in row
-    order; the concatenated draws are ``add_noise(x, noise_sigma, seed)``'s,
-    and every model sees the same noisy block.
+    full size is made.  One generator ``default_rng(seed)`` draws each
+    block's ``normal(0, noise_sigma, block.shape)`` in row order, which is
+    the stream of the whole ``x``; every model sees the same noisy block.
     """
     x = _split(x)
     for model in models:
@@ -716,37 +722,20 @@ def _correct_counts(models: Sequence[MLPModel], x, y, noise_sigma: float,
     if y.shape != x.shape[:1]:
         raise ValueError(f"labels of shape {y.shape} do not match inputs of shape {x.shape}: "
                          f"expected one label per row, shape {x.shape[:1]}")
-    _check_sigma(noise_sigma)
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     rng = np.random.default_rng(seed) if noise_sigma > 0 else None
     counts = [0] * len(models)
     for rows in _row_blocks(x.shape[0]):
         block = np.asarray(x[rows], dtype=np.float64)     # once, for every model
         if rng is not None:
             noisy = rng.normal(0.0, noise_sigma, size=block.shape)
-            noisy += block       # add_noise's bits: IEEE addition commutes
+            noisy += block       # the bits of block + noise: IEEE addition commutes
             block = noisy
         for k, model in enumerate(models):
             counts[k] += int(np.count_nonzero(np.argmax(_logits(model, block), axis=1)
                                               == y[rows]))
     return counts
-
-
-def _check_sigma(noise_sigma: float) -> None:
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
-
-
-def add_noise(x: np.ndarray, noise_sigma: float, seed: int) -> np.ndarray:
-    """``x`` plus Gaussian noise of deviation ``noise_sigma`` drawn from ``seed``.
-
-    ``noise_sigma=0`` returns ``x`` itself and touches no generator.
-    """
-    _check_sigma(noise_sigma)
-    if noise_sigma == 0:
-        return x
-    noisy = np.random.default_rng(seed).normal(0.0, noise_sigma, size=x.shape)
-    noisy += x       # the bits of x + noise: IEEE addition commutes
-    return noisy
 
 
 def net_gradcheck(seed: int) -> float:
@@ -820,7 +809,7 @@ def save_model(model: MLPModel, path) -> None:
 
 
 def load_model(path) -> MLPModel:
-    """Read an ``AGM1`` container; global-shared gate vectors are re-tied.
+    """Read an ``AGM1`` container.
 
     Raises :class:`ModelFormatError` for a malformed container, non-finite
     weights or gate values, global-shared layers whose stored vectors
@@ -845,7 +834,6 @@ def load_model(path) -> MLPModel:
 
     (n_layers,) = struct.unpack("<I", take(4))
     layers: list[Layer] = []
-    shared: np.ndarray | None = None
     for k in range(n_layers):
         (tag,) = struct.unpack("<B", take(1))
         if tag == 0:
@@ -874,13 +862,6 @@ def load_model(path) -> MLPModel:
                 if slope_bytes != bytes(8):   # the bytes of +0.0
                     raise ModelFormatError(f"{path}: layer {k} stores a gate with slope "
                                            f"{slope!r}, not 0.0")
-                if granularity == "global_shared":
-                    if shared is None:
-                        shared = raw
-                    elif raw.tobytes() != shared.tobytes():
-                        raise ModelFormatError(f"{path}: layer {k} stores a global_shared gate "
-                                               f"vector that differs from the first one")
-                    raw = shared
                 layers.append(GateLayer(raw, granularity))
                 continue
             if granularity != "fixed":

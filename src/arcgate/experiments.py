@@ -35,7 +35,7 @@ from .engine import (GRANULARITIES, MLPModel, ModelSpec, TrainConfig,
                      TrainingDivergedError, _correct_counts, train)
 
 __all__ = [
-    "DEFAULT_SIGMAS", "LayerReport", "Round", "SweepReport",
+    "DEFAULT_SIGMAS", "Round", "SweepReport",
     "granularity_ablation", "init_ablation", "layer_evolution_report",
     "noise_sweep", "run_round", "sensitivity_curves",
     "write_sweep_csv", "write_init_csv", "write_granularity_csv", "write_layer_csv",
@@ -290,12 +290,7 @@ class LayerRow:
     delta: float
 
 
-@dataclass
-class LayerReport:
-    rows: list[LayerRow]
-
-
-def layer_evolution_report(model: MLPModel) -> LayerReport:
+def layer_evolution_report(model: MLPModel) -> list[LayerRow]:
     """Effective gate parameters per gate layer, ordered by depth.
 
     Only meaningful for layer-wise models, where the vectors can diverge.
@@ -308,14 +303,14 @@ def layer_evolution_report(model: MLPModel) -> LayerReport:
     return _layer_report(layer.effective_params() for layer in acts)
 
 
-def _layer_report(gate_params) -> LayerReport:
+def _layer_report(gate_params) -> list[LayerRow]:
     """Rows from effective gate parameters, one 7-tuple per gate layer by depth."""
-    return LayerReport(rows=[LayerRow(i, *params) for i, params in enumerate(gate_params)])
+    return [LayerRow(i, *params) for i, params in enumerate(gate_params)]
 
 
-def write_layer_csv(report: LayerReport, path) -> None:
+def write_layer_csv(rows: list[LayerRow], path) -> None:
     _write_csv(path, None, ["layer_index", "a", "c", "p", "alpha", "beta", "gamma", "delta"],
-               ([r.layer_index] + [repr(v) for v in astuple(r)[1:]] for r in report.rows))
+               ([r.layer_index] + [repr(v) for v in astuple(r)[1:]] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +368,7 @@ class Round:
     sweep: SweepReport
     init_rows: list[InitRow]
     granularity_rows: list[GranularityRow]
-    layers: LayerReport
+    layers: list[LayerRow]
     paths: dict[str, Path]     # CSV stem, or sensitivity curve name -> path
 
 

@@ -85,6 +85,11 @@ class FitTarget:
             raise ValueError("target grid must be strictly increasing")
         if values.shape != grid.shape:
             raise ValueError("grid and values must have matching shapes")
+        for name, column in (("grid point", grid), ("value", values)):
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                k = int(bad[0])
+                raise ValueError(f"target {name} {k} is {float(column[k])!r}, not finite")
 
     @classmethod
     def from_kind(cls, kind: ActivationKind, lo: float = -6.0, hi: float = 6.0,
@@ -121,8 +126,9 @@ def fit(target: FitTarget, init: ArcGateParams, budget: int = 5000, seed: int = 
     the budget.  A restart stops early, not converged, once an earlier
     restart has reached a loss of exactly 0, since it could no longer win.
     ``iterations`` sums the iterations of all restarts, stopped ones
-    included.  Best parameters across all restarts win; the init itself is
-    the starting incumbent.  ``budget`` and ``restarts`` must be at least 1.
+    included.  The lowest loss wins, the earlier restart on a tie, so the
+    result is never worse than ``init`` (``init`` with infinite errors if no
+    descent is finite).  ``budget`` and ``restarts`` must be at least 1.
     """
     return _fit_targets(target.grid, target.values[None, :], [init], [seed],
                         budget, restarts)[0]
@@ -149,14 +155,12 @@ def _fit_targets(grid: np.ndarray, values: np.ndarray, inits: list[ArcGateParams
     outcomes = _descend_rows(grid, values[job], np.array(starts).reshape(-1, 7), job, budget)
 
     picks = []
-    for j, (init_loss, _, _) in enumerate(_errors(grid, init_raws, values)):
-        init_loss = init_loss if math.isfinite(init_loss) else math.inf
+    for j, init_raw in enumerate(init_raws):
         runs = [run for run in outcomes[j * restarts:(j + 1) * restarts] if run is not None]
-        # min keeps the first of equal losses: restarts in order, then the init
-        _, best_raw, _, converged = min(runs + [(init_loss, init_raws[j], 0, False)],
-                                        key=lambda run: run[0])
-        picks.append((best_raw, converged, sum(run[2] for run in runs),
-                       bool(runs) or init_loss < math.inf))
+        # min keeps the first of equal losses, and restart 0 descends from the init
+        _, best_raw, _, converged = min(runs, key=lambda run: run[0],
+                                        default=(math.inf, init_raw, 0, False))
+        picks.append((best_raw, converged, sum(run[2] for run in runs), bool(runs)))
 
     final = _errors(grid, np.array([pick[0] for pick in picks]), values)
     return [FitResult(ArcGateParams.from_raw_vector(raw), l_inf, l2, iters, converged)
@@ -181,7 +185,8 @@ def _errors(grid: np.ndarray, raws: np.ndarray,
             values: np.ndarray) -> list[tuple[float, float, float]]:
     """(mse, l_inf, l2) of each row of ``raws`` against the same row of ``values``."""
     resid = core.batch_value(grid, _effective_rows(raws)) - values
-    sq = np.sum(resid * resid, axis=-1).tolist()
+    with np.errstate(over="ignore"):    # a loss past the double range is inf
+        sq = np.sum(resid * resid, axis=-1).tolist()
     l_inf = np.max(np.abs(resid), axis=-1).tolist()
     n = grid.size
     return [(s / n, m, math.sqrt(s)) for s, m in zip(sq, l_inf)]
@@ -224,7 +229,8 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
             tape = all_rows.rows(ids.size)
         core.batch_eval(grid, _effective_rows(trial), tape)
         trial_resid = tape.f - values
-        trial_loss = np.sum(trial_resid * trial_resid, axis=-1) / n
+        with np.errstate(over="ignore"):    # a loss past the double range is inf
+            trial_loss = np.sum(trial_resid * trial_resid, axis=-1) / n
         accept = np.isfinite(trial_loss) & (trial_loss < loss)
         small_step = accept & (trial_loss >= (1.0 - _FTOL) * loss)
         moved = np.flatnonzero(accept)

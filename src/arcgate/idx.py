@@ -217,8 +217,10 @@ def write_idx_images(path, images: np.ndarray) -> None:
 
 
 def write_idx_labels(path, labels) -> None:
-    """Write integer labels (values in [0, 255]) as an IDX label file."""
+    """Write a 1-D integer array (values in [0, 255]) as an IDX label file."""
     labels = _as_bytes(labels, "label")
+    if labels.ndim != 1:
+        raise ValueError(f"expected (n,) labels, got shape {labels.shape}")
     with open(path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
         f.write(labels.tobytes())

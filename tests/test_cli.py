@@ -185,6 +185,43 @@ def test_fit_sample_file_header_and_comments(tmp_path):
     assert xs.tolist() == [0.0, 1.5] and ys.tolist() == [0.0, 2.5]
 
 
+def write_samples(path, xs, ys) -> None:
+    path.write_text("x,value\n" + "".join(f"{float(x)!r},{float(y)!r}\n"
+                                           for x, y in zip(xs, ys)))
+
+
+@pytest.mark.parametrize("column, k, bad, message", [
+    ("value", 4, math.nan, "target value 4 is nan, not finite"),
+    ("x", 19, math.inf, "target grid point 19 is inf, not finite"),
+])
+def test_fit_sample_file_rejects_a_non_finite_sample(tmp_path, capsys, column, k, bad,
+                                                     message):
+    xs = np.linspace(-3, 3, 20)
+    ys = np.tanh(xs)
+    (xs if column == "x" else ys)[k] = bad
+    samples = tmp_path / "samples.csv"
+    write_samples(samples, xs, ys)
+    assert run_cli("fit", "--target", f"file:{samples}", "--budget", 10,
+                   "--out", tmp_path / "fit.csv") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "fit.csv").exists()
+
+
+def test_fit_on_huge_finite_samples_warns_nothing(tmp_path, capsys):
+    xs = np.linspace(-3, 3, 20)
+    samples = tmp_path / "samples.csv"
+    write_samples(samples, xs, np.tanh(xs) * 1e200)
+    out = tmp_path / "fit.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("fit", "--target", f"file:{samples}", "--budget", 10,
+                       "--out", out) == 0
+    assert not caught
+    # every squared residual overflows, so no descent is finite
+    assert capsys.readouterr().err \
+        == f"fit samples.csv: l_inf=inf l2=inf converged=False -> {out}\n"
+
+
 def test_fit_unknown_target_fails(tmp_path):
     assert run_cli("fit", "--target", "swish", "--out", tmp_path / "x.csv") == 1
 

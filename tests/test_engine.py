@@ -121,6 +121,63 @@ class TestModelStructure:
         assert arena.size == sum(s.array.size for s in model.arena.slots)
 
 
+def shared_gate_model(second_raw=None) -> MLPModel:
+    """Two global_shared gates built directly over separate arrays, equal unless
+    ``second_raw`` is given."""
+    rng = np.random.default_rng(4)
+    raw = core.random_raw(rng)
+    second = raw.copy() if second_raw is None else second_raw
+    return MLPModel([DenseLayer(rng.normal(size=(3, 5)), rng.normal(size=5)),
+                     GateLayer(raw, "global_shared"),
+                     DenseLayer(rng.normal(size=(5, 4)), rng.normal(size=4)),
+                     GateLayer(second, "global_shared"),
+                     DenseLayer(rng.normal(size=(4, 2)), rng.normal(size=2))])
+
+
+def adamw_steps(model: MLPModel, steps: int = 5) -> MLPModel:
+    """``steps`` seeded AdamW steps on 16-row random batches, in place."""
+    rng = np.random.default_rng(8)
+    state, buffers = AdamState.init_like(model.arena), StepBuffers(model, 16)
+    for step in range(1, steps + 1):
+        logits, cache = forward(model, rng.normal(size=(16, model.in_dim)), buffers)
+        _, grad_logits = softmax_cross_entropy(logits, rng.integers(0, 2, 16))
+        backward(model, cache, grad_logits, buffers)
+        adamw_step(model.arena, buffers.grad, state, 0.01, 0.01, step)
+    return model
+
+
+class TestGlobalSharedTie:
+    """The model ties every global_shared gate to the first one, however it was built."""
+
+    def test_equal_separate_vectors_share_one_slot(self):
+        model = shared_gate_model()
+        assert [s.label for s in model.arena.slots if "act" in s.label] == ["act1.raw"]
+        assert model.learnable_activation_parameter_count() == 7
+        first, second = model.activation_layers()
+        assert first.raw is second.raw
+        assert np.shares_memory(first.raw, model.arena.values)
+
+    def test_vectors_stay_identical_under_adamw(self):
+        model = shared_gate_model()
+        before = model.activation_layers()[0].raw.copy()
+        first, second = adamw_steps(model).activation_layers()
+        assert first.raw.tobytes() == second.raw.tobytes()
+        assert first.raw.tobytes() != before.tobytes()
+
+    def test_agm1_round_trip_keeps_bytes(self, tmp_path):
+        path, again = tmp_path / "m.agm", tmp_path / "again.agm"
+        save_model(adamw_steps(shared_gate_model()), path)
+        back = load_model(path)
+        assert back.learnable_activation_parameter_count() == 7
+        save_model(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_unequal_vectors_rejected_when_built(self):
+        with pytest.raises(ValueError, match="^layer 3 stores a global_shared gate vector "
+                                             "that differs from the first one$"):
+            shared_gate_model(core.preset("identity").raw_vector())
+
+
 class TestBackward:
     def test_single_dense_outer_product(self):
         # squared error on one sample: dL/dW = x^T (y_hat - y), classic form
@@ -653,8 +710,6 @@ class TestEvaluate:
         x, y = blob_dataset.x_test, blob_dataset.y_test
         with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
             evaluate(trained, (x, y), sigma, 0)
-        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
-            engine.add_noise(x, sigma, 0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows, y_shape", [(10, (1,)), (10, (10, 1)), (0, (1,)), (10, (3,))],
@@ -671,14 +726,6 @@ class TestEvaluate:
             evaluate(trained, (x, np.zeros(y_shape, dtype=int)), 0.5, 3)
         assert str(x.shape) in str(exc.value) and str(y_shape) in str(exc.value)
 
-    @pytest.mark.parametrize("sigma, seed", [(0.3, 11), (1e-9, 0), (5.0, 2024)])
-    def test_noise_bits_are_x_plus_the_draw(self, small_dataset, sigma, seed):
-        x = small_dataset.x_test
-        want = x + np.random.default_rng(seed).normal(0.0, sigma, size=x.shape)
-        got = engine.add_noise(x, sigma, seed)
-        assert got.tobytes() == want.tobytes()
-        assert got is not x and not np.shares_memory(got, x)
-
 
 def _fill_free_lists() -> None:
     """Fill CPython's free lists of small tuples, floats, dicts and lists.
@@ -691,6 +738,18 @@ def _fill_free_lists() -> None:
     parked += [float(k) + 0.5 for k in range(1000)]
     parked += [{"k": k} for k in range(1000)] + [[k] for k in range(1000)]
     del parked
+
+
+def noisy(x, sigma: float, seed: int) -> np.ndarray:
+    """The evaluation-noise stream drawn for the whole array at once.
+
+    ``evaluate`` and the noise sweep draw it one row block at a time; this
+    oracle says what the concatenated blocks must be.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if sigma == 0:
+        return x
+    return x + np.random.default_rng(seed).normal(0.0, sigma, size=x.shape)
 
 
 class TestPredict:
@@ -707,13 +766,13 @@ class TestPredict:
         models = {"arcgate": model, "relu": tiny_model(spec=spec)}
 
         def reference(m, x, y, sigma, seed):
-            logits, _ = forward(m, engine.add_noise(x, sigma, seed))
+            logits, _ = forward(m, noisy(x, sigma, seed))
             return float(np.mean(np.argmax(logits, axis=1) == y))
 
         b = engine._INFER_ROWS
         for n in (1, b - 1, b, b + 1, 1000):
             x, y = desk_dataset.x_test[:n], desk_dataset.y_test[:n]
-            for batch in (x, engine.add_noise(x, 0.4, 9)):
+            for batch in (x, noisy(x, 0.4, 9)):
                 logits, _ = forward(model, batch)
                 assert engine._logits(model, batch).tobytes() == logits.tobytes()
                 assert np.array_equal(engine.predict(model, batch), np.argmax(logits, axis=1))

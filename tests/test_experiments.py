@@ -330,11 +330,11 @@ class TestRound:
         result, _ = study_round
         cfg = replace(FAST, seed=STUDY_SEED, init_strategy="soft_relu", granularity="layer_wise")
         model, _ = engine.train(experiments._spec_for(small_dataset), small_dataset, cfg)
-        report = layer_evolution_report(model)
-        experiments.write_layer_csv(report, tmp_path / "layers.csv")
+        rows = layer_evolution_report(model)
+        experiments.write_layer_csv(rows, tmp_path / "layers.csv")
         assert (tmp_path / "layers.csv").read_bytes() \
             == result.paths["layer_evolution"].read_bytes()
-        assert result.layers == report
+        assert result.layers == rows
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_diverged_sweep_training_stops_before_the_layer_report(self, tmp_path):
@@ -385,9 +385,9 @@ class TestLayerReport:
         spec = ModelSpec(12, (8, 6, 4), 3)
         cfg = TrainConfig(seed=0, init_strategy="soft_relu", granularity="layer_wise")
         model = engine.build_model(spec, cfg, np.random.default_rng(0))
-        report = layer_evolution_report(model)
-        assert len(report.rows) == 3
-        for i, row in enumerate(report.rows):
+        rows = layer_evolution_report(model)
+        assert len(rows) == 3
+        for i, row in enumerate(rows):
             assert row.layer_index == i
             assert (row.a, row.c, row.p, row.alpha, row.beta, row.gamma, row.delta) \
                 == (5.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0)

@@ -37,6 +37,15 @@ class TestFitTarget:
         with pytest.raises(ValueError):
             FitTarget(np.linspace(0, 1, 20), np.zeros(21), "shape")
 
+    @pytest.mark.parametrize("column, k, bad", [("grid point", 0, -math.inf),
+                                                 ("value", 7, math.nan),
+                                                 ("value", 19, math.inf)])
+    def test_non_finite_samples_rejected(self, column, k, bad):
+        grid, values = np.linspace(-1, 1, 20), np.zeros(20)
+        (grid if column == "grid point" else values)[k] = bad
+        with pytest.raises(ValueError, match=rf"^target {column} {k} is {bad!r}, not finite$"):
+            FitTarget(grid, values, "bad")
+
     @pytest.mark.parametrize("n_points", [-1, 0, 15])
     def test_too_few_points_rejected(self, n_points):
         with pytest.raises(ValueError,
@@ -79,12 +88,14 @@ class TestFit:
         assert res.l_inf_error >= 0 and res.l2_error >= 0
 
     def test_non_finite_target_yields_failure_result(self):
+        # finite samples whose squared residuals overflow: no descent has a finite loss
         grid = np.linspace(-1, 1, 20)
-        values = np.full(20, np.nan)
+        values = np.full(20, 1e200)
         res = fit(FitTarget(grid, values, "broken"), core.preset("identity"),
                   budget=50, seed=0)
         assert not res.converged
-        assert math.isinf(res.l_inf_error)
+        assert math.isinf(res.l_inf_error) and math.isinf(res.l2_error)
+        assert res.params == core.preset("identity")
 
     def test_budget_validation(self):
         tgt = FitTarget.from_kind(ActivationKind("relu"), -1, 1, 20)

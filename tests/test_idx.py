@@ -317,6 +317,8 @@ def test_synthesis_matches_the_whole_split_oracle(seed, n_train, n_test):
     (idx.write_idx_images, np.array([[[0, 300]]]), r"value 300 at index \(0, 0, 1\)"),
     (idx.write_idx_images, np.array([[[0, 1]], [[-2, 5]]], dtype=np.int8),
      r"value -2 at index \(1, 0, 0\)"),
+    (idx.write_idx_labels, np.zeros((3, 2), dtype=np.uint8),
+     r"expected \(n,\) labels, got shape \(3, 2\)"),
 ])
 def test_writers_refuse_values_a_byte_does_not_hold(tmp_path, writer, values, message):
     with pytest.raises(ValueError, match=message):
