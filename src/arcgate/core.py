@@ -215,8 +215,8 @@ class GateGrad:
 class GateTape:
     """The arrays :func:`batch_eval` writes, and the ``x`` and ``eff`` of its last call.
 
-    ``eff`` is the 7-tuple of floats, or the ``(k, 7)`` matrix whose rows
-    were broadcast over a 1-D ``x``; then every array is ``(k, x.size)``.
+    ``eff`` is the 7-tuple of floats, or the ``(k, 7)`` matrix of parameter
+    rows (see :func:`batch_eval`); then every array is ``(k, n)``.
     The backward pass reads ``x``, ``v`` and ``z = a * (x - c)`` clipped to
     +-_Z_CAP, ``theta = arctan(|z|)``, ``psmall = arctan2(1, |z|) =
     pi * min(u, 1 - u)``, ``log_odds = log(u / (1 - u))`` and
@@ -290,10 +290,11 @@ def _operands(x, eff) -> tuple[np.ndarray, tuple | np.ndarray, tuple[int, ...]]:
     """``x`` as float64, ``eff`` as floats or a float64 ``(k, 7)`` matrix, and the tape shape."""
     x = np.asarray(x, dtype=np.float64)
     if isinstance(eff, np.ndarray) and eff.ndim == 2:
-        if eff.shape[1] != 7 or x.ndim != 1:
-            raise ValueError(f"a (k, 7) parameter matrix needs a 1-D grid, got "
-                             f"{eff.shape} over {x.shape}")
-        return x, eff.astype(np.float64), (eff.shape[0], x.size)
+        k = eff.shape[0]
+        if eff.shape[1] != 7 or not (x.ndim == 1 or x.ndim == 2 and x.shape[0] == k):
+            raise ValueError(f"a (k, 7) parameter matrix needs a 1-D grid or k rows of x, "
+                             f"got {eff.shape} over {x.shape}")
+        return x, eff.astype(np.float64), (k, x.shape[-1])
     return x, tuple(map(float, eff)), x.shape
 
 
@@ -301,8 +302,8 @@ def batch_eval(x: np.ndarray, eff, tape: GateTape | None = None) -> GateTape:
     """Evaluate the gate elementwise over ``x`` for effective parameters ``eff``.
 
     ``eff`` is (a, c, p, alpha, beta, gamma, delta) with a, p already
-    positive-mapped, or a ``(k, 7)`` array of such rows: each row is
-    evaluated over the whole 1-D ``x``, giving ``(k, x.size)`` tape arrays.
+    positive-mapped, or a ``(k, 7)`` array of such rows, each evaluated over
+    all of a 1-D ``x`` or its own row of a ``(k, n)`` ``x``: ``(k, n)`` arrays.
     A ``tape`` of that shape is overwritten, else a fresh one is made;
     returns it, for :func:`batch_vjp`.
     """
@@ -505,54 +506,63 @@ def grad(x: float, params: ArcGateParams) -> GateGrad:
 # gradient self-check
 # ---------------------------------------------------------------------------
 
+_GRADCHECK_BLOCK = 128    # draws per kernel call, so memory is flat in ``samples``
+
+
 def gate_gradcheck(samples: int, seed: int) -> float:
-    """Worst relative error of :func:`grad` against finite differences of F.
+    """Worst relative error of the kernel's partials against finite differences of F.
 
     Each of ``samples`` seeded draws picks effective parameters and an input
     and checks all eight partials against ``(4 D(h/2) - D(h)) / 3``, where
     ``D(s) = (F(v + s) - F(v - s)) / 2s`` and ``h = 1e-5 * max(1, |v|)``.
     The Richardson extrapolation cancels the h^2 truncation term, which on
     steep draws (large a, x near c) exceeds 1e-5 by itself.  Errors within
-    the absolute floor 1e-8 are not counted.  Per draw, the four shifted
-    inputs are one kernel call and the 28 shifted parameter rows another; a
-    shifted a or p reaches F through its raw preimage, exactly as through
-    ``ArcGateParams.from_effective``.  ``samples`` must be at least 1, since
-    no draws would report a pass that checked nothing.
+    the absolute floor 1e-8 are not counted.  Draws go through the kernel
+    as ``(k, 7)`` parameter rows, 128 at a time: one evaluation gives the
+    partials of :func:`grad`, two value calls the 32 shifted values per
+    draw.  A drawn or shifted a or p reaches F through its raw preimage, as
+    through ``ArcGateParams.from_effective``.  ``samples`` must be at least
+    1: no draws would report a pass that checked nothing.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
+    # a draw is one row of uniforms: a, p, c, x - c and the affine four
+    lo, hi = np.array([[0.1, 0.2, -3.0, -10.0, -2.0, -2.0, -2.0, -2.0],
+                       [50.0, 5.0, 3.0, 10.0, 2.0, 2.0, 2.0, 2.0]])
+    through_raw = np.vectorize(lambda v: positive_map(raw_from_effective(v)), otypes=[float])
     worst = 0.0
-    for _ in range(samples):
-        a = rng.uniform(0.1, 50.0)
-        p = rng.uniform(0.2, 5.0)
-        c = rng.uniform(-3.0, 3.0)
-        x = c + rng.uniform(-10.0, 10.0)
-        alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, 4)
-        params = ArcGateParams.from_effective(a, c, p, alpha, beta, gamma, delta)
-        g = grad(x, params)
-        vals = np.array([x, a, c, p, alpha, beta, gamma, delta])
+    for start in range(0, samples, _GRADCHECK_BLOCK):
+        k = min(_GRADCHECK_BLOCK, samples - start)
+        a, p, c, dx, alpha, beta, gamma, delta = (lo + (hi - lo) * rng.random((k, 8))).T
+        vals = np.stack([c + dx, a, c, p, alpha, beta, gamma, delta], axis=1)
         h = 1e-5 * np.maximum(1.0, np.abs(vals))
-        half = h / 2
-        shifted = np.stack([vals + half, vals - half, vals + h, vals - h], axis=1)
-        eff = params.effective()
-        rows = np.empty((7, 4, 7))       # 4 shifts of each parameter, the rest at eff
-        rows[...] = eff
-        for j, col in enumerate(shifted[1:]):
-            if j in (0, 2):
-                col = [positive_map(raw_from_effective(v)) for v in col]
-            rows[j, :, j] = col
-        f = np.concatenate([batch_value(shifted[0], eff),
-                            batch_value(np.array([x]), rows.reshape(28, 7)).ravel()])
-        f = f.reshape(8, 4)
-        fd = (4.0 * ((f[:, 0] - f[:, 1]) / (2 * half))
-              - (f[:, 2] - f[:, 3]) / (2 * h)) / 3.0
-        partials = (g.d_x, g.d_a, g.d_c, g.d_p, g.d_alpha, g.d_beta, g.d_gamma, g.d_delta)
-        for est, ana in zip(fd.tolist(), partials):
-            err = abs(est - ana)
-            if err > 1e-8:
-                worst = max(worst, err / max(abs(ana), 1e-300))
+        # each value, then shifted by h/2, -h/2, h and -h
+        points = vals[..., None] + h[..., None] * np.array([0.0, 0.5, -0.5, 1.0, -1.0])
+        points[:, [1, 3]] = through_raw(points[:, [1, 3]])
+        x, eff = points[:, :1, 0], points[:, 1:, 0]
+        tape = batch_eval(x, eff)
+        analytic = np.concatenate([*_partials(tape), x * tape.v, tape.v, x, np.ones_like(x)],
+                                  axis=1)
+        rows = np.tile(eff[:, None, None], (1, 7, 4, 1))   # 4 shifts of each parameter
+        for j in range(7):
+            rows[:, j, :, j] = points[:, j + 1, 1:]
+        f = np.concatenate([batch_value(points[:, 0, 1:], eff)[:, None],
+                            batch_value(np.repeat(x, 28, axis=0), rows.reshape(-1, 7))
+                            .reshape(k, 7, 4)], axis=1)
+        fd = (4.0 * ((f[..., 0] - f[..., 1]) / h) - (f[..., 2] - f[..., 3]) / (2 * h)) / 3.0
+        worst = max(worst, _worst_error(fd, analytic, 1e-8))
     return worst
+
+
+def _worst_error(estimate, analytic, floor: float) -> float:
+    """The largest ``err / max(|analytic|, 1e-300)`` among ``err = |estimate - analytic|`` above
+    ``floor``, NaN ratios skipped; 0 if there is none."""
+    ana = np.asarray(analytic, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        err = np.abs(np.asarray(estimate, dtype=np.float64) - ana)
+        ratio = err / np.maximum(np.abs(ana), 1e-300)
+        return float(np.max(ratio, where=(err > floor) & (ratio >= 0.0), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

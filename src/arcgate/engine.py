@@ -758,9 +758,9 @@ def net_gradcheck(seed: int) -> float:
     def loss_now() -> float:
         return softmax_cross_entropy(_logits(model, x), y)[0]
 
-    worst = 0.0
-    for slot, g in zip(model.arena.slots, grads):
-        flat, gflat = slot.array.ravel(), g.ravel()
+    estimates = []
+    for slot in model.arena.slots:
+        flat = slot.array.ravel()
         for k in range(flat.size):
             h = 1e-6 * max(1.0, abs(flat[k]))
             keep = flat[k]
@@ -769,11 +769,8 @@ def net_gradcheck(seed: int) -> float:
             flat[k] = keep - h
             down = loss_now()
             flat[k] = keep
-            fd = (up - down) / (2 * h)
-            err = abs(fd - gflat[k])
-            if err > 1e-9:
-                worst = max(worst, err / max(abs(gflat[k]), 1e-300))
-    return worst
+            estimates.append((up - down) / (2 * h))
+    return core._worst_error(estimates, np.concatenate([g.ravel() for g in grads]), 1e-9)
 
 
 # ---------------------------------------------------------------------------

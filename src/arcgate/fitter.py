@@ -8,8 +8,8 @@ it was handed.
 Every descent (each restart of each target fitted together) is one row of a
 single loop.  Each iteration evaluates the running rows' trial points in one
 kernel call, keeps a trial only where it lowers the loss (dividing that
-row's damping λ by 3, else multiplying it by 2), takes the kernel's
-partials once for the rows that moved, and solves the damped normal
+row's damping λ by 3, else multiplying it by 2), reads the partials of the
+rows that moved from the same kernel tape, and solves the damped normal
 equations ``(JᵀJ + λ·D) δ = −Jᵀr`` of all rows at once, with D Marquardt's
 ``diag(JᵀJ)``.  A row leaves the batch when it stops, so it follows exactly
 the arithmetic of a descent run on its own.  A descent stops on ``gtol``
@@ -33,8 +33,9 @@ the default budget ÷3/×2 reaches the same losses in about a third of the
 iterations.
 
 Each row keeps the undamped ``JᵀJ`` and ``Jᵀr`` of its current point.  A
-rejected trial changes neither, so only the rows whose trial was accepted
-take new partials and products (MINPACK's LM likewise evaluates the
+rejected trial changes neither, so although the kernel's partials are
+taken once for every running row, only the rows whose trial was accepted
+read theirs and take new products (MINPACK's LM likewise evaluates the
 Jacobian only after a successful step).
 """
 
@@ -235,17 +236,16 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
         small_step = accept & (trial_loss >= (1.0 - _FTOL) * loss)
         moved = np.flatnonzero(accept)
         if moved.size:
-            m = moved.size
-            view = tape if m == ids.size else _tape_rows(tape, moved)
-            _, d_a, d_c, d_p = core._partials(view)
+            with np.errstate(invalid="ignore"):   # rejected rows' partials are not read
+                _, d_a, d_c, d_p = core._partials(tape)
             chain = np.array([[core.positive_map_grad(a), core.positive_map_grad(p)]
                               for a, p in trial[moved][:, [0, 2]].tolist()])
-            jm = jac[:m]
-            jm[:, 0] = d_a * chain[:, :1]
-            jm[:, 1] = d_c
-            jm[:, 2] = d_p * chain[:, 1:]
-            jm[:, 3] = grid * view.v
-            jm[:, 4] = view.v
+            jm = jac[:moved.size]
+            jm[:, 0] = d_a[moved] * chain[:, :1]
+            jm[:, 1] = d_c[moved]
+            jm[:, 2] = d_p[moved] * chain[:, 1:]
+            jm[:, 4] = tape.v[moved]
+            jm[:, 3] = grid * jm[:, 4]
             jtr[moved] = (jm @ trial_resid[moved][:, :, None])[:, :, 0]
             jtj[moved] = jm @ jm.transpose(0, 2, 1)
         raw[accept], loss[accept] = trial[accept], trial_loss[accept]
@@ -272,18 +272,6 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
         with np.errstate(invalid="ignore", over="ignore"):
             trial = raw - np.linalg.solve(damped, jtr[:, :, None])[:, :, 0]
     return outcomes
-
-
-def _tape_rows(tape: core.GateTape, rows: np.ndarray) -> core.GateTape:
-    """The tape of ``rows`` alone, moved into the first rows of its own arrays.
-
-    Only the arrays :func:`core._partials` reads are moved; the view's ``f`` is stale.
-    """
-    view = tape.rows(rows.size)
-    for name in ("z", "theta", "psmall", "log_odds", "e", "v"):
-        getattr(view, name)[...] = getattr(tape, name)[rows]
-    view.eff = tape.eff[rows]
-    return view
 
 
 #: Classic targets in table order with the preset each fit starts from.

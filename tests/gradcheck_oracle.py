@@ -1,8 +1,10 @@
-"""Reference for the gate gradient suite: the one-draw-at-a-time loop it replaced.
+"""Reference for the gate gradient suite: one draw at a time, through the scalar API.
 
-Two scalar ``eval_F`` calls per central difference, four central differences
-per partial.  ``core.gate_gradcheck`` must return exactly the same worst
-relative error.
+Per draw, one scalar ``grad`` call gives the eight partials, and two scalar
+``eval_F`` calls give each central difference, four central differences per
+partial.  ``core.gate_gradcheck`` runs the same draws as ``(k, 7)`` kernel
+rows, 128 draws per block, and must return exactly the same worst relative
+error; its 32 shifted values per draw must be these ``eval_F`` values.
 """
 
 import numpy as np

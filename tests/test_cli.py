@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import math
 import os
@@ -63,15 +62,19 @@ def test_gradcheck_passes_on_steep_draws(seed):
     assert run_cli("gradcheck", "--seed", seed) == 0
 
 
-def test_gradcheck_catches_a_wrong_partial(monkeypatch):
-    exact = core.grad
+def test_gradcheck_catches_a_wrong_partial(monkeypatch, capsys):
+    exact = core._partials
 
-    def skewed(x, params):
-        g = exact(x, params)
-        return dataclasses.replace(g, d_a=g.d_a * (1.0 + 1e-4))
+    def skewed(tape):
+        d_x, d_a, d_c, d_p = exact(tape)
+        d_a *= 1.0 + 1e-4
+        return d_x, d_a, d_c, d_p
 
-    monkeypatch.setattr(core, "grad", skewed)
+    monkeypatch.setattr(core, "_partials", skewed)
     assert run_cli("gradcheck", "--samples", 50, "--seed", 1) == 1
+    gate = capsys.readouterr().err.splitlines()[0]    # the gate suite's own figure fails
+    worst = re.fullmatch(r"gate gradient suite: worst relative error (\S+) \(50 draws\)", gate)
+    assert float(worst[1]) > 1e-5
 
 
 @pytest.mark.parametrize("seed", [0, 1, 18])

@@ -276,6 +276,24 @@ class TestBatchRows:
         with pytest.raises(ValueError, match="four arrays"):
             core.GateTape((len(eff), grid.size - 1), scratch)
 
+    def test_rows_pair_with_the_rows_of_a_two_dimensional_x(self):
+        grid, eff, cot = self.rows_and_cotangent()
+        x = np.random.default_rng(6).normal(0.0, 3.0, (len(eff), 37))
+        tape = core.batch_eval(x, eff)
+        d_x, d_eff = core.batch_vjp(tape, cot[:, :37])
+        assert tape.f.shape == x.shape and d_eff.shape == eff.shape
+        assert core.batch_value(x, eff).tobytes() == tape.f.tobytes()
+        for r in range(len(eff)):
+            one = core.batch_eval(x[r], tuple(eff[r]))
+            one_dx, one_deff = core.batch_vjp(one, cot[r, :37])
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(tape, name)[r], getattr(one, name)), name
+            assert np.array_equal(d_x[r], one_dx)
+            assert np.array_equal(d_eff[r], one_deff)
+        for bad in (x[:-1], x[:, :, None]):
+            with pytest.raises(ValueError, match="1-D grid or k rows of x"):
+                core.batch_eval(bad, eff)
+
     def test_rejects_bad_shapes(self):
         grid, eff, _ = self.rows_and_cotangent()
         with pytest.raises(ValueError, match="1-D grid"):
@@ -412,42 +430,57 @@ class TestGateGradcheck:
     @pytest.mark.parametrize("seed", [0, 18, 1456708897, 42])
     def test_matches_the_oracle(self, seed, skew, monkeypatch):
         if skew:
-            exact = core.grad
+            exact = core._partials
 
-            def skewed(x, params):
-                g = exact(x, params)
-                return dataclasses.replace(g, d_a=g.d_a * (1.0 + 1e-4),
-                                           d_p=g.d_p * (1.0 - 3e-5))
+            def skewed(tape):
+                # the suite and the oracle's grad both take their partials here
+                d_x, d_a, d_c, d_p = exact(tape)
+                d_a *= 1.0 + 1e-4
+                d_p *= 1.0 - 3e-5
+                return d_x, d_a, d_c, d_p
 
-            monkeypatch.setattr(core, "grad", skewed)
+            monkeypatch.setattr(core, "_partials", skewed)
         want = _gate_gradcheck(1000, seed, 1e-5)
         assert (want > 1e-5) == skew
         assert core.gate_gradcheck(1000, seed).hex() == want.hex()
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_every_shifted_value_matches_the_oracle(self, seed, monkeypatch):
-        # 32 F values per draw: 4 shifts of x, then of each parameter in order
-        batch_eval, eval_F = core.batch_eval, core.eval_F
+        # 32 F values per draw: 4 shifts of x, then of each parameter in order.  Per
+        # block of k draws, one (k, 4) call shifts x and one (28 k, 1) call the parameters.
+        batch_value, eval_F = core.batch_value, core.eval_F
         batched, scalar = [], []
 
-        def recording_batch_eval(x, eff, tape=None):
-            tape = batch_eval(x, eff, tape)
-            batched.append(tape.f.ravel().copy())
-            return tape
+        def recording_batch_value(x, eff):
+            f = batch_value(x, eff)
+            batched.append(f.copy())
+            return f
 
         def recording_eval_F(x, params):
             result = eval_F(x, params)
             scalar.append(result.f)
             return result
 
-        monkeypatch.setattr(core, "batch_eval", recording_batch_eval)
+        monkeypatch.setattr(core, "batch_value", recording_batch_value)
         core.gate_gradcheck(300, seed)
-        monkeypatch.setattr(core, "batch_eval", batch_eval)
+        monkeypatch.setattr(core, "batch_value", batch_value)
         monkeypatch.setattr(core, "eval_F", recording_eval_F)
         _gate_gradcheck(300, seed, 1e-5)
-        # every third kernel call is grad's own
-        shifted = np.concatenate([f for k, f in enumerate(batched) if k % 3])
-        assert shifted.tobytes() == np.array(scalar).tobytes()
+        assert [f.shape for f in batched] == [(128, 4), (128 * 28, 1)] * 2 + [(44, 4), (44 * 28, 1)]
+        per_draw = np.concatenate([np.concatenate([xs, ps.reshape(len(xs), 28)], axis=1)
+                                   for xs, ps in zip(batched[::2], batched[1::2])])
+        assert per_draw.tobytes() == np.array(scalar).tobytes()
+
+    def test_memory_is_flat_in_the_draws(self):
+        peaks = []
+        for samples in (200, 2000):
+            tracemalloc.start()
+            try:
+                core.gate_gradcheck(samples, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 class TestGrad:

@@ -249,3 +249,21 @@ class TestBatchInvariance:
         assert fitted == fit(sigmoid, core.preset("sigmoid_like"), budget=300, seed=4,
                              restarts=1)
         assert fitted.l_inf_error < 0.003    # 0.18 at the preset
+
+    def test_a_row_rejected_with_a_non_finite_loss_leaves_the_others_intact(self):
+        # alpha = 1e308 takes F past the double range, so that row's start is rejected;
+        # its partials, taken along with the accepted row's, meet inf * 0 and must not
+        # warn (the suite turns warnings into errors)
+        target = FitTarget.from_kind(ActivationKind("tanh"), -6, 6, 101)
+        overflowing = core.ArcGateParams.from_effective(1e4, 0.0, 1e3, 1e308, 0.0, 0.0, 0.0)
+        starts = np.array([overflowing.raw_vector(), core.random_raw(np.random.default_rng(3))])
+        values = np.tile(target.values, (2, 1))
+        rejected, kept = fitter._descend_rows(target.grid, values, starts.copy(),
+                                              np.zeros(2, int), 50)
+        alone = fitter._descend_rows(target.grid, values[1:], starts[1:].copy(),
+                                     np.zeros(1, int), 50)[0]
+        assert rejected is None and kept[2] > 1
+        assert alone[0] == kept[0] and alone[1].tobytes() == kept[1].tobytes()
+        assert alone[2:] == kept[2:]
+        result = fit(target, overflowing, budget=50, seed=3, restarts=2)
+        assert result.params.raw_vector().tobytes() == kept[1].tobytes()
