@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python3 scripts/golden.py write DIR
     python3 scripts/golden.py diff A B
+    python3 scripts/golden.py check RECORD DIR
 
 ``write`` runs the producers below through the CLI and the public API, with
 DIR as the working directory and relative ``--out`` paths (so stderr lines
@@ -12,7 +13,10 @@ git SHA of the ``arcgate`` tree imported.  To check a parent commit, put it
 in its own tree (``git worktree add ../parent HEAD~1``) and run this script
 with ``PYTHONPATH=../parent/src``.  ``diff`` lists every file that differs
 or is missing on one side and exits 1 if there is any; env lines are not
-compared.
+compared.  ``check`` does the same between a saved MANIFEST, such as the
+record ``tests/data/golden.MANIFEST`` (written at 1 BLAS thread with numpy
+2.4.6), and DIR's.  A change that moves output bytes on purpose writes the
+record again, so its diff names every output that moved.
 """
 
 import contextlib
@@ -50,7 +54,7 @@ def _produce() -> None:
                  "--granularity", granularity, "--out", f"{stem}.agm1")
     model = "train/soft_relu-layer_wise.agm1"
     _cli("report", "report", "--model", model, "--out", "report.csv")
-    _cli("sweep/full", "sweep", "--full", *splits, "--epochs", "1", "--out", "sweep/full.csv")
+    _cli("sweep/full", "sweep", *splits, "--epochs", "1", "--out", "sweep/full.csv")
     _cli("sweep/eval", "sweep", "--model", model, "--images", data["test_images"],
          "--labels", data["test_labels"], "--out", "sweep/eval.csv")
     for study in ("init", "granularity"):
@@ -66,8 +70,7 @@ def _produce() -> None:
     for figure, infile in (("sensitivity", "round/sensitivity_steepness.csv"),
                            ("fit", "round/sensitivity_classics.csv"),
                            ("sweep", "sweep/full.csv")):
-        _cli(f"plot/{figure}", "plot", "--figure", figure, "--in", infile,
-             "--out", f"plot/{figure}.svg")
+        _cli(f"plot/{figure}", "plot", "--in", infile, "--out", f"plot/{figure}.svg")
 
 
 def _env() -> str:
@@ -92,14 +95,15 @@ def write(out: Path) -> None:
     print(f"{len(lines)} files -> {out / 'MANIFEST'}")
 
 
-def _manifest(root: Path) -> dict[str, list[str]]:
+def _manifest(manifest: Path) -> dict[str, list[str]]:
     """path -> [size, sha256]; the env line is skipped."""
     return {path: rest for path, *rest in (line.split() for line in
-                                           (root / "MANIFEST").read_text().splitlines()
+                                           manifest.read_text().splitlines()
                                            if not line.startswith("#"))}
 
 
 def diff(a: Path, b: Path) -> int:
+    """Compare two MANIFEST files."""
     left, right = _manifest(a), _manifest(b)
     names = sorted(left.keys() | right.keys())
     bad = [name for name in names if left.get(name) != right.get(name)]
@@ -115,6 +119,8 @@ if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "write":
         write(Path(sys.argv[2]).resolve())
     elif len(sys.argv) == 4 and sys.argv[1] == "diff":
-        sys.exit(diff(Path(sys.argv[2]), Path(sys.argv[3])))
+        sys.exit(diff(Path(sys.argv[2], "MANIFEST"), Path(sys.argv[3], "MANIFEST")))
+    elif len(sys.argv) == 4 and sys.argv[1] == "check":
+        sys.exit(diff(Path(sys.argv[2]), Path(sys.argv[3], "MANIFEST")))
     else:
         sys.exit(__doc__)

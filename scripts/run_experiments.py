@@ -7,9 +7,8 @@ import time
 from arcgate import cli, experiments, idx
 from arcgate.engine import TrainConfig
 
-# chart -> plot figure; drawn from the round's CSV of that name, next to it as <chart>.svg
-CHARTS = {**dict.fromkeys(("steepness", "sharpness", "shift", "mode", "leak"), "sensitivity"),
-          "classics": "fit", "noise_sweep": "sweep"}
+# each drawn from the round's CSV of that name, next to it as <chart>.svg
+CHARTS = ("steepness", "sharpness", "shift", "mode", "leak", "classics", "noise_sweep")
 
 
 def main() -> None:
@@ -30,8 +29,8 @@ def main() -> None:
             f"acc={r.test_accuracy:.4f}" for r in result.granularity_rows),
           *(f"  layer {r.layer_index}: a={r.a:.3f} alpha={r.alpha:.4f} gamma={r.gamma:+.4f}"
             for r in result.layers), sep="\n")
-    for name, figure in CHARTS.items():
-        cli.run(["plot", "--figure", figure, "--in", str(result.paths[name]),
+    for name in CHARTS:
+        cli.run(["plot", "--in", str(result.paths[name]),
                  "--out", str(result.paths[name].with_name(f"{name}.svg"))])
     print(f"done in {time.time() - t0:.0f}s -> {args.out_dir}/")
 

@@ -41,6 +41,9 @@ def _parse_sigmas(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"malformed sigma list {text!r}: {exc}") from None
     if not all(math.isfinite(v) and v >= 0.0 for v in values):
         raise argparse.ArgumentTypeError(f"sigmas must be finite and >= 0, got {text!r}")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise argparse.ArgumentTypeError(f"sigma {v:g} is repeated in {text!r}")
     return values
 
 
@@ -62,15 +65,6 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text!r}")
     return value
-
-
-def _parse_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
 # Option tables drive both argparse and the config-file merge.
@@ -107,15 +101,14 @@ _OPTIONS: dict[str, dict] = {
         "out": ("--out", str, None, "output model file (AGM1)"),
     },
     "sweep": {
-        "full": ("--full", _parse_bool, False, "train both models, then sweep (paired report)"),
-        "model": ("--model", str, "", "saved model to evaluate (non-full mode)"),
+        "model": ("--model", str, "", "saved model to evaluate; else train ArcGate and ReLU"),
         "sigmas": ("--sigmas", _parse_sigmas, list(experiments.DEFAULT_SIGMAS),
                    "comma-separated noise levels"),
         "images": ("--images", str, "", "eval/train images (IDX)"),
         "labels": ("--labels", str, "", "eval/train labels (IDX)"),
-        "test_images": ("--test-images", str, "", "test images (IDX, full mode)"),
-        "test_labels": ("--test-labels", str, "", "test labels (IDX, full mode)"),
-        "epochs": ("--epochs", int, _TRAIN.epochs, "training epochs (full mode)"),
+        "test_images": ("--test-images", str, "", "test images (IDX, without --model)"),
+        "test_labels": ("--test-labels", str, "", "test labels (IDX, without --model)"),
+        "epochs": ("--epochs", int, _TRAIN.epochs, "training epochs (without --model)"),
         "seed": _SEED,
         "out": ("--out", str, None, "output CSV"),
     },
@@ -134,8 +127,7 @@ _OPTIONS: dict[str, dict] = {
         "out": ("--out", str, None, "output CSV"),
     },
     "plot": {
-        "figure": ("--figure", str, None, "sensitivity|fit|sweep"),
-        "infile": ("--in", str, None, "input CSV"),
+        "infile": ("--in", str, None, "input CSV; its header row picks the chart"),
         "out": ("--out", str, None, "output SVG"),
     },
 }
@@ -169,9 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
             elif dest == "range":
                 p.add_argument(flag, dest=dest, nargs=2, type=typ,
                                default=argparse.SUPPRESS, metavar=("LO", "HI"), help=hlp)
-            elif typ is _parse_bool:
-                p.add_argument(flag, dest=dest, action="store_true",
-                               default=argparse.SUPPRESS, help=hlp)
             else:
                 p.add_argument(flag, dest=dest, type=typ,
                                default=argparse.SUPPRESS, help=hlp)
@@ -219,8 +208,6 @@ def _merge(args: argparse.Namespace, parser) -> dict:
             opts[dest] = getattr(args, dest)
     missing = [dest for dest, spec in _OPTIONS[command].items()
                if spec[2] is None and opts[dest] in (None, "")]
-    if command == "sweep" and not opts["full"] and not opts["model"]:
-        missing.append("model")
     if missing:
         flags = ", ".join(_OPTIONS[command][d][0] for d in missing)
         parser.error(f"missing required option(s): {flags}")
@@ -332,7 +319,7 @@ def _cmd_train(opts) -> int:
 def _cmd_sweep(opts) -> int:
     sigmas = sorted(float(s) for s in opts["sigmas"])
     out = _out_path(opts["out"])
-    if opts["full"]:
+    if not opts["model"]:
         config = _train_config(opts)
         dataset = _load_dataset(opts)
         report = experiments.noise_sweep(dataset, sigmas, config, seed=opts["seed"])
@@ -342,7 +329,7 @@ def _cmd_sweep(opts) -> int:
     else:
         model = engine.load_model(opts["model"])
         if not opts["images"] or not opts["labels"]:
-            raise ValueError("sweep without --full needs --images and --labels")
+            raise ValueError("sweep --model needs --images and --labels")
         x, y = idx.load_idx(opts["images"], opts["labels"])
         report = experiments._sweep_report({Path(opts["model"]).stem: model}, x, y,
                                            sigmas, opts["seed"], ("eval-only", opts["model"]))
@@ -377,16 +364,21 @@ def _cmd_report(opts) -> int:
     return 0
 
 
+# a table's header row -> its chart and the fields that chart reads as numbers; any
+# other table gets the sensitivity chart, its first column against each of the others
+_CHARTS = {fitter.FIT_COLUMNS: ("fit", slice(2, 9)),
+           experiments.SWEEP_COLUMNS: ("sweep", slice(1, 3))}
+
+
 def _cmd_plot(opts) -> int:
-    figure = opts["figure"]
     infile = opts["infile"]
     out = _out_path(opts["out"])
-    if figure == "sensitivity":
-        header, rows = _read_table(infile)
+    chart, header, rows = _read_table(infile)
+    if chart == "sensitivity":
         data = np.array(rows)
         series = [(name, data[:, 0], data[:, i + 1]) for i, name in enumerate(header[1:])]
         svg.write_line_chart(out, Path(infile).stem, header[0], "F(x)", series)
-    elif figure == "fit":
+    elif chart == "fit":
         with open(infile, newline="") as f:
             window = re.fullmatch(r"# range=([-+.\deE]+),([-+.\deE]+) budget=\d+ seed=-?\d+\s*",
                                   f.readline())
@@ -394,31 +386,29 @@ def _cmd_plot(opts) -> int:
             raise ValueError(f"{infile}: no leading '# range=LO,HI budget=B seed=S' line; "
                              "rewrite the table with `arcgate fit`")
         grid = np.linspace(float(window[1]), float(window[2]), 601)
-        series = [(row[1], grid, core.batch_value(grid, row[2:9]))
-                  for row in _read_table(infile, slice(2, 9))[1]]
+        series = [(row[1], grid, core.batch_value(grid, row[2:9])) for row in rows]
         svg.write_line_chart(out, "fitted classics", "x", "F(x)", series)
-    elif figure == "sweep":
+    else:
         by_model: dict[str, list[tuple[float, float]]] = {}
-        for row in _read_table(infile, slice(1, 3))[1]:
+        for row in rows:
             by_model.setdefault(row[0], []).append((row[1], row[2]))
         series = [(m, [p[0] for p in pts], [p[1] for p in pts])
                   for m, pts in by_model.items()]
         svg.write_line_chart(out, "accuracy under input noise", "sigma", "accuracy", series)
-    else:
-        raise ValueError(f"unknown figure {figure!r}; expected sensitivity, fit, or sweep")
-    print(f"plot {figure} -> {out}", file=sys.stderr)
+    print(f"plot {chart} -> {out}", file=sys.stderr)
     return 0
 
 
-def _read_table(path, numeric: slice = slice(None)) -> tuple[list[str], list[list]]:
-    """Header and rows of a CSV without its blank and ``#`` lines.
+def _read_table(path) -> tuple[str, list[str], list[list]]:
+    """The chart of a CSV without its blank and ``#`` lines, with its header and rows.
 
-    Every row must have the header's width; its ``numeric`` fields are read as floats.
+    Every row must have the header's width; the fields its chart reads are read as floats.
     """
     rows = _csv_rows(path)
     if len(rows) < 2:
         raise ValueError(f"{path}:{rows[0][0] + 1 if rows else 1}: the table has no data rows")
     header = rows[0][1]
+    chart, numeric = _CHARTS.get(tuple(header), ("sensitivity", slice(None)))
     for line, row in rows[1:]:
         if len(row) != len(header):
             raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
@@ -426,7 +416,7 @@ def _read_table(path, numeric: slice = slice(None)) -> tuple[list[str], list[lis
             row[numeric] = [float(v) for v in row[numeric]]
         except ValueError:
             raise ValueError(f"{path}:{line}: not a number in {row!r}") from None
-    return header, [row for _, row in rows[1:]]
+    return chart, header, [row for _, row in rows[1:]]
 
 
 _COMMANDS = {

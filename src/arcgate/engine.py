@@ -86,6 +86,13 @@ class ModelSpec:
     hidden: tuple[int, ...] = (256, 128, 64)
     n_classes: int = 10
 
+    def __post_init__(self):
+        for name in ("in_dim", "n_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+
 
 @dataclass
 class TrainConfig:

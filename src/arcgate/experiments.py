@@ -35,7 +35,7 @@ from .engine import (GRANULARITIES, MLPModel, ModelSpec, TrainConfig,
                      TrainingDivergedError, _correct_counts, train)
 
 __all__ = [
-    "DEFAULT_SIGMAS", "Round", "SweepReport",
+    "DEFAULT_SIGMAS", "Round", "SWEEP_COLUMNS", "SweepReport",
     "granularity_ablation", "init_ablation", "layer_evolution_report",
     "noise_sweep", "run_round", "sensitivity_curves",
     "write_sweep_csv", "write_init_csv", "write_granularity_csv", "write_layer_csv",
@@ -61,7 +61,7 @@ def _spec_for(dataset) -> ModelSpec:
     return ModelSpec(in_dim=np.shape(dataset[0])[1], n_classes=idx.Dataset(*dataset).n_classes)
 
 
-def _write_csv(path, comment: str | None, columns: list[str], rows) -> None:
+def _write_csv(path, comment: str | None, columns: Sequence[str], rows) -> None:
     with open(path, "w", newline="") as f:
         if comment is not None:
             f.write(f"# {comment}\n")
@@ -178,11 +178,14 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
     only the activation differs.  Each sigma's noise is drawn once and both
     models are evaluated on it; sigma 0 draws none, so it gives the clean
     test accuracy that training recorded.  If one training run diverges the
-    report is returned partial, with whatever rows were completed.
+    report is returned partial, with whatever rows were completed.  A level
+    given twice would be drawn twice, from two seeds, so ``sigmas`` must be
+    strictly increasing.
     """
     sigmas = [float(s) for s in sigmas]
-    if not all(math.isfinite(s) and s >= 0 for s in sigmas) or sorted(sigmas) != sigmas:
-        raise ValueError(f"sigmas must be sorted, finite and >= 0, got {sigmas}")
+    if not (all(math.isfinite(s) and s >= 0 for s in sigmas)
+            and all(a < b for a, b in zip(sigmas, sigmas[1:]))):
+        raise ValueError(f"sigmas must be strictly increasing, finite and >= 0, got {sigmas}")
     config = config or TrainConfig()
     spec, data_digest = _spec_for(dataset), _dataset_digest(dataset)
 
@@ -219,11 +222,15 @@ def _sweep_report(models: dict[str, MLPModel], x, y, sigmas: list[float], seed: 
                        config_digest=_digest(*key, sigmas, seed), partial=partial)
 
 
+#: The sweep table's header row, by which ``arcgate plot`` knows the table.
+SWEEP_COLUMNS = ("model", "sigma", "accuracy", "seed")
+
+
 def write_sweep_csv(report: SweepReport, path) -> None:
     _write_csv(path, f"config_digest={report.config_digest} seed={report.seed} "
                      f"noise_seeds={sorted(report.noise_seeds.items())!r} "
                      f"partial={report.partial}",
-               ["model", "sigma", "accuracy", "seed"],
+               SWEEP_COLUMNS,
                ([row.model, repr(row.sigma), repr(row.accuracy), report.seed]
                 for row in report.rows))
 

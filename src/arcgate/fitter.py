@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +54,7 @@ from .core import ArcGateParams
 from .zoo import ActivationKind
 
 __all__ = ["FitResult", "FitTarget", "fit", "replicate_classics", "write_fit_csv",
-           "CLASSIC_TARGETS"]
+           "CLASSIC_TARGETS", "FIT_COLUMNS"]
 
 _GTOL = 1e-13
 _FTOL = 1e-8          # MINPACK's default, the square root of the double epsilon
@@ -166,7 +167,7 @@ def _fit_targets(grid: np.ndarray, values: np.ndarray, inits: list[ArcGateParams
     final = _errors(grid, np.array([pick[0] for pick in picks]), values)
     return [FitResult(ArcGateParams.from_raw_vector(raw), l_inf, l2, iters, converged)
             if any_finite else FitResult(init, math.inf, math.inf, iters, False)
-            for init, (raw, converged, iters, any_finite), (_, l_inf, l2)
+            for init, (raw, converged, iters, any_finite), (l_inf, l2)
             in zip(inits, picks, final)]
 
 
@@ -182,15 +183,35 @@ def _effective_rows(raws: np.ndarray) -> np.ndarray:
     return eff
 
 
+def _units(values: np.ndarray) -> np.ndarray | None:
+    """Per row of ``values``, the unit its squared residuals are summed in; None if all are 1.
+
+    A row whose ``n * max|y|**2`` overflows gets 2**e, with e from
+    ``frexp(max|y|)``; dividing by a power of two is exact.  Every other row gets 1.
+    """
+    peak = np.max(np.abs(values), axis=1)
+    big = peak > math.sqrt(sys.float_info.max / values.shape[1])
+    if not big.any():
+        return None
+    return np.where(big, np.ldexp(1.0, np.frexp(peak)[1]), 1.0)
+
+
 def _errors(grid: np.ndarray, raws: np.ndarray,
-            values: np.ndarray) -> list[tuple[float, float, float]]:
-    """(mse, l_inf, l2) of each row of ``raws`` against the same row of ``values``."""
+            values: np.ndarray) -> list[tuple[float, float]]:
+    """(l_inf, l2) of each row of ``raws`` against the same row of ``values``.
+
+    ``l2`` is summed in the row's :func:`_units` and scaled back after the root.
+    """
     resid = core.batch_value(grid, _effective_rows(raws)) - values
-    with np.errstate(over="ignore"):    # a loss past the double range is inf
-        sq = np.sum(resid * resid, axis=-1).tolist()
     l_inf = np.max(np.abs(resid), axis=-1).tolist()
-    n = grid.size
-    return [(s / n, m, math.sqrt(s)) for s, m in zip(sq, l_inf)]
+    unit = _units(values)
+    if unit is not None:
+        resid /= unit[:, None]
+    with np.errstate(over="ignore"):    # a loss past the double range is inf
+        l2 = np.sqrt(np.sum(resid * resid, axis=-1))
+    if unit is not None:
+        l2 *= unit
+    return list(zip(l_inf, l2.tolist()))
 
 
 def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
@@ -207,7 +228,18 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
     row stops, not converged, once an earlier row of its fit has a loss of
     exactly 0: a loss cannot go below 0 and the tie goes to the earlier row,
     so the stopped row could never be picked.
+
+    A row with a :func:`_units` unit u other than 1 descends on ``values / u``
+    from a start whose alpha, beta, gamma and delta are divided by u.  F is
+    linear in those four, so its residuals and the a, c, p columns of its
+    Jacobian are divided by u exactly, and its loss no longer overflows.  The
+    loss returned is in that unit; the raw point is scaled back.
     """
+    unit = _units(values)
+    if unit is not None:
+        values = values / unit[:, None]
+        starts = starts.copy()
+        starts[:, 3:] /= unit[:, None]
     k_all, n = values.shape
     outcomes: list = [None] * k_all
     all_rows = core.GateTape((k_all, n))
@@ -271,6 +303,10 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
         damped = jtj + (lam[:, None] * damp)[:, :, None] * eye
         with np.errstate(invalid="ignore", over="ignore"):
             trial = raw - np.linalg.solve(damped, jtr[:, :, None])[:, :, 0]
+    if unit is not None:
+        for u, outcome in zip(unit.tolist(), outcomes):
+            if outcome is not None:
+                outcome[1][3:] *= u
     return outcomes
 
 
@@ -302,19 +338,23 @@ def replicate_classics(lo: float = -6.0, hi: float = 6.0, n_points: int = 1001,
     return [(kind, result) for (kind, _), result in zip(CLASSIC_TARGETS, results)]
 
 
+#: The fit table's header row, by which ``arcgate plot`` knows the table.
+FIT_COLUMNS = ("target", "kind", "a", "c", "p", "alpha", "beta", "gamma", "delta",
+               "l_inf", "l2", "iterations", "converged")
+
+
 def write_fit_csv(rows, path, window: tuple[float, float], budget: int, seed: int) -> None:
     """Emit the fit table; one row per target (ActivationKind or plain label).
 
     A leading ``# range=LO,HI budget=B seed=S`` comment records the fit
-    window, which ``arcgate plot --figure fit`` redraws the gates on.
+    window, which ``arcgate plot`` redraws the gates on.
     """
     path = Path(path)
     with open(path, "w", newline="") as f:
         lo, hi = (float(bound) for bound in window)
         f.write(f"# range={lo!r},{hi!r} budget={budget} seed={seed}\n")
         writer = csv.writer(f)
-        writer.writerow(["target", "kind", "a", "c", "p", "alpha", "beta",
-                         "gamma", "delta", "l_inf", "l2", "iterations", "converged"])
+        writer.writerow(FIT_COLUMNS)
         for kind, res in rows:
             tag = kind.tag if isinstance(kind, ActivationKind) else str(kind)
             label = kind.label() if isinstance(kind, ActivationKind) else str(kind)

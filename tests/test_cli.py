@@ -97,7 +97,7 @@ def test_gradcheck_rejects_a_tolerance_that_checks_nothing(tol, capsys, monkeypa
 
 
 @pytest.mark.parametrize("argv", [
-    ["gradcheck"], ["fit", "--target", "relu"], ["sweep", "--full"], ["ablate", "init"],
+    ["gradcheck"], ["fit", "--target", "relu"], ["sweep"], ["ablate", "init"],
     ["train", "--images", "i", "--labels", "l", "--test-images", "t", "--test-labels", "u"]],
     ids=lambda argv: argv[0])
 def test_a_negative_seed_is_a_usage_error(argv, tmp_path, capsys):
@@ -220,9 +220,12 @@ def test_fit_on_huge_finite_samples_warns_nothing(tmp_path, capsys):
         assert run_cli("fit", "--target", f"file:{samples}", "--budget", 10,
                        "--out", out) == 0
     assert not caught
-    # every squared residual overflows, so no descent is finite
-    assert capsys.readouterr().err \
-        == f"fit samples.csv: l_inf=inf l2=inf converged=False -> {out}\n"
+    # the sum of squared residuals would overflow, so it is taken in units of 2**665
+    line = re.fullmatch(r"fit samples\.csv: l_inf=(\S+) l2=(\S+) converged=\w+ -> (.*)\n",
+                        capsys.readouterr().err)
+    assert math.isfinite(float(line[1])) and math.isfinite(float(line[2]))
+    assert float(line[1]) < 0.32e200      # the same fit of tanh(x) ends at l_inf 0.319
+    assert line[3] == str(out)
 
 
 def test_fit_unknown_target_fails(tmp_path):
@@ -258,10 +261,10 @@ def test_train_missing_paths_is_usage_error(capsys):
 @pytest.mark.parametrize("command, flags", [
     ("fit", "--target, --out"),
     ("train", "--images, --labels, --test-images, --test-labels, --out"),
-    ("sweep", "--out, --model"),                  # --model unless --full
+    ("sweep", "--out"),
     ("ablate", "study, --out"),
     ("report", "--model, --out"),
-    ("plot", "--figure, --in, --out"),
+    ("plot", "--in, --out"),
 ])
 def test_missing_options_are_the_tables_required_ones_in_order(command, flags, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -270,7 +273,17 @@ def test_missing_options_are_the_tables_required_ones_in_order(command, flags, c
     last = capsys.readouterr().err.splitlines()[-1]
     assert last == f"arcgate: error: missing required option(s): {flags}"
     required = [spec[0] for spec in cli._OPTIONS[command].values() if spec[2] is None]
-    assert flags.startswith(", ".join(required))
+    assert flags == ", ".join(required)
+
+
+def test_train_on_images_of_no_pixels_fails(tmp_path, capsys):
+    idx.write_idx_images(tmp_path / "imgs", np.zeros((4, 0, 0), dtype=np.uint8))
+    idx.write_idx_labels(tmp_path / "labels", [0, 1, 0, 1])
+    data = ["--images", tmp_path / "imgs", "--labels", tmp_path / "labels"]
+    assert run_cli("train", *data, "--test-images", tmp_path / "imgs",
+                   "--test-labels", tmp_path / "labels", "--out", tmp_path / "m.agm") == 1
+    assert capsys.readouterr().err == "error: in_dim must be >= 1, got 0\n"
+    assert not (tmp_path / "m.agm").exists()
 
 
 def test_train_on_an_empty_test_split_fails(tmp_path, idx_files, capsys):
@@ -287,7 +300,7 @@ def test_train_on_an_empty_test_split_fails(tmp_path, idx_files, capsys):
 
 
 @pytest.mark.parametrize("command", [("ablate", "init"), ("ablate", "granularity"),
-                                     ("sweep", "--full")])
+                                     ("sweep",)])
 def test_a_study_on_an_empty_test_split_fails(command, tmp_path, idx_files, capsys):
     idx.write_idx_images(tmp_path / "imgs", np.zeros((0, 28, 28), dtype=np.uint8))
     idx.write_idx_labels(tmp_path / "labels", [])
@@ -317,6 +330,8 @@ def test_train_report_sweep_plot_pipeline(tmp_path, idx_files):
     with open(layers, newline="") as f:
         rows = list(csv.reader(f))
     assert len(rows) == 4  # header + three activation layers
+    # an all-number table: its first column against each of the others
+    assert run_cli("plot", "--in", layers, "--out", tmp_path / "layers.svg") == 0
 
     sweep = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--model", model, "--sigmas", "0,0.2",
@@ -325,7 +340,7 @@ def test_train_report_sweep_plot_pipeline(tmp_path, idx_files):
                    "--out", sweep) == 0
 
     chart = tmp_path / "sweep.svg"
-    assert run_cli("plot", "--figure", "sweep", "--in", sweep, "--out", chart) == 0
+    assert run_cli("plot", "--in", sweep, "--out", chart) == 0
     assert chart.read_text().startswith("<svg")
 
 
@@ -347,7 +362,7 @@ def test_sweep_full_with_config_file(tmp_path, idx_files):
     cfg = tmp_path / "arcgate.toml"
     cfg.write_text("epochs=1\nseed=6\n")
     out = tmp_path / "full.csv"
-    assert run_cli("--config", cfg, "sweep", "--full", "--sigmas", "0,0.3",
+    assert run_cli("--config", cfg, "sweep", "--sigmas", "0,0.3",
                    "--images", idx_files["train_images"],
                    "--labels", idx_files["train_labels"],
                    "--test-images", idx_files["test_images"],
@@ -357,6 +372,33 @@ def test_sweep_full_with_config_file(tmp_path, idx_files):
     assert "seed=6" in text.splitlines()[0]
     assert text.splitlines()[1] == "model,sigma,accuracy,seed"
     assert sum(1 for line in text.splitlines()[2:] if line) == 4
+
+
+def test_sweep_on_a_missing_model_fails(tmp_path, idx_files, capsys):
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--model", tmp_path / "missing.agm1",
+                   "--images", idx_files["test_images"], "--labels", idx_files["test_labels"],
+                   "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_of_a_model_needs_its_images_and_labels(tmp_path, capsys):
+    model = tmp_path / "model.agm1"
+    model.write_bytes(agm1(dense(2, 3), gate(), dense(3, 2)))
+    assert run_cli("sweep", "--model", model, "--images", "i", "--out", tmp_path / "s.csv") == 1
+    assert capsys.readouterr().err == "error: sweep --model needs --images and --labels\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command, key", [("sweep", "full"), ("plot", "figure")])
+def test_a_removed_switch_is_an_unknown_config_key(tmp_path, capsys, command, key):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"# old\n{key}=1\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", cfg, command, "--out", tmp_path / "x")
+    assert exc.value.code == 2
+    assert f"error: {cfg}:2: unknown key '{key}' for {command}" in capsys.readouterr().err
 
 
 def test_flags_override_config_file(tmp_path):
@@ -376,7 +418,7 @@ def test_unknown_config_key_is_usage_error(tmp_path):
 
 def test_malformed_sigma_list_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        run_cli("sweep", "--full", "--sigmas", "0,0.1,", "--out", tmp_path / "s.csv")
+        run_cli("sweep", "--sigmas", "0,0.1,", "--out", tmp_path / "s.csv")
     assert exc.value.code == 2
 
 
@@ -387,6 +429,23 @@ def test_a_non_finite_or_negative_sigma_is_a_usage_error(sigmas, tmp_path, capsy
                 "--images", "i", "--labels", "l", "--out", tmp_path / "s.csv")
     assert exc.value.code == 2
     assert f"sigmas must be finite and >= 0, got '{sigmas}'" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_a_repeated_sigma_is_a_usage_error(tmp_path, capsys):
+    # it would be drawn twice, from two noise seeds
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--sigmas", "0.1,0,0.1", "--out", tmp_path / "s.csv")
+    assert exc.value.code == 2
+    assert "error: argument --sigmas: sigma 0.1 is repeated in '0.1,0,0.1'" \
+        in capsys.readouterr().err
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("sigmas=0,0.2,0.20\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", cfg, "sweep", "--out", tmp_path / "s.csv")
+    assert exc.value.code == 2
+    assert f"error: {cfg}:1: bad value for sigmas: sigma 0.2 is repeated in '0,0.2,0.20'" \
+        in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -467,17 +526,41 @@ def test_report_on_a_relu_baseline_model_says_it_has_no_gate_layers(tmp_path, id
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_plot_sensitivity_and_fit_figures(tmp_path):
+def test_plot_sensitivity_and_fit_figures(tmp_path, capsys):
     from arcgate import experiments
     paths = experiments.sensitivity_curves(tmp_path / "curves", fit_budget=60, seed=0)
     chart = tmp_path / "steepness.svg"
-    assert run_cli("plot", "--figure", "sensitivity", "--in", paths["steepness"],
-                   "--out", chart) == 0
+    assert run_cli("plot", "--in", paths["steepness"], "--out", chart) == 0
     assert "polyline" in chart.read_text()
     fit_chart = tmp_path / "classics.svg"
-    assert run_cli("plot", "--figure", "fit", "--in", paths["classics"],
-                   "--out", fit_chart) == 0
+    assert run_cli("plot", "--in", paths["classics"], "--out", fit_chart) == 0
     assert fit_chart.read_text().startswith("<svg")
+    assert capsys.readouterr().err == (f"plot sensitivity -> {chart}\n"
+                                       f"plot fit -> {fit_chart}\n")
+
+
+@pytest.mark.parametrize("table, chart", [
+    ("fit_classics_n201_b300_seed0.csv", "fit"),
+    ("study_sweep_small_fast_seed6.csv", "sweep"),
+    ("sweep_eval_only_small_seed3.csv", "sweep"),
+])
+def test_a_tables_header_row_picks_its_chart(tmp_path, capsys, table, chart):
+    out = tmp_path / "t.svg"
+    assert run_cli("plot", "--in", DATA / table, "--out", out) == 0
+    assert capsys.readouterr().err == f"plot {chart} -> {out}\n"
+    assert out.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("table, row", [
+    ("study_init_small_fast_seed6.csv", "['relu_baseline', '0.125', '2', '6']"),
+    ("study_granularity_small_fast_seed6.csv", "['fixed', '0', '0.195', '6']"),
+])
+def test_plot_refuses_a_study_table(tmp_path, capsys, table, row):
+    # no chart reads a study table, so it is drawn as numbers and refused as such
+    out = tmp_path / "t.svg"
+    assert run_cli("plot", "--in", DATA / table, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {DATA / table}:3: not a number in {row}\n"
+    assert not out.exists()
 
 
 def test_plot_fit_redraws_on_the_recorded_window(tmp_path):
@@ -486,7 +569,7 @@ def test_plot_fit_redraws_on_the_recorded_window(tmp_path):
                    "--budget", 50, "--out", table) == 0
     assert table.read_text().startswith("# range=-2.0,2.0 budget=50 seed=0\n")
     chart = tmp_path / "fit.svg"
-    assert run_cli("plot", "--figure", "fit", "--in", table, "--out", chart) == 0
+    assert run_cli("plot", "--in", table, "--out", chart) == 0
     x_ticks = re.findall(r'text-anchor="middle" font-size="11" font-family="sans-serif">'
                          r'([^<]*)</text>', chart.read_text())
     assert [float(t) for t in x_ticks] == [-2.0, -1.0, 0.0, 1.0, 2.0]
@@ -496,7 +579,7 @@ def test_plot_fit_without_a_recorded_window_fails(tmp_path, capsys):
     # the fit table as written before it recorded its window
     table = DATA / "fit_classics_adam_n201_b300_seed0.csv"
     chart = tmp_path / "fit.svg"
-    assert run_cli("plot", "--figure", "fit", "--in", table, "--out", chart) == 1
+    assert run_cli("plot", "--in", table, "--out", chart) == 1
     assert "no leading '# range=LO,HI budget=B seed=S' line" in capsys.readouterr().err
     assert not chart.exists()
 
@@ -549,20 +632,20 @@ def test_config_range_needs_two_numbers(tmp_path, capsys, value):
 FIT_HEADER = "target,kind,a,c,p,alpha,beta,gamma,delta,l_inf,l2,iterations,converged"
 
 
-@pytest.mark.parametrize("figure, text, message", [
-    ("sensitivity", "", ":1: the table has no data rows"),
-    ("sensitivity", "# digest\nx,a=1\n", ":3: the table has no data rows"),
-    ("sensitivity", "# digest\nx,a=1\n0.0,0.5\nfoo,0.5\n", ":4: not a number in ['foo', '0.5']"),
-    ("sweep", "# digest\nmodel,sigma,accuracy,seed\narcgate,0.0,0.5,0\narcgate\n",
+@pytest.mark.parametrize("text, message", [
+    ("", ":1: the table has no data rows"),
+    ("# digest\nx,a=1\n", ":3: the table has no data rows"),
+    ("# digest\nx,a=1\n0.0,0.5\nfoo,0.5\n", ":4: not a number in ['foo', '0.5']"),
+    ("# digest\nmodel,sigma,accuracy,seed\narcgate,0.0,0.5,0\narcgate\n",
      ":4: expected 4 fields, got 1"),
-    ("fit", f"# range=-6.0,6.0 budget=1 seed=0\n{FIT_HEADER}\nrelu\n",
+    (f"# range=-6.0,6.0 budget=1 seed=0\n{FIT_HEADER}\nrelu\n",
      ":3: expected 13 fields, got 1"),
 ], ids=["empty", "header_only", "non_numeric", "short_sweep_row", "short_fit_row"])
-def test_plot_rejects_a_bad_table(tmp_path, capsys, figure, text, message):
+def test_plot_rejects_a_bad_table(tmp_path, capsys, text, message):
     table = tmp_path / "t.csv"
     table.write_text(text)
     chart = tmp_path / "t.svg"
-    assert run_cli("plot", "--figure", figure, "--in", table, "--out", chart) == 1
+    assert run_cli("plot", "--in", table, "--out", chart) == 1
     assert capsys.readouterr().err == f"error: {table}{message}\n"
     assert not chart.exists()
 
@@ -588,7 +671,7 @@ def cheap_commands(tmp_path_factory):
     commands = [["fit", "--target", "relu", "--budget", "5", "--out", "fit-out.csv"],
                 ["gradcheck", "--samples", "5"],
                 ["report", "--model", "model.agm1", "--out", "report.csv"],
-                ["plot", "--figure", "fit", "--in", "fit.csv", "--out", "fit.svg"]]
+                ["plot", "--in", "fit.csv", "--out", "fit.svg"]]
     return work, commands
 
 

@@ -82,6 +82,17 @@ class TestForward:
         assert len(digests) == 1
 
 
+class TestModelSpec:
+    @pytest.mark.parametrize("fields, message", [
+        ((0, (4,), 2), "in_dim must be >= 1, got 0"),
+        ((4, (3, 0), 2), r"hidden widths must be >= 1, got \(3, 0\)"),
+        ((4, (-1,), 2), r"hidden widths must be >= 1, got \(-1,\)"),
+        ((4, (3,), 0), "n_classes must be >= 1, got 0")])
+    def test_a_width_below_1_is_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(*fields)
+
+
 class TestModelStructure:
     @pytest.mark.parametrize("layers, message", [
         ([], "no dense layer"),

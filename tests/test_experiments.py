@@ -54,6 +54,12 @@ class TestNoiseSweep:
         with pytest.raises(ValueError):
             noise_sweep(small_dataset, sigmas=(-0.1, 0.5), config=FAST, seed=1)
 
+    def test_a_repeated_sigma_rejected(self, small_dataset, monkeypatch):
+        # it would be drawn twice, from two noise seeds
+        monkeypatch.setattr(experiments, "train", None)     # rejected before any training
+        with pytest.raises(ValueError, match="strictly increasing, finite and >= 0"):
+            noise_sweep(small_dataset, sigmas=(0.0, 0.1, 0.1), config=FAST, seed=1)
+
     @pytest.mark.parametrize("sigmas", [(0.0, 0.1, math.nan), (0.0, math.inf)])
     def test_non_finite_sigmas_rejected(self, small_dataset, sigmas, monkeypatch):
         monkeypatch.setattr(experiments, "train", None)     # rejected before any training

@@ -87,15 +87,14 @@ class TestFit:
         assert res.l_inf_error >= res.l2_error / math.sqrt(tgt.grid.size) - 1e-15
         assert res.l_inf_error >= 0 and res.l2_error >= 0
 
-    def test_non_finite_target_yields_failure_result(self):
-        # finite samples whose squared residuals overflow: no descent has a finite loss
-        grid = np.linspace(-1, 1, 20)
-        values = np.full(20, 1e200)
-        res = fit(FitTarget(grid, values, "broken"), core.preset("identity"),
-                  budget=50, seed=0)
+    def test_a_fit_without_a_finite_descent_yields_failure_result(self):
+        # alpha = 1e308 takes F past the double range, so the only descent's start is rejected
+        target = FitTarget.from_kind(ActivationKind("tanh"), -6, 6, 101)
+        overflowing = core.ArcGateParams.from_effective(1e4, 0.0, 1e3, 1e308, 0.0, 0.0, 0.0)
+        res = fit(target, overflowing, budget=50, seed=0, restarts=1)
         assert not res.converged
         assert math.isinf(res.l_inf_error) and math.isinf(res.l2_error)
-        assert res.params == core.preset("identity")
+        assert res.params == overflowing
 
     def test_budget_validation(self):
         tgt = FitTarget.from_kind(ActivationKind("relu"), -1, 1, 20)
@@ -123,6 +122,46 @@ class TestFit:
         res = fit(tgt, core.preset("soft_relu_init"), budget=4000, seed=1)
         fitted = core.eval_F_batch(grid, res.params)
         assert np.max(np.abs(fitted - tgt.values)) < 1e-3  # full bound in acceptance
+
+
+class TestOverflowingTargets:
+    """Targets whose n * max|y|**2 overflows are fitted in units of a power of two."""
+
+    XS = np.linspace(-3, 3, 20)
+
+    def test_the_descent_is_that_of_the_target_in_its_unit(self):
+        # max|y| = 0.995e200, so the unit is 2**665; F is linear in alpha..delta
+        big = FitTarget(self.XS, np.tanh(self.XS) * 1e200, "big")
+        unit = 2.0 ** 665
+        assert fitter._units(big.values[None]).tolist() == [unit]
+        init = core.preset("soft_relu_init")
+        scaled = init.raw_vector()
+        scaled[3:] /= unit
+        small = FitTarget(self.XS, big.values / unit, "small")
+        a = fit(big, init, budget=300, seed=0, restarts=1)
+        b = fit(small, core.ArcGateParams.from_raw_vector(scaled), budget=300, seed=0,
+                restarts=1)
+        want = b.params.raw_vector()
+        want[3:] *= unit
+        assert a.params.raw_vector().tobytes() == want.tobytes()
+        assert (a.l_inf_error, a.l2_error) == (b.l_inf_error * unit, b.l2_error * unit)
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+
+    @pytest.mark.parametrize("shape", [np.tanh, np.ones_like])
+    def test_errors_are_finite_and_relative_errors_small(self, shape):
+        values = shape(self.XS)
+        plain = fit(FitTarget(self.XS, values, "plain"), core.preset("soft_relu_init"),
+                    budget=300)
+        big = fit(FitTarget(self.XS, values * 1e200, "big"), core.preset("soft_relu_init"),
+                  budget=300)
+        assert math.isfinite(big.l_inf_error) and math.isfinite(big.l2_error)
+        assert big.l_inf_error / 1e200 <= max(plain.l_inf_error, 1e-12)
+
+    def test_targets_that_fit_today_are_not_scaled(self):
+        grid = np.linspace(-6, 6, 1001)
+        values = np.array([zoo.act_batch(kind, grid) for kind, _ in fitter.CLASSIC_TARGETS])
+        assert fitter._units(values) is None
+        assert fitter._units(np.full((1, 1001), 1e150)) is None
 
 
 @functools.cache
