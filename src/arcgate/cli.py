@@ -331,7 +331,8 @@ def _cmd_sweep(opts) -> int:
         if not opts["images"] or not opts["labels"]:
             raise ValueError("sweep --model needs --images and --labels")
         x, y = idx.load_idx(opts["images"], opts["labels"])
-        report = experiments._sweep_report({Path(opts["model"]).stem: model}, x, y,
+        counts = experiments._noisy_counts(model, x, y, sigmas, opts["seed"])
+        report = experiments._sweep_report({Path(opts["model"]).stem: counts}, len(y),
                                            sigmas, opts["seed"], ("eval-only", opts["model"]))
         experiments.write_sweep_csv(report, out)
     print(f"sweep -> {out}", file=sys.stderr)

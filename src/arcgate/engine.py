@@ -707,21 +707,19 @@ def evaluate(model: MLPModel, dataset, noise_sigma: float = 0.0, seed: int = 0) 
     identical regardless of seed.
     """
     x, y = dataset[0], dataset[1]
-    return _correct_counts([model], x, y, noise_sigma, seed)[0] / len(y)
+    return _correct_counts(model, x, y, noise_sigma, seed) / len(y)
 
 
-def _correct_counts(models: Sequence[MLPModel], x, y, noise_sigma: float,
-                    seed: int) -> list[int]:
-    """How many rows of ``x`` each model labels ``y`` under Gaussian input noise.
+def _correct_counts(model: MLPModel, x, y, noise_sigma: float, seed: int) -> int:
+    """How many rows of ``x`` ``model`` labels ``y`` under Gaussian input noise.
 
     Rows go through in blocks of ``_INFER_ROWS``, so no array of ``x``'s
     full size is made.  One generator ``default_rng(seed)`` draws each
     block's ``normal(0, noise_sigma, block.shape)`` in row order, which is
-    the stream of the whole ``x``; every model sees the same noisy block.
+    the stream of the whole ``x``, so two models given the same seed see the
+    same noisy rows.
     """
-    x = _split(x)
-    for model in models:
-        _check_width(model, x)
+    x = _check_width(model, _split(x))
     y = _labels(y)
     if x.shape[0] == 0:
         raise ValueError(f"cannot evaluate on an empty split: x has shape {x.shape}, "
@@ -732,17 +730,15 @@ def _correct_counts(models: Sequence[MLPModel], x, y, noise_sigma: float,
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     rng = np.random.default_rng(seed) if noise_sigma > 0 else None
-    counts = [0] * len(models)
+    count = 0
     for rows in _row_blocks(x.shape[0]):
-        block = np.asarray(x[rows], dtype=np.float64)     # once, for every model
+        block = np.asarray(x[rows], dtype=np.float64)
         if rng is not None:
             noisy = rng.normal(0.0, noise_sigma, size=block.shape)
             noisy += block       # the bits of block + noise: IEEE addition commutes
             block = noisy
-        for k, model in enumerate(models):
-            counts[k] += int(np.count_nonzero(np.argmax(_logits(model, block), axis=1)
-                                              == y[rows]))
-    return counts
+        count += int(np.count_nonzero(np.argmax(_logits(model, block), axis=1) == y[rows]))
+    return count
 
 
 def net_gradcheck(seed: int) -> float:

@@ -13,6 +13,12 @@ divergence mark), never the model, so a later study reads it instead of
 training again.  :func:`run_round` runs every study once and reads its layer
 report from the sweep's ArcGate training: six trainings, six configurations.
 
+A study call's unrecorded trainings run in ``min(trainings, usable cores)``
+persistent worker processes at one BLAS thread each when that is two or
+more, else here.  Only summaries and the noise sweep's correct-row counts
+come back, and rows are put together in plan order, so either path gives
+the same results and bytes.
+
 Accuracy numbers here are desk-scale analogs: they preserve the structural
 comparisons (which variant beats which) but not the absolute values of
 full-size benchmarks.
@@ -20,9 +26,17 @@ full-size benchmarks.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import hashlib
 import math
+import os
+import pickle
+import select
+import signal
+import subprocess
+import sys
+import warnings
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
@@ -82,6 +96,10 @@ class _Summary(NamedTuple):
     gate_count: int                              # learnable activation parameters
     gate_params: tuple[tuple[float, ...], ...]   # effective, per gate layer
 
+    @property
+    def diverged(self) -> bool:
+        return self.gate_count < 0
+
 
 _DIVERGED = _Summary(math.nan, -1, ())    # the record of every diverged run
 
@@ -115,24 +133,31 @@ def _summary_key(spec: ModelSpec, config: TrainConfig, data_digest: str) -> tupl
     return astuple(spec), astuple(config), data_digest
 
 
-def _train_recorded(spec: ModelSpec, dataset, config: TrainConfig,
-                    data_digest: str) -> tuple[MLPModel | None, _Summary]:
-    """``train``, recording the run's summary; returns the model and the summary.
+def _train_summary(spec: ModelSpec, dataset, config: TrainConfig,
+                   sigmas: Sequence[float] = ()) -> tuple[_Summary, list[int]]:
+    """Train ``config``: its summary, and its :func:`_noisy_counts` at ``sigmas``.
 
-    A diverged run gives no model and the summary ``_DIVERGED``.
+    A diverged run gives ``_DIVERGED`` and no counts.  Both paths of
+    :func:`_run_jobs` call this; the model never leaves it.
     """
-    key = _summary_key(spec, config, data_digest)
     try:
         model, trace = train(spec, dataset, config)
     except TrainingDivergedError:
-        model, summary = None, _DIVERGED
-    else:
-        summary = _Summary(trace[-1].test_acc, model.learnable_activation_parameter_count(),
-                           tuple(layer.effective_params() for layer in model.activation_layers()))
-    _summaries[key] = summary
+        return _DIVERGED, []
+    return (_Summary(trace[-1].test_acc, model.learnable_activation_parameter_count(),
+                     tuple(layer.effective_params() for layer in model.activation_layers())),
+            _noisy_counts(model, dataset[2], dataset[3], sigmas, config.seed))
+
+
+def _trained(spec: ModelSpec, dataset, data_digest: str,
+             jobs: list[tuple[TrainConfig, Sequence[float]]]) -> list[tuple[_Summary, list[int]]]:
+    """:func:`_train_summary` of each ``(config, sigmas)`` job, in plan order, each recorded."""
+    results = _run_jobs(spec, dataset, data_digest, jobs)
+    for (config, _), (summary, _) in zip(jobs, results):
+        _summaries[_summary_key(spec, config, data_digest)] = summary
     while len(_summaries) > _SUMMARY_CAP:
         _summaries.popitem(last=False)
-    return model, summary
+    return results
 
 
 def _study_summaries(dataset, config: TrainConfig | None, seed: int,
@@ -140,13 +165,110 @@ def _study_summaries(dataset, config: TrainConfig | None, seed: int,
     """The summary of ``config`` at ``seed`` under each override; trains only unrecorded ones."""
     config = config or TrainConfig()
     spec, data_digest = _spec_for(dataset), _dataset_digest(dataset)
-    summaries = []
-    for overrides in variants:
-        cfg = replace(config, seed=seed, **overrides)
-        key = _summary_key(spec, cfg, data_digest)
-        summaries.append(_summaries[key] if key in _summaries
-                         else _train_recorded(spec, dataset, cfg, data_digest)[1])
-    return summaries
+    configs = [replace(config, seed=seed, **overrides) for overrides in variants]
+    recorded = [_summaries.get(_summary_key(spec, cfg, data_digest)) for cfg in configs]
+    fresh = iter(_trained(spec, dataset, data_digest,
+                          [(cfg, ()) for cfg, run in zip(configs, recorded) if run is None]))
+    return [run if run is not None else next(fresh)[0] for run in recorded]
+
+
+# ---------------------------------------------------------------------------
+# study workers
+# ---------------------------------------------------------------------------
+
+# persistent for the process; each holds the dataset whose digest is its ``digest``
+_workers: list[subprocess.Popen] = []
+_WORKER_ARGV = (sys.executable, "-c",
+                f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parents[1])!r})\n"
+                "from arcgate import experiments; experiments._serve()")
+
+
+def _usable_cores() -> int:
+    """Cores in this process's affinity mask; 1 where there is none to read."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_jobs(spec: ModelSpec, dataset, data_digest: str,
+              jobs: list[tuple[TrainConfig, Sequence[float]]]) -> list[tuple[_Summary, list[int]]]:
+    """:func:`_train_summary` of each job, in plan order: the parent-side dispatch.
+
+    With at least two jobs and two usable cores they run in
+    ``min(jobs, cores)`` worker processes, kept for the life of this one;
+    otherwise here, one after another.  A worker's warnings are issued
+    again here and its exception raised here, each in plan order.
+    """
+    n_workers = min(len(jobs), _usable_cores())
+    if n_workers < 2:
+        return [_train_summary(spec, dataset, *job) for job in jobs]
+    while len(_workers) < n_workers:
+        _workers.append(subprocess.Popen(
+            _WORKER_ARGV, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}))
+        _workers[-1].digest = None
+    answers: list = [None] * len(jobs)
+    pending, idle, busy = list(enumerate(jobs))[::-1], _workers[:n_workers], {}
+    try:
+        while pending or busy:
+            while pending and idle:
+                worker, (i, job) = idle.pop(), pending.pop()
+                data = None if worker.digest == data_digest else dataset
+                pickle.dump((data, spec, *job), worker.stdin, protocol=5)
+                worker.stdin.flush()
+                worker.digest, busy[worker.stdout] = data_digest, (worker, i)
+            for out in select.select(list(busy), [], [])[0]:
+                worker, i = busy.pop(out)
+                answers[i] = pickle.load(out)
+                idle.append(worker)
+    except BaseException as exc:
+        _stop_workers()
+        if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
+            raise RuntimeError(f"a study worker died while training {jobs[i][0]}") from exc
+        raise
+    for result, issued in answers:
+        for category, message in issued:
+            warnings.warn(message, category)
+        if isinstance(result, Exception):
+            raise result
+    return [result for result, _ in answers]
+
+
+@atexit.register
+def _stop_workers() -> None:
+    """Kill and wait for every worker; the next study call starts fresh ones."""
+    while _workers:
+        worker = _workers.pop()
+        worker.kill()
+        worker.communicate()        # closes its pipes and waits
+
+
+def _serve() -> None:
+    """A worker's loop, until its input ends: one answer per job.
+
+    A job is a pickle of (dataset or None for the one held, spec, config,
+    sigmas); its answer is a pickle of :func:`_train_summary`'s result, or
+    the exception it raised, and the warnings it issued.  File descriptor 1
+    is pointed at stderr, so a stray print cannot corrupt the answers.  An
+    interrupt is left to the caller, which stops its workers.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    answers = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    dataset = None
+    while True:
+        try:
+            data, spec, config, sigmas = pickle.load(sys.stdin.buffer)
+        except EOFError:
+            return
+        dataset = dataset if data is None else data
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = _train_summary(spec, dataset, config, sigmas)
+            except Exception as exc:    # noqa: BLE001 - raised again in the caller
+                result = exc
+        issued = list(dict.fromkeys((w.category, str(w.message)) for w in caught))
+        answers.write(pickle.dumps((result, issued), protocol=5))
+        answers.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +297,13 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
     """Train matched adaptive-gate and ReLU models, evaluate both across noise levels.
 
     Both models share the seed, the architecture, and per-sigma noise draws;
-    only the activation differs.  Each sigma's noise is drawn once and both
-    models are evaluated on it; sigma 0 draws none, so it gives the clean
-    test accuracy that training recorded.  If one training run diverges the
-    report is returned partial, with whatever rows were completed.  A level
-    given twice would be drawn twice, from two seeds, so ``sigmas`` must be
-    strictly increasing.
+    only the activation differs.  Each model is evaluated where it was
+    trained, in a study worker or here, on noise drawn there from the same
+    seed, ``seed * 1000 + i`` for sigma ``i``, so both see the same draws;
+    sigma 0 draws none, so it gives the clean test accuracy that training
+    recorded.  If one training run diverges the report is returned partial,
+    with the other model's rows.  A level given twice would be drawn twice,
+    from two seeds, so ``sigmas`` must be strictly increasing.
     """
     sigmas = [float(s) for s in sigmas]
     if not (all(math.isfinite(s) and s >= 0 for s in sigmas)
@@ -188,34 +311,34 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
         raise ValueError(f"sigmas must be strictly increasing, finite and >= 0, got {sigmas}")
     config = config or TrainConfig()
     spec, data_digest = _spec_for(dataset), _dataset_digest(dataset)
-
-    models: dict[str, MLPModel] = {}
-    partial = False
-    for label, cfg in (("arcgate", replace(config, seed=seed, **_ARCGATE)),
-                       ("relu", replace(config, seed=seed, init_strategy="relu_baseline"))):
-        model, summary = _train_recorded(spec, dataset, cfg, data_digest)
-        if model is None:
-            partial = True
-        else:
-            models[label] = model
-    return _sweep_report(models, dataset[2], dataset[3], sigmas, seed, (spec, config), partial)
+    runs = _trained(spec, dataset, data_digest,
+                    [(replace(config, seed=seed, **_ARCGATE), sigmas),
+                     (replace(config, seed=seed, init_strategy="relu_baseline"), sigmas)])
+    counts = {label: c for label, (summary, c) in zip(("arcgate", "relu"), runs)
+              if not summary.diverged}
+    return _sweep_report(counts, len(dataset[3]), sigmas, seed, (spec, config), len(counts) < 2)
 
 
-def _sweep_report(models: dict[str, MLPModel], x, y, sigmas: list[float], seed: int,
+def _noisy_counts(model: MLPModel, x, y, sigmas: Sequence[float], seed: int) -> list[int]:
+    """How many rows of ``x`` ``model`` labels ``y`` at each sigma.
+
+    Sigma ``i`` draws from seed ``seed * 1000 + i``, one row block at a
+    time, so no noisy copy of ``x`` is made.
+    """
+    return [_correct_counts(model, x, y, s, seed * 1000 + i) for i, s in enumerate(sigmas)]
+
+
+def _sweep_report(counts: dict[str, list[int]], n_rows: int, sigmas: list[float], seed: int,
                   key: tuple, partial: bool = False) -> SweepReport:
-    """Evaluate each ``label -> model`` on one noise draw per sigma.
+    """The report of each ``label -> counts`` from :func:`_noisy_counts` over ``n_rows``.
 
-    Sigma ``i`` draws from seed ``seed * 1000 + i``, one row block at a time,
-    and every model is run on each noisy block, so no noisy copy of ``x`` is
-    made.  The digest covers ``key``, the sigmas and the seed.
+    The digest covers ``key``, the sigmas and the seed.
     """
     noise_seeds = {s: seed * 1000 + i for i, s in enumerate(sigmas)}
-    rows: list[SweepRow] = []
-    for s in sigmas:
-        counts = _correct_counts(list(models.values()), x, y, s, noise_seeds[s])
-        rows.extend(SweepRow(label, s, c / len(y)) for label, c in zip(models, counts))
+    rows = [SweepRow(label, s, c[i] / n_rows) for i, s in enumerate(sigmas)
+            for label, c in counts.items()]
     gains = []
-    if len(models) == 2:
+    if len(counts) == 2:
         acc = {(r.model, r.sigma): r.accuracy for r in rows}
         gains = [(s, acc[("arcgate", s)] - acc[("relu", s)]) for s in sigmas]
     return SweepReport(rows=rows, gains=gains, seed=seed, noise_seeds=noise_seeds,
@@ -397,7 +520,7 @@ def run_round(dataset, config: TrainConfig, seed: int, out_dir) -> Round:
     granularity_rows = granularity_ablation(dataset, config, seed)
     write_granularity_csv(granularity_rows, paths["granularity_ablation"], config, seed)
     arcgate, = _study_summaries(dataset, config, seed, [_ARCGATE])
-    if arcgate is _DIVERGED:
+    if arcgate.diverged:
         raise RuntimeError("the noise sweep's ArcGate training diverged; no layer report")
     layers = _layer_report(arcgate.gate_params)
     write_layer_csv(layers, paths["layer_evolution"])

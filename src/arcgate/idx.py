@@ -76,6 +76,9 @@ class PixelRows:
         self._pixels = pixels.view()
         self._pixels.flags.writeable = False
 
+    def __reduce__(self):       # a pickle's copy is read-only too
+        return PixelRows, (self._pixels,)
+
     @property
     def pixels(self) -> np.ndarray:
         return self._pixels

@@ -648,7 +648,7 @@ class TestLabels:
     def test_inference_rejects_non_integer_labels(self, trained, blob_dataset):
         x, y = blob_dataset.x_test, blob_dataset.y_test
         for call in (lambda labels: evaluate(trained, (x, labels)),
-                     lambda labels: engine._correct_counts([trained], x, labels, 0.3, 1)):
+                     lambda labels: engine._correct_counts(trained, x, labels, 0.3, 1)):
             with pytest.raises(ValueError, match="integer dtype, got float64"):
                 call(y + 0.7)
 
@@ -789,7 +789,9 @@ class TestPredict:
                 assert np.array_equal(engine.predict(model, batch), np.argmax(logits, axis=1))
             for sigma, seed in ((0.0, 0), (0.4, 9)):
                 assert evaluate(model, (x, y), sigma, seed) == reference(model, x, y, sigma, seed)
-            report = experiments._sweep_report(models, x, y, [0.0, 0.4], 3, ("rows", n))
+            counts = {label: experiments._noisy_counts(m, x, y, [0.0, 0.4], 3)
+                      for label, m in models.items()}
+            report = experiments._sweep_report(counts, n, [0.0, 0.4], 3, ("rows", n))
             assert [(r.model, r.sigma) for r in report.rows] == [
                 (label, s) for s in (0.0, 0.4) for label in models]
             for row in report.rows:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,13 +57,13 @@ class TestNoiseSweep:
 
     def test_a_repeated_sigma_rejected(self, small_dataset, monkeypatch):
         # it would be drawn twice, from two noise seeds
-        monkeypatch.setattr(experiments, "train", None)     # rejected before any training
+        monkeypatch.setattr(experiments, "_run_jobs", None)     # rejected before any training
         with pytest.raises(ValueError, match="strictly increasing, finite and >= 0"):
             noise_sweep(small_dataset, sigmas=(0.0, 0.1, 0.1), config=FAST, seed=1)
 
     @pytest.mark.parametrize("sigmas", [(0.0, 0.1, math.nan), (0.0, math.inf)])
     def test_non_finite_sigmas_rejected(self, small_dataset, sigmas, monkeypatch):
-        monkeypatch.setattr(experiments, "train", None)     # rejected before any training
+        monkeypatch.setattr(experiments, "_run_jobs", None)     # rejected before any training
         with pytest.raises(ValueError, match="finite and >= 0"):
             noise_sweep(small_dataset, sigmas=sigmas, config=FAST, seed=1)
 
@@ -154,14 +155,19 @@ def written(name, result, tmp_path):
 
 
 def count_trainings(monkeypatch):
-    """Route the runners' ``train`` through a wrapper; returns the configs it saw."""
+    """Route the runners' training dispatch through a wrapper; returns the configs it got.
+
+    The dispatch runs in this process, so it sees every training, also those
+    that run in worker processes.
+    """
     configs = []
+    run_jobs = experiments._run_jobs
 
-    def counting(spec, dataset, config):
-        configs.append(config)
-        return engine.train(spec, dataset, config)
+    def counting(spec, dataset, data_digest, jobs):
+        configs.extend(config for config, _sigmas in jobs)
+        return run_jobs(spec, dataset, data_digest, jobs)
 
-    monkeypatch.setattr(experiments, "train", counting)
+    monkeypatch.setattr(experiments, "_run_jobs", counting)
     return configs
 
 
@@ -261,14 +267,13 @@ class TestSharedTrainings:
         assert len(configs) == 6
 
     def test_never_holds_more_than_its_cap(self, small_dataset, monkeypatch):
-        model = engine.build_model(ModelSpec(2, (3,), 2), FAST, np.random.default_rng(0))
         configs = []
 
-        def fake_train(spec, dataset, config):
-            configs.append(config)
-            return model, [engine.TraceRow(1, 0.0, 0.0, 0.5)]
+        def fake_run_jobs(spec, dataset, data_digest, jobs):
+            configs.extend(config for config, _sigmas in jobs)
+            return [(experiments._Summary(0.5, 0, ()), [])] * len(jobs)
 
-        monkeypatch.setattr(experiments, "train", fake_train)
+        monkeypatch.setattr(experiments, "_run_jobs", fake_run_jobs)
         experiments._summaries.clear()
         cap = experiments._SUMMARY_CAP
         last = cap // 4 + 2
@@ -281,6 +286,125 @@ class TestSharedTrainings:
         assert configs == []
         init_ablation(small_dataset, FAST, seed=0)         # oldest: evicted
         assert len(configs) == 4
+
+
+def on_cores(monkeypatch, n):
+    """Make the dispatch see ``n`` usable cores: at 1 every training runs in
+    this process, at 2 a call's unrecorded trainings run in two workers."""
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: n)
+
+
+class _StraySigmas:
+    """No sigmas, which print to a worker's stdout as they are unpickled:
+    through ``sys.stdout`` and straight into file descriptor 1."""
+
+    def __reduce__(self):
+        return eval, ("print('stray print', flush=True) "
+                      "or __import__('os').write(1, b'stray write\\n') and ()",)
+
+
+class TestStudyWorkers:
+    def test_both_paths_give_the_same_rows_and_bytes(self, small_dataset, monkeypatch,
+                                                     tmp_path):
+        experiments._stop_workers()
+        configs = count_trainings(monkeypatch)
+        results = {}
+        for cores, workers in ((1, 0), (2, 2)):
+            on_cores(monkeypatch, cores)
+            experiments._summaries.clear()
+            configs.clear()
+            results[cores] = {name: run(small_dataset) for name, (run, _) in STUDIES.items()}
+            assert len(configs) == 6
+            assert len(experiments._workers) == workers
+        assert results[1] == results[2]
+        for name in STUDIES:
+            assert written(name, results[1][name], tmp_path) == saved_study(name), name
+            assert written(name, results[2][name], tmp_path) == saved_study(name), name
+
+    def test_an_error_in_a_worker_reaches_the_caller(self, small_dataset, monkeypatch):
+        y_train = small_dataset.y_train.copy()
+        y_train[3] = -1
+        data = (small_dataset.x_train, y_train, small_dataset.x_test, small_dataset.y_test)
+        errors = []
+        for cores in (1, 2):
+            on_cores(monkeypatch, cores)
+            with pytest.raises(ValueError, match="training label -1 at row 3 is outside") as info:
+                init_ablation(data, FAST, seed=STUDY_SEED)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert len(experiments._workers) == 2       # an error is an answer; the workers live on
+
+    def test_a_killed_worker_names_its_training_and_the_next_call_starts_afresh(
+            self, small_dataset, monkeypatch):
+        on_cores(monkeypatch, 2)
+        experiments._summaries.clear()
+        granularity_ablation(small_dataset, FAST, seed=STUDY_SEED)      # starts both workers
+        victim = experiments._workers[0]
+        long = replace(FAST, epochs=100)      # killed long before it ends
+        killer = threading.Timer(0.5, victim.kill)
+        killer.start()
+        try:
+            with pytest.raises(RuntimeError, match="a study worker died while training") as info:
+                init_ablation(small_dataset, long, seed=STUDY_SEED)
+        finally:
+            killer.cancel()
+        named = [replace(long, seed=STUDY_SEED, init_strategy=s)
+                 for s in ("relu_baseline", "identity", "random", "soft_relu")]
+        assert str(info.value) in {f"a study worker died while training {c}" for c in named}
+        assert victim.returncode is not None and experiments._workers == []
+        rows = granularity_ablation(small_dataset, FAST, seed=STUDY_SEED + 1)
+        assert [r.learnable_activation_params for r in rows] == [0, 7, 21]
+        assert len(experiments._workers) == 2 and victim not in experiments._workers
+
+    def test_a_warning_in_a_worker_is_issued_again_here(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.5, 1.0, (64, 8)) * 1e300
+        y = rng.integers(0, 2, 64)
+        diverging = TrainConfig(epochs=1, batch_size=16, learning_rate=1e12, seed=0)
+        for cores in (1, 2):
+            on_cores(monkeypatch, cores)
+            experiments._summaries.clear()
+            with pytest.raises(RuntimeWarning):         # the suite turns warnings into errors
+                granularity_ablation((x, y, x, y), diverging, seed=0)
+        assert len(experiments._summaries) == 0
+        with pytest.warns(RuntimeWarning):
+            grans = granularity_ablation((x, y, x, y), diverging, seed=0)
+        assert all(math.isnan(r.test_accuracy) for r in grans)
+
+    def test_stray_output_in_a_worker_leaves_its_answers_whole(self, small_dataset,
+                                                               monkeypatch, capfd):
+        experiments._stop_workers()             # fresh workers write to this test's stderr
+        spec = experiments._spec_for(small_dataset)
+        digest = experiments._dataset_digest(small_dataset)
+        configs = [replace(FAST, seed=STUDY_SEED, init_strategy=s)
+                   for s in ("relu_baseline", "identity")]
+        try:
+            on_cores(monkeypatch, 2)
+            got = experiments._run_jobs(spec, small_dataset, digest,
+                                        [(c, _StraySigmas()) for c in configs])
+        finally:
+            experiments._stop_workers()
+        on_cores(monkeypatch, 1)
+        assert got == experiments._run_jobs(spec, small_dataset, digest, [(c, ()) for c in configs])
+        err = capfd.readouterr().err
+        assert (err.count("stray print"), err.count("stray write")) == (2, 2)
+
+
+def test_a_study_process_leaves_no_worker_running():
+    code = ("from arcgate import experiments, idx\n"
+            "from arcgate.engine import TrainConfig\n"
+            "experiments._usable_cores = lambda: 2\n"
+            "data = idx.synthesize_arrays(n_train=600, n_test=200, seed=77)\n"
+            "experiments.init_ablation(data, TrainConfig(epochs=2, learning_rate=1e-3), seed=6)\n"
+            "print(*[worker.pid for worker in experiments._workers])\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.fixture(scope="module")
@@ -354,12 +478,18 @@ class TestRound:
             == ["granularity_ablation.csv", "init_ablation.csv", "noise_sweep.csv"]
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _child_env() -> dict[str, str]:
+    """This environment, with this checkout's ``src`` first on the import path."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def _run_script(*args) -> subprocess.CompletedProcess:
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, root / "scripts" / "run_experiments.py", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, ROOT / "scripts" / "run_experiments.py", *args],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
 
 
 def test_the_script_rejects_a_bad_config_before_it_builds_the_fixture(tmp_path):
