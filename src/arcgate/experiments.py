@@ -5,19 +5,19 @@ per-layer parameter report, and the parametric sensitivity curves.  Every
 runner is deterministic given its seed and embeds its configuration digest
 in the CSV it writes, so re-running reproduces files byte for byte.
 
-The study runners in one process share trainings by content key: the model
-spec, every ``TrainConfig`` field and a SHA-256 digest of the four dataset
-arrays.  Only a training's summary is kept (final test accuracy, learnable
-activation parameter count and effective gate parameters per layer, or a
-divergence mark), never the model, so a later study reads it instead of
-training again.  :func:`run_round` runs every study once and reads its layer
-report from the sweep's ArcGate training: six trainings, six configurations.
+Every study runner gets its trainings from :func:`_study_summaries`, which
+shares them in one process by content key: the model spec, every
+``TrainConfig`` field and a SHA-256 digest of the four dataset arrays.  Only
+a training's summary is kept (final test accuracy, learnable activation
+parameter count, effective gate parameters per layer and correct test rows
+at the noise grid it was made for, or a divergence mark), never the model.
+:func:`run_round` runs every study once and reads its layer report from the
+sweep's ArcGate training: six trainings, six configurations.
 
 A study call's unrecorded trainings run in ``min(trainings, usable cores)``
-persistent worker processes at one BLAS thread each when that is two or
-more, else here.  Only summaries and the noise sweep's correct-row counts
-come back, and rows are put together in plan order, so either path gives
-the same results and bytes.
+persistent worker processes at one BLAS thread each, so in one on one core,
+macOS and Windows.  Only summaries come back, in plan order, so any number
+of workers gives the same bytes.
 
 Accuracy numbers here are desk-scale analogs: they preserve the structural
 comparisons (which variant beats which) but not the absolute values of
@@ -32,7 +32,6 @@ import hashlib
 import math
 import os
 import pickle
-import select
 import signal
 import subprocess
 import sys
@@ -95,6 +94,8 @@ class _Summary(NamedTuple):
     test_acc: float                              # final test accuracy
     gate_count: int                              # learnable activation parameters
     gate_params: tuple[tuple[float, ...], ...]   # effective, per gate layer
+    sigmas: tuple[float, ...] = ()               # the noise grid it was trained for
+    counts: tuple[int, ...] = ()                 # its correct test rows at each sigma
 
     @property
     def diverged(self) -> bool:
@@ -134,42 +135,41 @@ def _summary_key(spec: ModelSpec, config: TrainConfig, data_digest: str) -> tupl
 
 
 def _train_summary(spec: ModelSpec, dataset, config: TrainConfig,
-                   sigmas: Sequence[float] = ()) -> tuple[_Summary, list[int]]:
-    """Train ``config``: its summary, and its :func:`_noisy_counts` at ``sigmas``.
+                   sigmas: Sequence[float] = ()) -> _Summary:
+    """Train ``config``: its summary, with its :func:`_noisy_counts` at ``sigmas``.
 
-    A diverged run gives ``_DIVERGED`` and no counts.  Both paths of
-    :func:`_run_jobs` call this; the model never leaves it.
+    A diverged run gives ``_DIVERGED``.  A study worker calls this; the
+    model never leaves it.
     """
     try:
         model, trace = train(spec, dataset, config)
     except TrainingDivergedError:
-        return _DIVERGED, []
-    return (_Summary(trace[-1].test_acc, model.learnable_activation_parameter_count(),
-                     tuple(layer.effective_params() for layer in model.activation_layers())),
-            _noisy_counts(model, dataset[2], dataset[3], sigmas, config.seed))
+        return _DIVERGED
+    return _Summary(trace[-1].test_acc, model.learnable_activation_parameter_count(),
+                    tuple(layer.effective_params() for layer in model.activation_layers()),
+                    tuple(sigmas), tuple(_noisy_counts(model, *dataset[2:], sigmas, config.seed)))
 
 
-def _trained(spec: ModelSpec, dataset, data_digest: str,
-             jobs: list[tuple[TrainConfig, Sequence[float]]]) -> list[tuple[_Summary, list[int]]]:
-    """:func:`_train_summary` of each ``(config, sigmas)`` job, in plan order, each recorded."""
-    results = _run_jobs(spec, dataset, data_digest, jobs)
-    for (config, _), (summary, _) in zip(jobs, results):
-        _summaries[_summary_key(spec, config, data_digest)] = summary
-    while len(_summaries) > _SUMMARY_CAP:
-        _summaries.popitem(last=False)
-    return results
+def _study_summaries(dataset, config: TrainConfig | None, seed: int, variants: list[dict],
+                     sigmas: Sequence[float] = ()) -> list[_Summary]:
+    """The summary of ``config`` at ``seed`` under each override, with counts at ``sigmas``.
 
-
-def _study_summaries(dataset, config: TrainConfig | None, seed: int,
-             variants: list[dict]) -> list[_Summary]:
-    """The summary of ``config`` at ``seed`` under each override; trains only unrecorded ones."""
-    config = config or TrainConfig()
+    Trains and records only what no record serves: a record serves the grid
+    it was made for, any grid if it diverged, and a study with no sigmas.
+    """
+    config, sigmas = config or TrainConfig(), tuple(sigmas)
     spec, data_digest = _spec_for(dataset), _dataset_digest(dataset)
     configs = [replace(config, seed=seed, **overrides) for overrides in variants]
-    recorded = [_summaries.get(_summary_key(spec, cfg, data_digest)) for cfg in configs]
-    fresh = iter(_trained(spec, dataset, data_digest,
-                          [(cfg, ()) for cfg, run in zip(configs, recorded) if run is None]))
-    return [run if run is not None else next(fresh)[0] for run in recorded]
+    keys = [_summary_key(spec, cfg, data_digest) for cfg in configs]
+    runs = [_summaries.get(key) for key in keys]
+    todo = [i for i, run in enumerate(runs)
+            if run is None or sigmas and not run.diverged and run.sigmas != sigmas]
+    for i, run in zip(todo, _run_jobs(spec, dataset, data_digest,
+                                      [(configs[i], sigmas) for i in todo])):
+        runs[i] = _summaries[keys[i]] = run
+    while len(_summaries) > _SUMMARY_CAP:
+        _summaries.popitem(last=False)
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -189,36 +189,34 @@ def _usable_cores() -> int:
 
 
 def _run_jobs(spec: ModelSpec, dataset, data_digest: str,
-              jobs: list[tuple[TrainConfig, Sequence[float]]]) -> list[tuple[_Summary, list[int]]]:
-    """:func:`_train_summary` of each job, in plan order: the parent-side dispatch.
+              jobs: list[tuple[TrainConfig, Sequence[float]]]) -> list[_Summary]:
+    """:func:`_train_summary` of each ``(config, sigmas)`` job, in plan order.
 
-    With at least two jobs and two usable cores they run in
-    ``min(jobs, cores)`` worker processes, kept for the life of this one;
-    otherwise here, one after another.  A worker's warnings are issued
-    again here and its exception raised here, each in plan order.
+    The jobs run in ``min(jobs, usable cores)`` worker processes, kept for
+    the life of this one: job i goes to worker i mod n, every job is
+    written before the answers are read in job order.  A worker's warnings
+    are issued again here and its exception raised here, each in plan
+    order.  A worker that dies raises ``RuntimeError`` naming its job.
     """
     n_workers = min(len(jobs), _usable_cores())
-    if n_workers < 2:
-        return [_train_summary(spec, dataset, *job) for job in jobs]
     while len(_workers) < n_workers:
         _workers.append(subprocess.Popen(
             _WORKER_ARGV, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}))
         _workers[-1].digest = None
-    answers: list = [None] * len(jobs)
-    pending, idle, busy = list(enumerate(jobs))[::-1], _workers[:n_workers], {}
+    answers = []
     try:
-        while pending or busy:
-            while pending and idle:
-                worker, (i, job) = idle.pop(), pending.pop()
-                data = None if worker.digest == data_digest else dataset
-                pickle.dump((data, spec, *job), worker.stdin, protocol=5)
-                worker.stdin.flush()
-                worker.digest, busy[worker.stdout] = data_digest, (worker, i)
-            for out in select.select(list(busy), [], [])[0]:
-                worker, i = busy.pop(out)
-                answers[i] = pickle.load(out)
-                idle.append(worker)
+        # An idle worker reads its first job, which may carry the dataset, at
+        # once; each later job is a few hundred bytes, so the pipes hold them,
+        # and the answers, up to about 350 jobs per worker in one call.
+        for i, job in enumerate(jobs):
+            worker = _workers[i % n_workers]
+            data = None if worker.digest == data_digest else dataset
+            pickle.dump((data, spec, *job), worker.stdin, protocol=5)
+            worker.stdin.flush()
+            worker.digest = data_digest
+        for i in range(len(jobs)):
+            answers.append(pickle.load(_workers[i % n_workers].stdout))
     except BaseException as exc:
         _stop_workers()
         if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
@@ -297,26 +295,26 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
     """Train matched adaptive-gate and ReLU models, evaluate both across noise levels.
 
     Both models share the seed, the architecture, and per-sigma noise draws;
-    only the activation differs.  Each model is evaluated where it was
-    trained, in a study worker or here, on noise drawn there from the same
-    seed, ``seed * 1000 + i`` for sigma ``i``, so both see the same draws;
-    sigma 0 draws none, so it gives the clean test accuracy that training
-    recorded.  If one training run diverges the report is returned partial,
-    with the other model's rows.  A level given twice would be drawn twice,
-    from two seeds, so ``sigmas`` must be strictly increasing.
+    only the activation differs.  Each model is evaluated in the study
+    worker that trained it, on noise drawn there from the same seed,
+    ``seed * 1000 + i`` for sigma ``i``, so both see the same draws; sigma 0
+    draws none, so it gives the clean test accuracy that training recorded.
+    A model recorded for this very grid is read, not trained again.  If one
+    training run diverges the report is returned partial, with the other
+    model's rows.  A level given twice would be drawn twice, from two
+    seeds, so ``sigmas`` must be strictly increasing.
     """
     sigmas = [float(s) for s in sigmas]
     if not (all(math.isfinite(s) and s >= 0 for s in sigmas)
             and all(a < b for a, b in zip(sigmas, sigmas[1:]))):
         raise ValueError(f"sigmas must be strictly increasing, finite and >= 0, got {sigmas}")
     config = config or TrainConfig()
-    spec, data_digest = _spec_for(dataset), _dataset_digest(dataset)
-    runs = _trained(spec, dataset, data_digest,
-                    [(replace(config, seed=seed, **_ARCGATE), sigmas),
-                     (replace(config, seed=seed, init_strategy="relu_baseline"), sigmas)])
-    counts = {label: c for label, (summary, c) in zip(("arcgate", "relu"), runs)
-              if not summary.diverged}
-    return _sweep_report(counts, len(dataset[3]), sigmas, seed, (spec, config), len(counts) < 2)
+    runs = _study_summaries(dataset, config, seed,
+                            [_ARCGATE, {"init_strategy": "relu_baseline"}], sigmas)
+    counts = {label: run.counts for label, run in zip(("arcgate", "relu"), runs)
+              if not run.diverged}
+    key = (_spec_for(dataset), config)
+    return _sweep_report(counts, len(dataset[3]), sigmas, seed, key, len(counts) < 2)
 
 
 def _noisy_counts(model: MLPModel, x, y, sigmas: Sequence[float], seed: int) -> list[int]:
@@ -328,7 +326,7 @@ def _noisy_counts(model: MLPModel, x, y, sigmas: Sequence[float], seed: int) -> 
     return [_correct_counts(model, x, y, s, seed * 1000 + i) for i, s in enumerate(sigmas)]
 
 
-def _sweep_report(counts: dict[str, list[int]], n_rows: int, sigmas: list[float], seed: int,
+def _sweep_report(counts: dict[str, Sequence[int]], n_rows: int, sigmas: list[float], seed: int,
                   key: tuple, partial: bool = False) -> SweepReport:
     """The report of each ``label -> counts`` from :func:`_noisy_counts` over ``n_rows``.
 

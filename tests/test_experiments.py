@@ -187,12 +187,14 @@ def fresh_trainings(small_dataset):
 
 
 class TestSharedTrainings:
-    # the sweep always trains its two models, because it evaluates them under
-    # noise; an ablation trains only configurations no earlier runner trained
+    # the sweep trains a model again unless its record was made for the same
+    # noise grid, because it evaluates it under noise; an ablation trains only
+    # configurations no earlier runner trained
     @pytest.mark.parametrize("order, trainings", [(("sweep", "init", "granularity"), 6),
                                                   (("granularity", "init", "sweep"), 8),
                                                   (("sweep",), 2), (("init",), 4),
-                                                  (("granularity",), 3)])
+                                                  (("granularity",), 3),
+                                                  (("sweep", "sweep"), 2)])
     def test_rows_match_a_fresh_training_and_saved_bytes(self, order, trainings,
                                                          small_dataset, fresh_trainings,
                                                          monkeypatch, tmp_path):
@@ -213,6 +215,30 @@ class TestSharedTrainings:
         for name, result in results.items():
             assert written(name, result, tmp_path) == saved_study(name), name
         assert len(configs) == trainings
+
+    def test_a_sweep_over_another_grid_trains_both_models_again(self, small_dataset,
+                                                                monkeypatch):
+        experiments._summaries.clear()
+        configs = count_trainings(monkeypatch)
+        first = noise_sweep(small_dataset, sigmas=(0.0, 0.2, 0.5), config=FAST, seed=STUDY_SEED)
+        other = noise_sweep(small_dataset, sigmas=(0.0, 0.1), config=FAST, seed=STUDY_SEED)
+        assert len(configs) == 4 and configs[:2] == configs[2:]
+        assert ([r for r in first.rows if r.sigma == 0.0]
+                == [r for r in other.rows if r.sigma == 0.0])
+
+    def test_a_record_holds_the_counts_of_a_fresh_training(self, small_dataset):
+        experiments._summaries.clear()
+        sigmas = (0.0, 0.2, 0.5)
+        noise_sweep(small_dataset, sigmas=sigmas, config=FAST, seed=STUDY_SEED)
+        spec = experiments._spec_for(small_dataset)
+        digest = experiments._dataset_digest(small_dataset)
+        for init in ("soft_relu", "relu_baseline"):
+            cfg = replace(FAST, seed=STUDY_SEED, init_strategy=init, granularity="layer_wise")
+            model, _ = engine.train(spec, small_dataset, cfg)
+            record = experiments._summaries[experiments._summary_key(spec, cfg, digest)]
+            assert record.sigmas == sigmas
+            assert record.counts == tuple(experiments._noisy_counts(
+                model, small_dataset.x_test, small_dataset.y_test, sigmas, STUDY_SEED))
 
     def test_changed_pixel_forces_a_retrain(self, small_dataset, monkeypatch):
         pixels = small_dataset.x_train.pixels.copy()
@@ -271,7 +297,7 @@ class TestSharedTrainings:
 
         def fake_run_jobs(spec, dataset, data_digest, jobs):
             configs.extend(config for config, _sigmas in jobs)
-            return [(experiments._Summary(0.5, 0, ()), [])] * len(jobs)
+            return [experiments._Summary(0.5, 0, ())] * len(jobs)
 
         monkeypatch.setattr(experiments, "_run_jobs", fake_run_jobs)
         experiments._summaries.clear()
@@ -289,8 +315,8 @@ class TestSharedTrainings:
 
 
 def on_cores(monkeypatch, n):
-    """Make the dispatch see ``n`` usable cores: at 1 every training runs in
-    this process, at 2 a call's unrecorded trainings run in two workers."""
+    """Make the dispatch see ``n`` usable cores: at 1 a call's unrecorded
+    trainings all run in one worker, at 2 in up to two workers."""
     monkeypatch.setattr(experiments, "_usable_cores", lambda: n)
 
 
@@ -309,7 +335,7 @@ class TestStudyWorkers:
         experiments._stop_workers()
         configs = count_trainings(monkeypatch)
         results = {}
-        for cores, workers in ((1, 0), (2, 2)):
+        for cores, workers in ((1, 1), (2, 2)):
             on_cores(monkeypatch, cores)
             experiments._summaries.clear()
             configs.clear()
@@ -320,6 +346,27 @@ class TestStudyWorkers:
         for name in STUDIES:
             assert written(name, results[1][name], tmp_path) == saved_study(name), name
             assert written(name, results[2][name], tmp_path) == saved_study(name), name
+
+    def test_more_jobs_than_workers_give_the_rows_of_a_fresh_training(
+            self, small_dataset, fresh_trainings, monkeypatch, tmp_path):
+        configs = count_trainings(monkeypatch)
+        results = {}
+        for cores in (1, 2):
+            on_cores(monkeypatch, cores)
+            for name, trainings in (("init", 4), ("granularity", 3)):
+                experiments._summaries.clear()
+                configs.clear()
+                results[cores, name] = STUDIES[name][0](small_dataset)
+                assert len(configs) == trainings
+                assert written(name, results[cores, name], tmp_path) == saved_study(name), name
+        assert results[1, "init"] == results[2, "init"]
+        assert results[1, "granularity"] == results[2, "granularity"]
+        for row in results[2, "init"]:
+            assert row.test_accuracy == fresh_trainings[row.strategy, "layer_wise"][0]
+        for row in results[2, "granularity"]:
+            assert ((row.test_accuracy, row.learnable_activation_params)
+                    == fresh_trainings["soft_relu", row.granularity])
+        assert len(experiments._workers) == 2
 
     def test_an_error_in_a_worker_reaches_the_caller(self, small_dataset, monkeypatch):
         y_train = small_dataset.y_train.copy()
@@ -348,9 +395,9 @@ class TestStudyWorkers:
                 init_ablation(small_dataset, long, seed=STUDY_SEED)
         finally:
             killer.cancel()
-        named = [replace(long, seed=STUDY_SEED, init_strategy=s)
-                 for s in ("relu_baseline", "identity", "random", "soft_relu")]
-        assert str(info.value) in {f"a study worker died while training {c}" for c in named}
+        # the killed worker 0 holds job 0
+        job = replace(long, seed=STUDY_SEED, init_strategy="relu_baseline")
+        assert str(info.value) == f"a study worker died while training {job}"
         assert victim.returncode is not None and experiments._workers == []
         rows = granularity_ablation(small_dataset, FAST, seed=STUDY_SEED + 1)
         assert [r.learnable_activation_params for r in rows] == [0, 7, 21]
@@ -382,10 +429,11 @@ class TestStudyWorkers:
             on_cores(monkeypatch, 2)
             got = experiments._run_jobs(spec, small_dataset, digest,
                                         [(c, _StraySigmas()) for c in configs])
+            on_cores(monkeypatch, 1)
+            assert got == experiments._run_jobs(spec, small_dataset, digest,
+                                                [(c, ()) for c in configs])
         finally:
             experiments._stop_workers()
-        on_cores(monkeypatch, 1)
-        assert got == experiments._run_jobs(spec, small_dataset, digest, [(c, ()) for c in configs])
         err = capfd.readouterr().err
         assert (err.count("stray print"), err.count("stray write")) == (2, 2)
 
