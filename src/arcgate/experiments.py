@@ -15,7 +15,7 @@ at the noise grid it was made for, or a divergence mark), never the model.
 sweep's ArcGate training: six trainings, six configurations.
 
 A study call's unrecorded trainings run in ``min(trainings, usable cores)``
-persistent worker processes at one BLAS thread each, so in one on one core,
+persistent worker processes at one BLAS thread each: one worker on one core,
 macOS and Windows.  Only summaries come back, in plan order, so any number
 of workers gives the same bytes.
 
@@ -193,10 +193,10 @@ def _run_jobs(spec: ModelSpec, dataset, data_digest: str,
     """:func:`_train_summary` of each ``(config, sigmas)`` job, in plan order.
 
     The jobs run in ``min(jobs, usable cores)`` worker processes, kept for
-    the life of this one: job i goes to worker i mod n, every job is
-    written before the answers are read in job order.  A worker's warnings
-    are issued again here and its exception raised here, each in plan
-    order.  A worker that dies raises ``RuntimeError`` naming its job.
+    the life of this one: job i goes to worker i mod n once that worker
+    has answered its previous job, and answers are read in job order.  A
+    worker's warnings are issued again here and its exception raised here,
+    each in plan order.  A dead worker raises ``RuntimeError`` naming its job.
     """
     n_workers = min(len(jobs), _usable_cores())
     while len(_workers) < n_workers:
@@ -206,21 +206,22 @@ def _run_jobs(spec: ModelSpec, dataset, data_digest: str,
         _workers[-1].digest = None
     answers = []
     try:
-        # An idle worker reads its first job, which may carry the dataset, at
-        # once; each later job is a few hundred bytes, so the pipes hold them,
-        # and the answers, up to about 350 jobs per worker in one call.
-        for i, job in enumerate(jobs):
-            worker = _workers[i % n_workers]
-            data = None if worker.digest == data_digest else dataset
-            pickle.dump((data, spec, *job), worker.stdin, protocol=5)
-            worker.stdin.flush()
-            worker.digest = data_digest
-        for i in range(len(jobs)):
-            answers.append(pickle.load(_workers[i % n_workers].stdout))
+        # Job i goes out once its worker's answer to job i - n is read: a worker
+        # holds one job at a time, so no pipe write waits forever, whatever size.
+        for i in range(len(jobs) + n_workers):
+            worker, at = _workers[i % n_workers], i - n_workers
+            if at >= 0:
+                answers.append(pickle.load(worker.stdout))
+            if i < len(jobs):
+                at = i
+                data = None if worker.digest == data_digest else dataset
+                pickle.dump((data, spec, *jobs[i]), worker.stdin, protocol=5)
+                worker.stdin.flush()
+                worker.digest = data_digest
     except BaseException as exc:
         _stop_workers()
         if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
-            raise RuntimeError(f"a study worker died while training {jobs[i][0]}") from exc
+            raise RuntimeError(f"a study worker died while training {jobs[at][0]}") from exc
         raise
     for result, issued in answers:
         for category, message in issued:

@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -436,6 +438,29 @@ class TestStudyWorkers:
             experiments._stop_workers()
         err = capfd.readouterr().err
         assert (err.count("stray print"), err.count("stray write")) == (2, 2)
+
+    def test_jobs_and_answers_larger_than_a_pipe_cannot_hang_one_worker(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 1.0, (64, 8))
+        y = rng.integers(0, 2, 64)
+        sigmas = tuple(np.linspace(0.0, 1.0, 8192).tolist())
+        assert len(pickle.dumps(sigmas, protocol=5)) > 1 << 16      # a Linux pipe holds 64 KiB
+        on_cores(monkeypatch, 1)
+        experiments._summaries.clear()
+
+        def hung(*_):
+            pytest.fail("the sweep's two jobs on one worker hung")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            report = noise_sweep((x, y, x[:2], y[:2]), sigmas, FAST, seed=0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not report.partial and len(report.rows) == 2 * len(sigmas)
+        answers = [pickle.dumps(run, protocol=5) for run in experiments._summaries.values()]
+        assert len(answers) == 2 and all(len(answer) > 1 << 16 for answer in answers)
 
 
 def test_a_study_process_leaves_no_worker_running():
