@@ -16,8 +16,9 @@ sweep's ArcGate training: six trainings, six configurations.
 
 A study call's unrecorded trainings run in ``min(trainings, usable cores)``
 persistent worker processes at one BLAS thread each: one worker on one core,
-macOS and Windows.  Only summaries come back, in plan order, so any number
-of workers gives the same bytes.
+macOS and Windows.  Each job carries its dataset, so a worker keeps nothing
+between jobs.  Only summaries come back, in plan order, so any number of
+workers gives the same bytes.
 
 Accuracy numbers here are desk-scale analogs: they preserve the structural
 comparisons (which variant beats which) but not the absolute values of
@@ -164,8 +165,7 @@ def _study_summaries(dataset, config: TrainConfig | None, seed: int, variants: l
     runs = [_summaries.get(key) for key in keys]
     todo = [i for i, run in enumerate(runs)
             if run is None or sigmas and not run.diverged and run.sigmas != sigmas]
-    for i, run in zip(todo, _run_jobs(spec, dataset, data_digest,
-                                      [(configs[i], sigmas) for i in todo])):
+    for i, run in zip(todo, _run_jobs([(spec, dataset, configs[i], sigmas) for i in todo])):
         runs[i] = _summaries[keys[i]] = run
     while len(_summaries) > _SUMMARY_CAP:
         _summaries.popitem(last=False)
@@ -176,7 +176,7 @@ def _study_summaries(dataset, config: TrainConfig | None, seed: int, variants: l
 # study workers
 # ---------------------------------------------------------------------------
 
-# persistent for the process; each holds the dataset whose digest is its ``digest``
+# persistent for the process; each keeps nothing between jobs
 _workers: list[subprocess.Popen] = []
 _WORKER_ARGV = (sys.executable, "-c",
                 f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parents[1])!r})\n"
@@ -188,13 +188,13 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _run_jobs(spec: ModelSpec, dataset, data_digest: str,
-              jobs: list[tuple[TrainConfig, Sequence[float]]]) -> list[_Summary]:
-    """:func:`_train_summary` of each ``(config, sigmas)`` job, in plan order.
+def _run_jobs(jobs: list[tuple]) -> list[_Summary]:
+    """:func:`_train_summary` of each ``(spec, dataset, config, sigmas)`` job, in plan order.
 
     The jobs run in ``min(jobs, usable cores)`` worker processes, kept for
     the life of this one: job i goes to worker i mod n once that worker
     has answered its previous job, and answers are read in job order.  A
+    job carries its dataset, so a worker keeps nothing between jobs.  A
     worker's warnings are issued again here and its exception raised here,
     each in plan order.  A dead worker raises ``RuntimeError`` naming its job.
     """
@@ -203,7 +203,6 @@ def _run_jobs(spec: ModelSpec, dataset, data_digest: str,
         _workers.append(subprocess.Popen(
             _WORKER_ARGV, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}))
-        _workers[-1].digest = None
     answers = []
     try:
         # Job i goes out once its worker's answer to job i - n is read: a worker
@@ -214,14 +213,12 @@ def _run_jobs(spec: ModelSpec, dataset, data_digest: str,
                 answers.append(pickle.load(worker.stdout))
             if i < len(jobs):
                 at = i
-                data = None if worker.digest == data_digest else dataset
-                pickle.dump((data, spec, *jobs[i]), worker.stdin, protocol=5)
+                pickle.dump(jobs[i], worker.stdin, protocol=5)
                 worker.stdin.flush()
-                worker.digest = data_digest
     except BaseException as exc:
         _stop_workers()
         if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
-            raise RuntimeError(f"a study worker died while training {jobs[at][0]}") from exc
+            raise RuntimeError(f"a study worker died while training {jobs[at][2]}") from exc
         raise
     for result, issued in answers:
         for category, message in issued:
@@ -243,31 +240,31 @@ def _stop_workers() -> None:
 def _serve() -> None:
     """A worker's loop, until its input ends: one answer per job.
 
-    A job is a pickle of (dataset or None for the one held, spec, config,
-    sigmas); its answer is a pickle of :func:`_train_summary`'s result, or
-    the exception it raised, and the warnings it issued.  File descriptor 1
-    is pointed at stderr, so a stray print cannot corrupt the answers.  An
-    interrupt is left to the caller, which stops its workers.
+    A job is a pickle of :func:`_train_summary`'s arguments (spec, dataset,
+    config, sigmas); its answer is a pickle of its result, or the exception
+    it raised, and the warnings it issued.  The job and its result are
+    dropped before the next job is read.  File descriptor 1 is pointed at
+    stderr, so a stray print cannot corrupt the answers.  An interrupt is
+    left to the caller, which stops its workers.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     answers = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
-    dataset = None
     while True:
         try:
-            data, spec, config, sigmas = pickle.load(sys.stdin.buffer)
+            job = pickle.load(sys.stdin.buffer)
         except EOFError:
             return
-        dataset = dataset if data is None else data
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                result = _train_summary(spec, dataset, config, sigmas)
+                result = _train_summary(*job)
             except Exception as exc:    # noqa: BLE001 - raised again in the caller
                 result = exc
         issued = list(dict.fromkeys((w.category, str(w.message)) for w in caught))
         answers.write(pickle.dumps((result, issued), protocol=5))
         answers.flush()
+        del job, result     # an exception's traceback holds the dataset too
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +292,21 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
                 config: TrainConfig | None = None, seed: int = 0) -> SweepReport:
     """Train matched adaptive-gate and ReLU models, evaluate both across noise levels.
 
-    Both models share the seed, the architecture, and per-sigma noise draws;
-    only the activation differs.  Each model is evaluated in the study
-    worker that trained it, on noise drawn there from the same seed,
+    Both models train at ``seed`` (it replaces ``config.seed``) on the same
+    architecture; only the activation differs.  Each is evaluated in the
+    study worker that trained it, on noise drawn there from seed
     ``seed * 1000 + i`` for sigma ``i``, so both see the same draws; sigma 0
     draws none, so it gives the clean test accuracy that training recorded.
     A model recorded for this very grid is read, not trained again.  If one
     training run diverges the report is returned partial, with the other
     model's rows.  A level given twice would be drawn twice, from two
-    seeds, so ``sigmas`` must be strictly increasing.
+    seeds, so ``sigmas`` must be non-empty and strictly increasing.
     """
     sigmas = [float(s) for s in sigmas]
-    if not (all(math.isfinite(s) and s >= 0 for s in sigmas)
+    if not (sigmas and all(math.isfinite(s) and s >= 0 for s in sigmas)
             and all(a < b for a, b in zip(sigmas, sigmas[1:]))):
-        raise ValueError(f"sigmas must be strictly increasing, finite and >= 0, got {sigmas}")
+        raise ValueError("sigmas must be non-empty, strictly increasing, finite and >= 0, "
+                         f"got {sigmas}")
     config = config or TrainConfig()
     runs = _study_summaries(dataset, config, seed,
                             [_ARCGATE, {"init_strategy": "relu_baseline"}], sigmas)
@@ -368,7 +366,7 @@ class InitRow:
 
 
 def init_ablation(dataset, config: TrainConfig | None = None, seed: int = 0) -> list[InitRow]:
-    """One row per initialization strategy, all sharing seed and architecture."""
+    """One row per initialization strategy, all at ``seed``, which replaces ``config.seed``."""
     strategies = ("relu_baseline", "identity", "random", "soft_relu")
     runs = _study_summaries(dataset, config, seed, [{"init_strategy": s} for s in strategies])
     return [InitRow(strategy, run.test_acc) for strategy, run in zip(strategies, runs)]
@@ -389,7 +387,7 @@ class GranularityRow:
 
 def granularity_ablation(dataset, config: TrainConfig | None = None,
                          seed: int = 0) -> list[GranularityRow]:
-    """Fixed vs global-shared vs layer-wise gate parameters; counts by traversal."""
+    """Fixed vs global-shared vs layer-wise gates at ``seed``, which replaces ``config.seed``."""
     runs = _study_summaries(dataset, config, seed,
                             [{**_ARCGATE, "granularity": g} for g in GRANULARITIES])
     return [GranularityRow(g, run.gate_count, run.test_acc) for g, run in zip(GRANULARITIES, runs)]
@@ -505,8 +503,9 @@ def run_round(dataset, config: TrainConfig, seed: int, out_dir) -> Round:
     """Run every study once, in order, writing its CSVs into ``out_dir``.
 
     The noise sweep over :data:`DEFAULT_SIGMAS`, both ablations, the layer
-    report and the sensitivity curves.  If the sweep's ArcGate training
-    diverged, ``RuntimeError`` is raised after the three study CSVs.
+    report and the sensitivity curves.  ``seed`` replaces ``config.seed``
+    in every training.  If the sweep's ArcGate training diverged,
+    ``RuntimeError`` is raised after the three study CSVs.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

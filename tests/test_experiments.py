@@ -63,6 +63,11 @@ class TestNoiseSweep:
         with pytest.raises(ValueError, match="strictly increasing, finite and >= 0"):
             noise_sweep(small_dataset, sigmas=(0.0, 0.1, 0.1), config=FAST, seed=1)
 
+    def test_an_empty_grid_rejected(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_jobs", None)     # rejected before any training
+        with pytest.raises(ValueError, match="non-empty"):
+            noise_sweep(small_dataset, sigmas=(), config=FAST, seed=1)
+
     @pytest.mark.parametrize("sigmas", [(0.0, 0.1, math.nan), (0.0, math.inf)])
     def test_non_finite_sigmas_rejected(self, small_dataset, sigmas, monkeypatch):
         monkeypatch.setattr(experiments, "_run_jobs", None)     # rejected before any training
@@ -165,9 +170,9 @@ def count_trainings(monkeypatch):
     configs = []
     run_jobs = experiments._run_jobs
 
-    def counting(spec, dataset, data_digest, jobs):
-        configs.extend(config for config, _sigmas in jobs)
-        return run_jobs(spec, dataset, data_digest, jobs)
+    def counting(jobs):
+        configs.extend(config for _spec, _dataset, config, _sigmas in jobs)
+        return run_jobs(jobs)
 
     monkeypatch.setattr(experiments, "_run_jobs", counting)
     return configs
@@ -297,8 +302,8 @@ class TestSharedTrainings:
     def test_never_holds_more_than_its_cap(self, small_dataset, monkeypatch):
         configs = []
 
-        def fake_run_jobs(spec, dataset, data_digest, jobs):
-            configs.extend(config for config, _sigmas in jobs)
+        def fake_run_jobs(jobs):
+            configs.extend(config for _spec, _dataset, config, _sigmas in jobs)
             return [experiments._Summary(0.5, 0, ())] * len(jobs)
 
         monkeypatch.setattr(experiments, "_run_jobs", fake_run_jobs)
@@ -329,6 +334,19 @@ class _StraySigmas:
     def __reduce__(self):
         return eval, ("print('stray print', flush=True) "
                       "or __import__('os').write(1, b'stray write\\n') and ()",)
+
+
+class _DroppedDataset:
+    """``data``, which writes ``dataset dropped`` to file descriptor 2 when
+    the worker that unpickled it frees it."""
+
+    def __init__(self, data):
+        self.data = tuple(data)
+
+    def __reduce__(self):
+        return eval, ("type('Dataset', (tuple,), {'__del__': lambda d: "
+                      "__import__('os').write(2, b'dataset dropped\\n')})(data)",
+                      {"data": self.data})
 
 
 class TestStudyWorkers:
@@ -369,6 +387,45 @@ class TestStudyWorkers:
             assert ((row.test_accuracy, row.learnable_activation_params)
                     == fresh_trainings["soft_relu", row.granularity])
         assert len(experiments._workers) == 2
+
+    def test_datasets_that_alternate_on_live_workers_give_their_own_rows(
+            self, small_dataset, monkeypatch, tmp_path):
+        other = idx.synthesize_arrays(n_train=600, n_test=200, seed=78)
+        spec = experiments._spec_for(small_dataset)
+        on_cores(monkeypatch, 2)
+        results, workers = [], []
+        for data in (small_dataset, other, small_dataset):
+            experiments._summaries.clear()
+            rows = STUDIES["granularity"][0](data)
+            results.append(rows)
+            workers.append(list(experiments._workers))
+            for row in rows:
+                cfg = replace(FAST, seed=STUDY_SEED, init_strategy="soft_relu",
+                              granularity=row.granularity)
+                model, trace = engine.train(spec, data, cfg)
+                assert ((row.test_accuracy, row.learnable_activation_params)
+                        == (trace[-1].test_acc, model.learnable_activation_parameter_count()))
+        assert workers[0] == workers[1] == workers[2] and len(workers[0]) == 2
+        assert results[0] == results[2] != results[1]
+        for rows in (results[0], results[2]):
+            assert written("granularity", rows, tmp_path) == saved_study("granularity")
+
+    def test_a_worker_drops_each_job_before_it_reads_the_next(self, small_dataset,
+                                                             monkeypatch, capfd):
+        experiments._stop_workers()             # a fresh worker writes to this test's stderr
+        spec = experiments._spec_for(small_dataset)
+        config = replace(FAST, seed=STUDY_SEED)
+        on_cores(monkeypatch, 1)
+        try:
+            first, second = experiments._run_jobs(
+                [(spec, _DroppedDataset(small_dataset), config, ()),
+                 (spec, small_dataset, config, _StraySigmas())])
+        finally:
+            experiments._stop_workers()
+        assert first == second
+        err = capfd.readouterr().err
+        assert err.count("dataset dropped") == 1
+        assert err.index("dataset dropped") < err.index("stray print")
 
     def test_an_error_in_a_worker_reaches_the_caller(self, small_dataset, monkeypatch):
         y_train = small_dataset.y_train.copy()
@@ -424,16 +481,14 @@ class TestStudyWorkers:
                                                                monkeypatch, capfd):
         experiments._stop_workers()             # fresh workers write to this test's stderr
         spec = experiments._spec_for(small_dataset)
-        digest = experiments._dataset_digest(small_dataset)
         configs = [replace(FAST, seed=STUDY_SEED, init_strategy=s)
                    for s in ("relu_baseline", "identity")]
         try:
             on_cores(monkeypatch, 2)
-            got = experiments._run_jobs(spec, small_dataset, digest,
-                                        [(c, _StraySigmas()) for c in configs])
+            got = experiments._run_jobs([(spec, small_dataset, c, _StraySigmas())
+                                         for c in configs])
             on_cores(monkeypatch, 1)
-            assert got == experiments._run_jobs(spec, small_dataset, digest,
-                                                [(c, ()) for c in configs])
+            assert got == experiments._run_jobs([(spec, small_dataset, c, ()) for c in configs])
         finally:
             experiments._stop_workers()
         err = capfd.readouterr().err
