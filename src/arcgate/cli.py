@@ -327,9 +327,9 @@ def _cmd_sweep(opts) -> int:
         for s, gain in report.gains:
             print(f"sigma={s:g}: gain {gain:+.4f}", file=sys.stderr)
     else:
-        model = engine.load_model(opts["model"])
         if not opts["images"] or not opts["labels"]:
             raise ValueError("sweep --model needs --images and --labels")
+        model = engine.load_model(opts["model"])
         x, y = idx.load_idx(opts["images"], opts["labels"])
         counts = experiments._noisy_counts(model, x, y, sigmas, opts["seed"])
         report = experiments._sweep_report({Path(opts["model"]).stem: counts}, len(y),

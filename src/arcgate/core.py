@@ -229,8 +229,9 @@ class GateTape:
     :func:`batch_vjp` use only while they run, but for the ``d_x`` that
     ``batch_vjp`` returns in one of them; tapes may share it, as the gate
     layers of one training step do.  A fresh tape is eleven arrays, kept
-    while it lives.  A caller that holds one tape at a time passes it to
-    every call and allocates nothing per call.
+    while it lives; inference makes one per gate call and keeps only its
+    ``f``.  A caller that holds one tape at a time passes it to every call
+    and allocates nothing per call.
     """
 
     _ARRAYS = ("z", "theta", "psmall", "log_odds", "e", "v", "f")
@@ -246,25 +247,6 @@ class GateTape:
         self.x = self.eff = None
         for name in self._ARRAYS:
             setattr(self, name, np.empty(self.shape))
-
-    @classmethod
-    def value_only(cls, shape: tuple[int, ...]) -> "GateTape":
-        """Four arrays shared among the slots: enough for ``f`` alone.
-
-        A slot shares its array only with slots that :func:`batch_eval` first
-        writes after that slot's last read (see the liveness note there), so
-        ``f`` comes out exactly as with separate arrays and every other array
-        is overwritten.  :func:`batch_vjp` refuses such a tape: ``_partials``
-        unpacks four scratch arrays and it holds two.
-        """
-        tape = object.__new__(cls)
-        tape.shape, tape.x, tape.eff = tuple(shape), None, None
-        a, b, c, d = (np.empty(tape.shape) for _ in range(4))
-        tape.z, tape.f = a, a
-        tape.log_odds, tape.scratch = b, (b, c)
-        tape.theta, tape.v = c, c
-        tape.psmall, tape.e = d, d
-        return tape
 
     def rows(self, k: int) -> "GateTape":
         """Views of the first ``k`` rows, ``x`` and ``eff`` kept, for a ``(k, n)`` batch."""
@@ -313,14 +295,6 @@ def batch_eval(x: np.ndarray, eff, tape: GateTape | None = None) -> GateTape:
         tape = GateTape(shape)
     elif tape.shape != shape:
         raise ValueError(f"a tape of shape {tape.shape} cannot hold a {shape} evaluation")
-    # Liveness, which GateTape.value_only relies on.  Last reads, in order:
-    # scratch[0] (|z|) at psmall; theta at log_odds = 2 theta; psmall at
-    # log_odds /= psmall; z and scratch[1] at the sign step; log_odds at t;
-    # e at side (scratch[0] again); t at v; side at v -= side; v at f *= v.
-    # A slot may share an array only with slots first written after these
-    # points; x is read to the end and shares with none.  t lives in
-    # scratch[1], first written after the sign step's last read of it (in
-    # value_only also theta's, read earlier, and v's, written over t in place).
     with np.errstate(over="ignore", under="ignore"):
         z = np.subtract(x, c, out=tape.z)
         z *= a
@@ -357,9 +331,8 @@ def batch_eval(x: np.ndarray, eff, tape: GateTape | None = None) -> GateTape:
 
 
 def batch_value(x: np.ndarray, eff) -> np.ndarray:
-    """``batch_eval(x, eff).f`` bit for bit, from four arrays of its shape instead of eleven."""
-    x, eff, shape = _operands(x, eff)
-    return batch_eval(x, eff, GateTape.value_only(shape)).f
+    """``batch_eval(x, eff).f``: the gate's value alone, its tape dropped."""
+    return batch_eval(x, eff).f
 
 
 def _partials(tape: GateTape) -> tuple[np.ndarray, ...]:

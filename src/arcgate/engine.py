@@ -139,18 +139,15 @@ class DenseLayer:
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise ValueError(f"inconsistent dense shapes {self.w.shape} / {self.b.shape}")
 
-    def value(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None):
         """``x @ w + b`` into ``out`` when given, summed over blocks of ``_DENSE_BLOCK``
-        rows of ``w`` in order, so its bits do not depend on the BLAS thread count."""
+        rows of ``w`` in order so its bits do not depend on BLAS threads; and ``x``."""
         w = self.w
         y = np.matmul(x[:, :_DENSE_BLOCK], w[:_DENSE_BLOCK], out=out)
         for k in range(_DENSE_BLOCK, w.shape[0], _DENSE_BLOCK):
             y += x[:, k:k + _DENSE_BLOCK] @ w[k:k + _DENSE_BLOCK]
         y += self.b
-        return y
-
-    def forward(self, x: np.ndarray, out: np.ndarray | None = None):
-        return self.value(x, out), x
+        return y, x
 
     def backward(self, x: np.ndarray, g: np.ndarray, grads: list, d_in=None) -> np.ndarray:
         """Writes ``w``'s and ``b``'s gradients; the input gradient only if given ``d_in``."""
@@ -177,9 +174,6 @@ class GateLayer:
     def effective_params(self) -> tuple[float, ...]:
         return ArcGateParams.from_raw_vector(self.raw).effective()
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return core.batch_value(x, self.effective_params())
-
     def forward(self, x: np.ndarray, tape: GateTape | None = None):
         tape = core.batch_eval(x, self.effective_params(), tape)
         return tape.f, tape
@@ -202,11 +196,8 @@ class FixedActivation:
 
     kind: ActivationKind
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return zoo.act_batch(self.kind, x)
-
     def forward(self, x: np.ndarray, out=None):
-        return self.value(x), x
+        return zoo.act_batch(self.kind, x), x
 
     def backward(self, x: np.ndarray, g: np.ndarray, grads: list, d_in=None) -> np.ndarray:
         return g * zoo.act_grad_batch(self.kind, x)
@@ -224,8 +215,8 @@ class MLPModel:
     :class:`Arena`; each layer's ``w``, ``b`` and learnable ``raw`` are
     views into it.  Every ``global_shared`` gate layer is tied to the first
     one's region, and a vector that differs from the first one is rejected.
-    Each layer type has the same steps: ``forward`` (its output and what its
-    ``backward`` needs), ``backward`` and ``value`` (inference).
+    Each layer type has the same two steps: ``forward`` (its output and what
+    its ``backward`` needs, for training and inference alike) and ``backward``.
     """
 
     def __init__(self, layers: Sequence[Layer]):
@@ -419,10 +410,16 @@ def _labels(y) -> np.ndarray:
     return y.astype(np.int64, copy=False)
 
 
-def _check_width(model: MLPModel, x):
+def _check_width(model: MLPModel | ModelSpec, x, what: str = "batch"):
     if x.ndim != 2 or x.shape[1] != model.in_dim:
-        raise ValueError(f"batch shape {x.shape} does not match input width {model.in_dim}")
+        raise ValueError(f"{what} shape {x.shape} does not match input width {model.in_dim}")
     return x
+
+
+def _check_rows(x, y: np.ndarray, what: str = "") -> None:
+    if y.shape != x.shape[:1]:
+        raise ValueError(f"{what}labels of shape {y.shape} do not match inputs of shape "
+                         f"{x.shape}: expected one label per row, shape {x.shape[:1]}")
 
 
 def _input_batch(model: MLPModel, batch: np.ndarray,
@@ -593,15 +590,17 @@ class TraceRow:
 def train(model_spec: ModelSpec, dataset, config: TrainConfig) -> tuple[MLPModel, list[TraceRow]]:
     """Train on ``dataset`` (x_train, y_train, x_test, y_test); fully seeded.
 
-    Labels must have an integer dtype and lie in ``[0, n_classes)``.
+    Both splits are checked before the model is built: each is non-empty,
+    ``model_spec.in_dim`` wide and has one label per row, and labels must
+    have an integer dtype and lie in ``[0, n_classes)``.
     """
     x_train, x_test = _split(dataset[0]), _split(dataset[2])
     y_train, y_test = _labels(dataset[1]), _labels(dataset[3])
-    if x_train.shape[0] == 0:
-        raise ValueError("empty training set")
-    if x_test.shape[0] == 0:
-        raise ValueError("empty test set")
-    for split, y in (("training", y_train), ("test", y_test)):
+    for split, x, y in (("training", x_train, y_train), ("test", x_test, y_test)):
+        if x.shape[0] == 0:
+            raise ValueError(f"empty {split} set")
+        _check_width(model_spec, x, f"{split} input")
+        _check_rows(x, y, f"{split} ")
         bad = np.flatnonzero((y < 0) | (y >= model_spec.n_classes))
         if bad.size:
             raise ValueError(f"{split} label {y[bad[0]]} at row {bad[0]} is outside "
@@ -662,25 +661,23 @@ def _epoch_steps(model: MLPModel, state: AdamState, x_train, y_train: np.ndarray
 # Rows per inference block.  A multiple of the BLAS micro-tile heights, so
 # a block's rows sit where they would in a whole-batch product (README
 # lists where the bits still differ).  On the desk net a block's arrays peak
-# at about 1.3 MB; 64 rows saved 0.5 MB of RSS but slowed 1000-row
-# inference by about a quarter, 256 rows cost 1.7 MB more.
+# at 3.0 MiB (a gate's input and its eleven tape arrays), 3.8 MiB under noise.
 _INFER_ROWS = 128
 
 
 def _logits(model: MLPModel, batch: np.ndarray) -> np.ndarray:
     """The logits of :func:`forward`, bit for bit, without its cache.
 
-    Each layer's output replaces its input as soon as it exists, and gate
-    layers compute only their values (:func:`core.batch_value`), so at most
-    a gate's input and its four arrays, or a dense layer's input and output,
-    are alive at once.  Overflow and invalid operations give their IEEE
-    results without a warning, as in the gate kernel: a model that
-    :func:`load_model` accepts may hold any finite weights.
+    Each layer's ``forward`` runs in turn and only its output is kept, so a
+    gate's tape is dropped as soon as its output exists.  Overflow and
+    invalid operations give their IEEE results without a warning, as in the
+    gate kernel: a model that :func:`load_model` accepts may hold any finite
+    weights.
     """
     x = _input_batch(model, batch)
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in model.layers:
-            x = layer.value(x)
+            x = layer.forward(x)[0]
     return x
 
 
@@ -689,13 +686,29 @@ def _row_blocks(n: int):
     return (slice(start, start + _INFER_ROWS) for start in range(0, n, _INFER_ROWS))
 
 
-def predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    """Class index of each row: the argmax of the logits, ``_INFER_ROWS`` rows at a time."""
-    x = _check_width(model, _split(x))
+def _noisy_labels(model: MLPModel, x, noise_sigma: float, seed: int) -> np.ndarray:
+    """Class index of each row of a width-checked split ``x`` under Gaussian input noise.
+
+    Rows go through in blocks of ``_INFER_ROWS``; of ``x``'s full length only
+    the labels are made.  One generator ``default_rng(seed)`` draws each
+    block's ``normal(0, noise_sigma, block.shape)`` in row order: the stream
+    of the whole ``x``, so two models given one seed see the same noisy rows.
+    """
+    rng = np.random.default_rng(seed) if noise_sigma > 0 else None
     labels = np.empty(x.shape[0], dtype=np.intp)
     for rows in _row_blocks(x.shape[0]):
-        np.argmax(_logits(model, x[rows]), axis=1, out=labels[rows])
+        block = x[rows]
+        if rng is not None:
+            noisy = rng.normal(0.0, noise_sigma, size=block.shape)
+            noisy += np.asarray(block, dtype=np.float64)   # block + noise: IEEE addition commutes
+            block = noisy
+        np.argmax(_logits(model, block), axis=1, out=labels[rows])
     return labels
+
+
+def predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
+    """Class index of each row: the argmax of the logits, ``_INFER_ROWS`` rows at a time."""
+    return _noisy_labels(model, _check_width(model, _split(x)), 0.0, 0)
 
 
 def evaluate(model: MLPModel, dataset, noise_sigma: float = 0.0, seed: int = 0) -> float:
@@ -711,34 +724,16 @@ def evaluate(model: MLPModel, dataset, noise_sigma: float = 0.0, seed: int = 0) 
 
 
 def _correct_counts(model: MLPModel, x, y, noise_sigma: float, seed: int) -> int:
-    """How many rows of ``x`` ``model`` labels ``y`` under Gaussian input noise.
-
-    Rows go through in blocks of ``_INFER_ROWS``, so no array of ``x``'s
-    full size is made.  One generator ``default_rng(seed)`` draws each
-    block's ``normal(0, noise_sigma, block.shape)`` in row order, which is
-    the stream of the whole ``x``, so two models given the same seed see the
-    same noisy rows.
-    """
+    """How many of :func:`_noisy_labels`' labels for ``x`` equal ``y``, after every input check."""
     x = _check_width(model, _split(x))
     y = _labels(y)
     if x.shape[0] == 0:
         raise ValueError(f"cannot evaluate on an empty split: x has shape {x.shape}, "
                          f"y has shape {y.shape}")
-    if y.shape != x.shape[:1]:
-        raise ValueError(f"labels of shape {y.shape} do not match inputs of shape {x.shape}: "
-                         f"expected one label per row, shape {x.shape[:1]}")
+    _check_rows(x, y)
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
-    rng = np.random.default_rng(seed) if noise_sigma > 0 else None
-    count = 0
-    for rows in _row_blocks(x.shape[0]):
-        block = np.asarray(x[rows], dtype=np.float64)
-        if rng is not None:
-            noisy = rng.normal(0.0, noise_sigma, size=block.shape)
-            noisy += block       # the bits of block + noise: IEEE addition commutes
-            block = noisy
-        count += int(np.count_nonzero(np.argmax(_logits(model, block), axis=1) == y[rows]))
-    return count
+    return int(np.count_nonzero(_noisy_labels(model, x, noise_sigma, seed) == y))
 
 
 def net_gradcheck(seed: int) -> float:

@@ -386,9 +386,11 @@ def test_sweep_on_a_missing_model_fails(tmp_path, idx_files, capsys):
 def test_sweep_of_a_model_needs_its_images_and_labels(tmp_path, capsys):
     model = tmp_path / "model.agm1"
     model.write_bytes(agm1(dense(2, 3), gate(), dense(3, 2)))
-    assert run_cli("sweep", "--model", model, "--images", "i", "--out", tmp_path / "s.csv") == 1
-    assert capsys.readouterr().err == "error: sweep --model needs --images and --labels\n"
-    assert not (tmp_path / "s.csv").exists()
+    for path in (model, tmp_path / "missing.agm1"):      # checked before the model is read
+        assert run_cli("sweep", "--model", path, "--images", "i",
+                       "--out", tmp_path / "s.csv") == 1
+        assert capsys.readouterr().err == "error: sweep --model needs --images and --labels\n"
+        assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("command, key", [("sweep", "full"), ("plot", "figure")])

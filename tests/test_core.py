@@ -303,7 +303,7 @@ class TestBatchRows:
 
 
 class TestBatchValue:
-    """batch_value gives batch_eval's f bit for bit from four shared arrays."""
+    """batch_value gives batch_eval's f bit for bit."""
 
     # (a, c, p, alpha, beta, gamma, delta): a soft rectifier; a steep, sharp gate
     # whose t passes 745, so exp(-|t|) underflows to 0 and v sits at both
@@ -339,11 +339,6 @@ class TestBatchValue:
             assert got.shape == x.shape
             assert got.tobytes() == core.batch_eval(x, tuple(row)).f.tobytes()
 
-    def test_value_only_buffers_share_four_arrays(self):
-        tape = core.GateTape.value_only((3, 5))
-        arrays = {id(getattr(tape, name)) for name in core.GateTape._ARRAYS}
-        assert len(arrays | {id(s) for s in tape.scratch}) == 4
-
     def test_a_fresh_tape_is_eleven_arrays(self):
         x = np.random.default_rng(3).normal(0.0, 2.0, (64, 256))
         eff = tuple(self.ROWS[0])
@@ -371,12 +366,6 @@ class TestBatchValue:
         # no array of the tape's shape; four when batch_vjp made its own scratch
         assert peak < x.nbytes, peak / x.nbytes
         assert d_x is tape.scratch[0]
-
-    def test_value_only_buffers_refused_by_vjp(self):
-        tape = core.batch_eval(self.GRID, tuple(self.ROWS[0]),
-                               core.GateTape.value_only(self.GRID.shape))
-        with pytest.raises(ValueError):
-            core.batch_vjp(tape, np.ones_like(self.GRID))
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
