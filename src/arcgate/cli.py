@@ -39,7 +39,8 @@ def _parse_sigmas(text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed sigma list {text!r}: {exc}") from None
-    if not all(math.isfinite(v) and v >= 0.0 for v in values):
+    # -0.0 >= 0 holds, but it would print, and hash, as a sigma of its own
+    if not all(math.isfinite(v) and math.copysign(1.0, v) > 0.0 for v in values):
         raise argparse.ArgumentTypeError(f"sigmas must be finite and >= 0, got {text!r}")
     for i, v in enumerate(values):
         if v in values[:i]:

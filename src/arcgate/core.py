@@ -225,25 +225,21 @@ class GateTape:
     :func:`eval_F` derive ``u`` from ``z``, ``theta`` and ``psmall``, and
     :func:`batch_eval` keeps ``t`` in ``scratch[1]``.
 
-    ``scratch`` is four arrays of ``shape`` that :func:`batch_eval` and
+    ``scratch`` is four more arrays of ``shape`` that :func:`batch_eval` and
     :func:`batch_vjp` use only while they run, but for the ``d_x`` that
-    ``batch_vjp`` returns in one of them; tapes may share it, as the gate
-    layers of one training step do.  A fresh tape is eleven arrays, kept
-    while it lives; inference makes one per gate call and keeps only its
-    ``f``.  A caller that holds one tape at a time passes it to every call
-    and allocates nothing per call.
+    ``batch_vjp`` returns in one of them.  A tape is eleven arrays, kept
+    while it lives: a training step makes one per gate layer and keeps it
+    until its backward pass, inference makes one per gate call and keeps
+    only its ``f``.  The fitter holds one tape and passes it, or a view of
+    its first rows (:meth:`rows`), to every call, so it makes no tape per call.
     """
 
     _ARRAYS = ("z", "theta", "psmall", "log_odds", "e", "v", "f")
     __slots__ = ("shape", "scratch", "x", "eff", *_ARRAYS)
 
-    def __init__(self, shape: tuple[int, ...], scratch: Sequence[np.ndarray] | None = None):
+    def __init__(self, shape: tuple[int, ...]):
         self.shape = tuple(shape)
-        if scratch is None:
-            scratch = [np.empty(self.shape) for _ in range(4)]
-        elif len(scratch) != 4 or any(s.shape != self.shape for s in scratch):
-            raise ValueError(f"scratch must be four arrays of shape {self.shape}")
-        self.scratch = tuple(scratch)
+        self.scratch = tuple(np.empty(self.shape) for _ in range(4))
         self.x = self.eff = None
         for name in self._ARRAYS:
             setattr(self, name, np.empty(self.shape))

@@ -8,14 +8,13 @@ A model keeps all trainable values in one :class:`Arena`: dense weights
 first (the only values weight decay touches), then biases and learnable gate
 vectors, with each layer's arrays as views into it.  ``backward`` writes a
 gradient vector with the same layout, and ``adamw_step`` updates the arena in
-chunks that stay in cache.  ``train`` allocates one set of
-:class:`StepBuffers` per epoch, reuses it on every step of that epoch, and
-drops it before the epoch's test evaluation.
+chunks that stay in cache.  Each training step allocates its own
+activations and gate tapes and drops them before the next step's forward
+pass; only the gradient vector is kept for a whole epoch.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from .zoo import ActivationKind
 __all__ = [
     "GRANULARITIES", "INIT_STRATEGIES",
     "AdamState", "Arena", "DenseLayer", "FixedActivation", "GateLayer", "MLPModel",
-    "ModelSpec", "ModelFormatError", "NonFiniteGradientError", "Slot", "StepBuffers",
+    "ModelSpec", "ModelFormatError", "NonFiniteGradientError", "Slot",
     "TrainingDivergedError",
     "TraceRow", "TrainConfig",
     "adamw_step", "backward", "build_model", "evaluate", "forward",
@@ -121,7 +120,7 @@ class TrainConfig:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
 
 
-# Rows of ``w`` per partial product in :meth:`DenseLayer.value`.  OpenBLAS
+# Rows of ``w`` per partial product in :meth:`DenseLayer.forward`.  OpenBLAS
 # sums a long inner dimension in pieces whose bounds depend on its thread
 # count, so the whole 784-row first-layer product gave other bits at 1 and 2
 # threads.  Blocks of 384 and 256 gave the same bits at both for every row
@@ -139,21 +138,22 @@ class DenseLayer:
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise ValueError(f"inconsistent dense shapes {self.w.shape} / {self.b.shape}")
 
-    def forward(self, x: np.ndarray, out: np.ndarray | None = None):
-        """``x @ w + b`` into ``out`` when given, summed over blocks of ``_DENSE_BLOCK``
-        rows of ``w`` in order so its bits do not depend on BLAS threads; and ``x``."""
+    def forward(self, x: np.ndarray):
+        """``x @ w + b``, summed over blocks of ``_DENSE_BLOCK`` rows of ``w`` in
+        order so its bits do not depend on BLAS threads; and ``x``."""
         w = self.w
-        y = np.matmul(x[:, :_DENSE_BLOCK], w[:_DENSE_BLOCK], out=out)
+        y = x[:, :_DENSE_BLOCK] @ w[:_DENSE_BLOCK]
         for k in range(_DENSE_BLOCK, w.shape[0], _DENSE_BLOCK):
             y += x[:, k:k + _DENSE_BLOCK] @ w[k:k + _DENSE_BLOCK]
         y += self.b
         return y, x
 
-    def backward(self, x: np.ndarray, g: np.ndarray, grads: list, d_in=None) -> np.ndarray:
-        """Writes ``w``'s and ``b``'s gradients; the input gradient only if given ``d_in``."""
+    def backward(self, x: np.ndarray, g: np.ndarray, grads: list,
+                 d_input: bool = True) -> np.ndarray | None:
+        """Writes ``w``'s and ``b``'s gradients; returns the input gradient if ``d_input``."""
         np.matmul(x.T, g, out=grads[0])
         np.add.reduce(g, axis=0, out=grads[1])
-        return None if d_in is None else np.matmul(g, self.w.T, out=d_in)
+        return g @ self.w.T if d_input else None
 
 
 class GateLayer:
@@ -174,11 +174,12 @@ class GateLayer:
     def effective_params(self) -> tuple[float, ...]:
         return ArcGateParams.from_raw_vector(self.raw).effective()
 
-    def forward(self, x: np.ndarray, tape: GateTape | None = None):
-        tape = core.batch_eval(x, self.effective_params(), tape)
+    def forward(self, x: np.ndarray):
+        tape = core.batch_eval(x, self.effective_params())
         return tape.f, tape
 
-    def backward(self, tape: GateTape, g: np.ndarray, grads: list, d_in=None) -> np.ndarray:
+    def backward(self, tape: GateTape, g: np.ndarray, grads: list,
+                 d_input: bool = True) -> np.ndarray:
         """Adds a learned raw vector's gradient (positive-map chain applied) into ``grads``."""
         if not isinstance(tape, GateTape):
             raise ValueError("cache does not match model (stale or from another model)")
@@ -196,10 +197,11 @@ class FixedActivation:
 
     kind: ActivationKind
 
-    def forward(self, x: np.ndarray, out=None):
+    def forward(self, x: np.ndarray):
         return zoo.act_batch(self.kind, x), x
 
-    def backward(self, x: np.ndarray, g: np.ndarray, grads: list, d_in=None) -> np.ndarray:
+    def backward(self, x: np.ndarray, g: np.ndarray, grads: list,
+                 d_input: bool = True) -> np.ndarray:
         return g * zoo.act_grad_batch(self.kind, x)
 
 
@@ -346,52 +348,6 @@ def build_model(spec: ModelSpec, config: TrainConfig,
 # forward / backward
 # ---------------------------------------------------------------------------
 
-class StepBuffers:
-    """Arrays one training step writes into, for batches of ``n_rows`` rows.
-
-    ``x`` receives the float input batch when it comes as
-    :class:`idx.PixelRows`.  Per layer index, ``layers[i]`` is what layer
-    i's forward step writes into (a dense layer's output, a gate layer's
-    tape, None for a fixed activation) and ``d_in[i]`` a dense layer's input
-    gradient (None for layer 0, whose input gradient is never formed, and
-    for the other layer types).  The gate tapes share one set of four
-    scratch vectors, sized for the widest of them, since each gate call uses
-    scratch only while it runs (see :class:`core.GateTape`).  ``grad`` is
-    the gradient arena, laid out like ``model.arena``.  Each step overwrites
-    the previous one's input, tapes, outputs and gradients.
-    """
-
-    def __init__(self, model: MLPModel, n_rows: int):
-        self.n_rows = n_rows
-        self.grad = np.empty(model.arena.size)
-        self.x = np.empty((n_rows, model.in_dim))
-        gated = {i for i, layer in enumerate(model.layers) if isinstance(layer, GateLayer)}
-        widest = max((model.layers[i - 1].w.shape[1] for i in gated), default=0)
-        scratch = [np.empty(n_rows * widest) for _ in range(4)]
-        self.layers: list[np.ndarray | GateTape | None] = []
-        self.d_in: list[np.ndarray | None] = []
-        width = model.in_dim
-        for i, layer in enumerate(model.layers):
-            dense = isinstance(layer, DenseLayer)
-            shape = (n_rows, width)
-            views = [s[:n_rows * width].reshape(shape) for s in scratch] if i in gated else None
-            self.d_in.append(np.empty(shape) if dense and i > 0 else None)
-            if dense:
-                width = layer.w.shape[1]
-            self.layers.append(np.empty((n_rows, width)) if dense else
-                               None if views is None else GateTape(shape, views))
-
-    def rows(self, k: int) -> "StepBuffers":
-        """Views of the first ``k`` rows (sharing ``grad``), for a short last batch."""
-        view = copy.copy(self)
-        view.n_rows = k
-        view.x = self.x[:k]
-        view.layers = [b.rows(k) if isinstance(b, GateTape) else None if b is None else b[:k]
-                       for b in self.layers]
-        view.d_in = [None if a is None else a[:k] for a in self.d_in]
-        return view
-
-
 def _split(x):
     """A whole split to read rows from, never converted as a whole when it is bytes.
 
@@ -422,53 +378,39 @@ def _check_rows(x, y: np.ndarray, what: str = "") -> None:
                          f"{x.shape}: expected one label per row, shape {x.shape[:1]}")
 
 
-def _input_batch(model: MLPModel, batch: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The float64 rows a model reads: where :class:`idx.PixelRows` become floats.
-
-    Pixel rows are scaled into ``out`` when it is given, instead of a fresh array.
-    """
-    if out is not None and isinstance(batch, idx.PixelRows):
-        return _check_width(model, batch).scale_into(out)
+def _input_batch(model: MLPModel, batch: np.ndarray) -> np.ndarray:
+    """The float64 rows a model reads: where :class:`idx.PixelRows` become floats."""
     return _check_width(model, np.asarray(batch, dtype=np.float64))
 
 
-def forward(model: MLPModel, batch: np.ndarray,
-            buffers: StepBuffers | None = None) -> tuple[np.ndarray, list]:
-    """Logits plus the per-layer cache consumed by :func:`backward`.
-
-    With ``buffers`` every layer, and the scaling of a :class:`idx.PixelRows`
-    batch, writes into them instead of fresh arrays, so the logits and the
-    cache live only until the next buffered call.
-    """
-    x = _input_batch(model, batch, None if buffers is None else buffers.x)
-    per_layer = [None] * len(model.layers) if buffers is None else buffers.layers
+def forward(model: MLPModel, batch: np.ndarray) -> tuple[np.ndarray, list]:
+    """Logits plus the per-layer cache consumed by :func:`backward`."""
+    x = _input_batch(model, batch)
     cache: list = []
-    for layer, buffer in zip(model.layers, per_layer):
-        x, saved = layer.forward(x, buffer)
+    for layer in model.layers:
+        x, saved = layer.forward(x)
         cache.append(saved)
     return x, cache
 
 
 def backward(model: MLPModel, cache: list, grad_logits: np.ndarray,
-             buffers: StepBuffers | None = None) -> list[np.ndarray]:
+             out: np.ndarray | None = None) -> list[np.ndarray]:
     """Gradients aligned with ``model.arena.slots``: views into one gradient arena.
 
     Gate-parameter gradients are w.r.t. the raw vectors (positive-map chain
     applied); a shared vector sums every layer's contribution, the last
-    layer's first.  The gradient w.r.t. the input batch is never formed
-    (``StepBuffers.d_in[0]`` is None).  The arena is ``buffers.grad`` and
-    the temporaries are written into the buffers, a fresh set by default.
+    layer's first.  The gradient w.r.t. the input batch is never formed.
+    The arena is ``out``, a vector laid out like ``model.arena``, when it
+    is given, else a fresh one.
     """
     if len(cache) != len(model.layers):
         raise ValueError("cache does not match model (stale or from another model)")
     g = np.asarray(grad_logits, dtype=np.float64)
-    buffers = StepBuffers(model, g.shape[0]) if buffers is None else buffers
-    grads = model.arena.views(buffers.grad)
-    buffers.grad[model.arena.n_decay:] = 0.0      # gate layers add into it; dense layers write
+    flat = np.empty(model.arena.size) if out is None else out
+    grads = model.arena.views(flat)
+    flat[model.arena.n_decay:] = 0.0      # gate layers add into it; dense layers write
     for i in range(len(model.layers) - 1, -1, -1):
-        layer_grads = [grads[k] for k in model._slot_of[i]]
-        g = model.layers[i].backward(cache[i], g, layer_grads, buffers.d_in[i])
+        g = model.layers[i].backward(cache[i], g, [grads[k] for k in model._slot_of[i]], i > 0)
     return grads
 
 
@@ -628,29 +570,27 @@ def _epoch_steps(model: MLPModel, state: AdamState, x_train, y_train: np.ndarray
                  step: int) -> tuple[float, int, int]:
     """One epoch's steps over the rows in ``order``: loss sum, correct count, last step.
 
-    The step buffers, and the logits, cache and gradients held in them,
-    live only while this runs, so they are gone before the epoch's
-    evaluation allocates its row blocks.
+    One gradient vector serves every step and is gone before the epoch's
+    evaluation.  A step's logits and cache are dropped before the next
+    step's forward pass, so two steps' activations are never held at once.
     """
-    n = order.size
-    full = StepBuffers(model, min(config.batch_size, n))
-    tail = full.rows(n % config.batch_size or full.n_rows)
+    grad = np.empty(model.arena.size)
     loss_sum = 0.0
     correct = 0
-    for start in range(0, n, config.batch_size):
+    for start in range(0, order.size, config.batch_size):
         rows = order[start:start + config.batch_size]
         xb, yb = x_train[rows], y_train[rows]
-        buffers = full if len(rows) == full.n_rows else tail
-        logits, cache = forward(model, xb, buffers)
+        logits, cache = forward(model, xb)
         loss, grad_logits = softmax_cross_entropy(logits, yb)
         if not math.isfinite(loss):
             raise TrainingDivergedError(epoch, step + 1, loss)
-        backward(model, cache, grad_logits, buffers)
+        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+        backward(model, cache, grad_logits, grad)
+        del logits, cache
         step += 1
-        adamw_step(model.arena, buffers.grad, state, config.learning_rate,
+        adamw_step(model.arena, grad, state, config.learning_rate,
                    config.weight_decay, step)
         loss_sum += loss * len(rows)
-        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
     return loss_sum, correct, step
 
 

@@ -300,10 +300,11 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
     A model recorded for this very grid is read, not trained again.  If one
     training run diverges the report is returned partial, with the other
     model's rows.  A level given twice would be drawn twice, from two
-    seeds, so ``sigmas`` must be non-empty and strictly increasing.
+    seeds, so ``sigmas`` must be non-empty and strictly increasing; -0.0
+    is rejected, since its rows and digest would differ from those of 0.
     """
     sigmas = [float(s) for s in sigmas]
-    if not (sigmas and all(math.isfinite(s) and s >= 0 for s in sigmas)
+    if not (sigmas and all(math.isfinite(s) and math.copysign(1.0, s) > 0 for s in sigmas)
             and all(a < b for a, b in zip(sigmas, sigmas[1:]))):
         raise ValueError("sigmas must be non-empty, strictly increasing, finite and >= 0, "
                          f"got {sigmas}")

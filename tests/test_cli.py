@@ -434,6 +434,23 @@ def test_a_non_finite_or_negative_sigma_is_a_usage_error(sigmas, tmp_path, capsy
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_a_negative_zero_sigma_is_a_usage_error(tmp_path, capsys):
+    # -0.0 >= 0 holds, but its rows and digest would differ from those of 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--sigmas=-0,0.1", "--out", tmp_path / "s.csv")
+    assert exc.value.code == 2
+    assert "error: argument --sigmas: sigmas must be finite and >= 0, got '-0,0.1'" \
+        in capsys.readouterr().err
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("sigmas=0.1,-0.0\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", cfg, "sweep", "--out", tmp_path / "s.csv")
+    assert exc.value.code == 2
+    assert f"error: {cfg}:1: bad value for sigmas: sigmas must be finite and >= 0, " \
+        f"got '0.1,-0.0'" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_a_repeated_sigma_is_a_usage_error(tmp_path, capsys):
     # it would be drawn twice, from two noise seeds
     with pytest.raises(SystemExit) as exc:

@@ -255,27 +255,6 @@ class TestBatchRows:
             assert d_x.base is whole.scratch[0]
             assert np.array_equal(d_x, fresh_vjp[0]) and np.array_equal(d_eff, fresh_vjp[1])
 
-    def test_buffers_sharing_scratch_match_fresh_arrays(self):
-        # two gate layers of one step: both forward, then both backward
-        grid, eff, cot = self.rows_and_cotangent()
-        scratch = [np.empty((len(eff), grid.size)) for _ in range(4)]
-        effs = (eff, eff[::-1])
-        layers = [core.GateTape(scratch[0].shape, scratch) for _ in effs]
-        tapes = []
-        for e, layer in zip(effs, layers):
-            tapes.append(core.batch_eval(grid, e, layer))
-        for e, tape in reversed(list(zip(effs, tapes))):
-            fresh = core.batch_eval(grid, e)
-            for name in self.FIELDS:
-                assert np.array_equal(getattr(tape, name), getattr(fresh, name)), name
-            d_x, d_eff = core.batch_vjp(tape, cot)
-            want_x, want_eff = core.batch_vjp(fresh, cot)
-            assert np.array_equal(d_x, want_x) and np.array_equal(d_eff, want_eff)
-        with pytest.raises(ValueError, match="four arrays"):
-            core.GateTape(scratch[0].shape, scratch[:3])
-        with pytest.raises(ValueError, match="four arrays"):
-            core.GateTape((len(eff), grid.size - 1), scratch)
-
     def test_rows_pair_with_the_rows_of_a_two_dimensional_x(self):
         grid, eff, cot = self.rows_and_cotangent()
         x = np.random.default_rng(6).normal(0.0, 3.0, (len(eff), 37))

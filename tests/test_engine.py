@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from agm1_files import BAD_MODELS
 from arcgate import core, engine, experiments, idx, zoo
 from arcgate.engine import (AdamState, Arena, DenseLayer, FixedActivation, GateLayer,
-                            MLPModel, ModelSpec, Slot, StepBuffers, TrainConfig, adamw_step,
+                            MLPModel, ModelSpec, Slot, TrainConfig, adamw_step,
                             backward, build_model, evaluate, forward, load_model,
                             save_model, softmax_cross_entropy, train)
 from train_oracle import per_slot_adamw_step, per_slot_rescaled_adamw_step
@@ -145,15 +145,26 @@ def shared_gate_model(second_raw=None) -> MLPModel:
                      DenseLayer(rng.normal(size=(4, 2)), rng.normal(size=2))])
 
 
+def backward_into(model: MLPModel, cache: list, grad_logits: np.ndarray,
+                  out: np.ndarray) -> list[np.ndarray]:
+    """``backward(..., out)``, checked to be views of ``out`` and a fresh backward's bits."""
+    want = backward(model, cache, grad_logits)
+    got = backward(model, cache, grad_logits, out)
+    assert all(np.shares_memory(g, out) for g in got)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    return got
+
+
 def adamw_steps(model: MLPModel, steps: int = 5) -> MLPModel:
-    """``steps`` seeded AdamW steps on 16-row random batches, in place."""
+    """``steps`` seeded AdamW steps on 16-row random batches, in place, with one gradient
+    vector as training keeps it."""
     rng = np.random.default_rng(8)
-    state, buffers = AdamState.init_like(model.arena), StepBuffers(model, 16)
+    state, grad = AdamState.init_like(model.arena), np.empty(model.arena.size)
     for step in range(1, steps + 1):
-        logits, cache = forward(model, rng.normal(size=(16, model.in_dim)), buffers)
+        logits, cache = forward(model, rng.normal(size=(16, model.in_dim)))
         _, grad_logits = softmax_cross_entropy(logits, rng.integers(0, 2, 16))
-        backward(model, cache, grad_logits, buffers)
-        adamw_step(model.arena, buffers.grad, state, 0.01, 0.01, step)
+        backward_into(model, cache, grad_logits, grad)
+        adamw_step(model.arena, grad, state, 0.01, 0.01, step)
     return model
 
 
@@ -270,21 +281,16 @@ class TestBackward:
         ("layer_wise", "soft_relu"), ("global_shared", "random"),
         ("fixed", "identity"), ("layer_wise", "relu_baseline")])
     def test_buffered_step_matches_allocating(self, granularity, strategy):
+        # one gradient vector for every batch, a short one between full ones, as in an
+        # epoch; it starts as NaN, so a value backward fails to write shows
         model = tiny_model(granularity=granularity, strategy=strategy)
-        full = StepBuffers(model, 6)
+        grad = np.full(model.arena.size, np.nan)
         rng = np.random.default_rng(3)
-        for buffers in (full, full.rows(4), full):
-            x = rng.normal(0, 1, (buffers.n_rows, 3))
-            y = rng.integers(0, 3, buffers.n_rows)
+        for n_rows in (6, 4, 6):
+            x = rng.normal(0, 1, (n_rows, 3))
             logits, cache = forward(model, x)
-            got_logits, got_cache = forward(model, x, buffers)
-            assert np.array_equal(got_logits, logits)
-            _, gl = softmax_cross_entropy(logits, y)
-            grads = backward(model, cache, gl)
-            got = backward(model, got_cache, gl, buffers)
-            assert all(np.shares_memory(g, buffers.grad) for g in got)
-            for a, b in zip(got, grads):
-                assert np.array_equal(a, b)
+            _, gl = softmax_cross_entropy(logits, rng.integers(0, 3, n_rows))
+            backward_into(model, cache, gl, grad)
 
     def test_stale_cache_rejected(self):
         model = tiny_model()
@@ -886,41 +892,11 @@ class TestStepMemory:
         # had a scratch set of its own
         assert peak < 6.5 * model.arena.values.nbytes, peak / model.arena.values.nbytes
 
-    @pytest.mark.parametrize("granularity, strategy", [
-        ("layer_wise", "soft_relu"), ("global_shared", "random"), ("fixed", "identity")])
-    def test_gate_layers_share_one_scratch_set(self, granularity, strategy):
-        model = tiny_model(granularity=granularity, strategy=strategy,
-                           spec=ModelSpec(5, (8, 16, 4), 3))
-        full = StepBuffers(model, 6)
-        for buffers in (full, full.rows(4)):
-            gates = [b for b in buffers.layers if isinstance(b, core.GateTape)]
-            assert [b.shape for b in gates] == [(buffers.n_rows, w) for w in (8, 16, 4)]
-            for j in range(4):
-                one = gates[0].scratch[j].base
-                assert one is not None and one.size == 6 * 16     # the widest layer's rows
-                assert all(b.scratch[j].base is one for b in gates)
-                assert not any(np.shares_memory(one, gates[0].scratch[i]) for i in range(j))
-
-    def test_buffered_input_batch_is_the_float_rows(self, small_dataset):
-        model = tiny_model(spec=ModelSpec(784, (8,), 10))
-        full = StepBuffers(model, 64)
-        for k in (64, 24, 1):
-            batch = small_dataset.x_train[np.arange(k) * 7]
-            assert isinstance(batch, idx.PixelRows)
-            buffers = full if k == 64 else full.rows(k)
-            logits, cache = forward(model, batch, buffers)
-            assert cache[0] is not None and np.shares_memory(cache[0], full.x)
-            assert cache[0].tobytes() == np.asarray(batch).tobytes()
-            assert logits.tobytes() == forward(model, np.asarray(batch))[0].tobytes()
-
     def test_a_wrong_width_is_rejected_before_the_input_is_written(self):
         model = tiny_model(spec=ModelSpec(6, (4,), 2))
-        buffers = StepBuffers(model, 3)
-        buffers.x[...] = 0.5
-        wide = idx.PixelRows(np.zeros((3, 7), dtype=np.uint8))
-        with pytest.raises(ValueError, match="does not match input width 6"):
-            forward(model, wide, buffers)
-        assert np.all(buffers.x == 0.5)
+        for wide in (idx.PixelRows(np.zeros((3, 7), dtype=np.uint8)), np.zeros((3, 7))):
+            with pytest.raises(ValueError, match="does not match input width 6"):
+                forward(model, wide)
 
 
 class TestPixelRows:

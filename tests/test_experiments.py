@@ -63,6 +63,12 @@ class TestNoiseSweep:
         with pytest.raises(ValueError, match="strictly increasing, finite and >= 0"):
             noise_sweep(small_dataset, sigmas=(0.0, 0.1, 0.1), config=FAST, seed=1)
 
+    def test_a_negative_zero_sigma_rejected(self, small_dataset, monkeypatch):
+        # -0.0 >= 0 holds, but its rows and digest would differ from those of 0
+        monkeypatch.setattr(experiments, "_run_jobs", None)     # rejected before any training
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            noise_sweep(small_dataset, sigmas=(-0.0, 0.1), config=FAST, seed=1)
+
     def test_an_empty_grid_rejected(self, small_dataset, monkeypatch):
         monkeypatch.setattr(experiments, "_run_jobs", None)     # rejected before any training
         with pytest.raises(ValueError, match="non-empty"):
