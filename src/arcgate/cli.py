@@ -432,9 +432,21 @@ _COMMANDS = {
 }
 
 
+def _join_sigmas(argv) -> list[str]:
+    """``--sigmas VALUE`` as ``--sigmas=VALUE`` where VALUE starts with one ``-``: argparse
+    takes ``-0.1,0.2`` for an option, so :func:`_parse_sigmas` would not see it."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--sigmas" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_sigmas(sys.argv[1:] if argv is None else argv))
     opts = _merge(args, parser)
     try:
         return _COMMANDS[opts["command"]](opts)

@@ -23,8 +23,8 @@ raw odds ratio: the complement side of the transition is computed as
 ``arctan2(1, |z|)`` and the odds power as ``exp(-|p * log_odds|)``, which
 keeps every intermediate finite far beyond the ranges where a naive
 transcription overflows.  The kernel's one record is :class:`GateTape`:
-:func:`batch_eval` writes the forward intermediates into a tape, and
-:func:`batch_vjp` reads them and works in that tape's scratch.
+:func:`batch_eval` returns the forward intermediates in a fresh tape, and
+:func:`batch_vjp` reads them and returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ class GateGrad:
 # ---------------------------------------------------------------------------
 
 class GateTape:
-    """The arrays :func:`batch_eval` writes, and the ``x`` and ``eff`` of its last call.
+    """The arrays :func:`batch_eval` returns, with the ``x`` and ``eff`` of its call.
 
     ``eff`` is the 7-tuple of floats, or the ``(k, 7)`` matrix of parameter
     rows (see :func:`batch_eval`); then every array is ``(k, n)``.
@@ -222,36 +222,17 @@ class GateTape:
     pi * min(u, 1 - u)``, ``log_odds = log(u / (1 - u))`` and
     ``e = exp(-|p * log_odds|)``; ``f`` is the output.  No gradient reads
     ``u`` or ``t = p * log_odds``, so neither is kept: :func:`eval_u` and
-    :func:`eval_F` derive ``u`` from ``z``, ``theta`` and ``psmall``, and
-    :func:`batch_eval` keeps ``t`` in ``scratch[1]``.
+    :func:`eval_F` derive ``u`` from ``z``, ``theta`` and ``psmall``.
 
-    ``scratch`` is four more arrays of ``shape`` that :func:`batch_eval` and
-    :func:`batch_vjp` use only while they run, but for the ``d_x`` that
-    ``batch_vjp`` returns in one of them.  A tape is eleven arrays, kept
-    while it lives: a training step makes one per gate layer and keeps it
-    until its backward pass, inference makes one per gate call and keeps
-    only its ``f``.  The fitter holds one tape and passes it, or a view of
-    its first rows (:meth:`rows`), to every call, so it makes no tape per call.
+    Every array but ``x`` is the tape's own: no later call writes into it.  A
+    training step keeps one tape per gate layer until that layer's backward pass.
     """
 
-    _ARRAYS = ("z", "theta", "psmall", "log_odds", "e", "v", "f")
-    __slots__ = ("shape", "scratch", "x", "eff", *_ARRAYS)
+    __slots__ = ("x", "eff", "z", "theta", "psmall", "log_odds", "e", "v", "f")
 
-    def __init__(self, shape: tuple[int, ...]):
-        self.shape = tuple(shape)
-        self.scratch = tuple(np.empty(self.shape) for _ in range(4))
-        self.x = self.eff = None
-        for name in self._ARRAYS:
-            setattr(self, name, np.empty(self.shape))
-
-    def rows(self, k: int) -> "GateTape":
-        """Views of the first ``k`` rows, ``x`` and ``eff`` kept, for a ``(k, n)`` batch."""
-        view = object.__new__(GateTape)
-        view.shape, view.x, view.eff = (k, *self.shape[1:]), self.x, self.eff
-        for name in self._ARRAYS:
-            setattr(view, name, getattr(self, name)[:k])
-        view.scratch = tuple(s[:k] for s in self.scratch)
-        return view
+    def __init__(self, x, eff, *arrays):
+        self.x, self.eff = x, eff
+        self.z, self.theta, self.psmall, self.log_odds, self.e, self.v, self.f = arrays
 
 
 def _clip(a: np.ndarray, lo: float, hi: float) -> None:
@@ -276,54 +257,49 @@ def _operands(x, eff) -> tuple[np.ndarray, tuple | np.ndarray, tuple[int, ...]]:
     return x, tuple(map(float, eff)), x.shape
 
 
-def batch_eval(x: np.ndarray, eff, tape: GateTape | None = None) -> GateTape:
+def batch_eval(x: np.ndarray, eff) -> GateTape:
     """Evaluate the gate elementwise over ``x`` for effective parameters ``eff``.
 
     ``eff`` is (a, c, p, alpha, beta, gamma, delta) with a, p already
     positive-mapped, or a ``(k, 7)`` array of such rows, each evaluated over
     all of a 1-D ``x`` or its own row of a ``(k, n)`` ``x``: ``(k, n)`` arrays.
-    A ``tape`` of that shape is overwritten, else a fresh one is made;
-    returns it, for :func:`batch_vjp`.
+    Returns a fresh tape, for :func:`batch_vjp`; one work array holds the temporaries.
     """
     x, eff, shape = _operands(x, eff)
     a, c, p, alpha, beta, gamma, delta = _columns(eff)
-    if tape is None:
-        tape = GateTape(shape)
-    elif tape.shape != shape:
-        raise ValueError(f"a tape of shape {tape.shape} cannot hold a {shape} evaluation")
+    z, theta, psmall, log_odds, e, v, f, work = (np.empty(shape) for _ in range(8))
     with np.errstate(over="ignore", under="ignore"):
-        z = np.subtract(x, c, out=tape.z)
+        np.subtract(x, c, out=z)
         z *= a
         _clip(z, -_Z_CAP, _Z_CAP)
-        az = np.abs(z, out=tape.scratch[0])
-        theta = np.arctan(az, out=tape.theta)
-        psmall = np.arctan2(1.0, az, out=tape.psmall)
+        az = np.abs(z, out=work)
+        np.arctan(az, out=theta)
+        np.arctan2(1.0, az, out=psmall)
         # Branches are selected arithmetically, exactly: a sign factor for
         # log_odds and a distance of finite, non-negative terms for v.
         # np.where and masked ufuncs cost ten simple passes when signs are mixed.
-        log_odds = np.multiply(2.0, theta, out=tape.log_odds)
+        np.multiply(2.0, theta, out=log_odds)
         log_odds /= psmall
         np.log1p(log_odds, out=log_odds)
-        log_odds *= np.sign(z, out=tape.scratch[1])           # odd in z; 0 at 0
-        t = np.multiply(p, log_odds, out=tape.scratch[1])
-        e = np.abs(t, out=tape.e)
+        log_odds *= np.sign(z, out=work)                      # odd in z; 0 at 0
+        t = np.multiply(p, log_odds, out=work)
+        np.abs(t, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        side = np.arctan(e, out=tape.scratch[0])
-        side /= _HALF_PI
         # heaviside(t, 1) as a comparison; a NaN t steps to 0, but side keeps v NaN
-        v = np.greater_equal(t, 0.0, out=tape.v)
+        np.greater_equal(t, 0.0, out=v)
+        side = np.arctan(e, out=work)
+        side /= _HALF_PI
         v -= side
         np.abs(v, out=v)
         _clip(v, GATE_EPS, 1.0 - GATE_EPS)
-        f = np.multiply(alpha, x, out=tape.f)
+        np.multiply(alpha, x, out=f)
         f += beta
         f *= v
-        linear = np.multiply(gamma, x, out=tape.scratch[0])
+        linear = np.multiply(gamma, x, out=work)
         linear += delta
         f += linear
-    tape.x, tape.eff = x, eff
-    return tape
+    return GateTape(x, eff, z, theta, psmall, log_odds, e, v, f)
 
 
 def batch_value(x: np.ndarray, eff) -> np.ndarray:
@@ -332,12 +308,9 @@ def batch_value(x: np.ndarray, eff) -> np.ndarray:
 
 
 def _partials(tape: GateTape) -> tuple[np.ndarray, ...]:
-    """Elementwise partials of F w.r.t. (x, a, c, p), written into the tape's four scratch arrays.
-
-    The affine four are closed-form.
-    """
+    """Partials of F w.r.t. (x, a, c, p), as four fresh arrays; the affine four are closed-form."""
     a, c, p, alpha, beta, gamma, _delta = _columns(tape.eff)
-    s0, s1, s2, s3 = tape.scratch
+    s0, s1, s2, s3 = (np.empty(tape.z.shape) for _ in range(4))
     with np.errstate(over="ignore", under="ignore"):
         dvdt = np.multiply(tape.e, tape.e, out=s0)
         dvdt += 1.0
@@ -374,8 +347,7 @@ def batch_vjp(tape: GateTape, cotangent: np.ndarray) -> tuple[np.ndarray, np.nda
     beta, gamma, delta): one 7-vector summed over all elements, or for a
     ``(k, 7)`` tape a ``(k, 7)`` matrix summed along each row.
     Effective-parameter gradients; the positive-map chain factor is the
-    caller's job.  ``d_x`` and the temporaries are written into the tape's
-    scratch, so ``d_x`` lives until the tape's scratch is next written.
+    caller's job.  ``d_x`` is a fresh array, and the tape is only read.
     """
     g = np.asarray(cotangent, dtype=np.float64)
     rows = isinstance(tape.eff, np.ndarray)

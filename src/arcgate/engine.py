@@ -601,7 +601,7 @@ def _epoch_steps(model: MLPModel, state: AdamState, x_train, y_train: np.ndarray
 # Rows per inference block.  A multiple of the BLAS micro-tile heights, so
 # a block's rows sit where they would in a whole-batch product (README
 # lists where the bits still differ).  On the desk net a block's arrays peak
-# at 3.0 MiB (a gate's input and its eleven tape arrays), 3.8 MiB under noise.
+# at 2.3 MiB (a gate's input, tape and kernel work array), 3.1 MiB under noise.
 _INFER_ROWS = 128
 
 

@@ -242,7 +242,6 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
         starts[:, 3:] /= unit[:, None]
     k_all, n = values.shape
     outcomes: list = [None] * k_all
-    all_rows = core.GateTape((k_all, n))
     # d(residual)/d(raw) of the rows that moved, in its first rows; the gamma and delta
     # columns are x and 1
     jac = np.zeros((k_all, 7, n))
@@ -256,11 +255,8 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
     lam = np.full(k_all, _LAMBDA_DOWN * _LAMBDA_INIT)
     jtj = np.zeros((k_all, 7, 7))
     jtr = np.full((k_all, 7), math.nan)        # NaN until a row's start is accepted
-    tape = all_rows
     for it in range(1, budget + 1):
-        if tape.shape[0] != ids.size:
-            tape = all_rows.rows(ids.size)
-        core.batch_eval(grid, _effective_rows(trial), tape)
+        tape = core.batch_eval(grid, _effective_rows(trial))
         trial_resid = tape.f - values
         with np.errstate(over="ignore"):    # a loss past the double range is inf
             trial_loss = np.sum(trial_resid * trial_resid, axis=-1) / n

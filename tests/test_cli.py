@@ -435,12 +435,15 @@ def test_a_non_finite_or_negative_sigma_is_a_usage_error(sigmas, tmp_path, capsy
 
 
 def test_a_negative_zero_sigma_is_a_usage_error(tmp_path, capsys):
-    # -0.0 >= 0 holds, but its rows and digest would differ from those of 0
-    with pytest.raises(SystemExit) as exc:
-        run_cli("sweep", "--sigmas=-0,0.1", "--out", tmp_path / "s.csv")
-    assert exc.value.code == 2
-    assert "error: argument --sigmas: sigmas must be finite and >= 0, got '-0,0.1'" \
-        in capsys.readouterr().err
+    # -0.0 >= 0 holds, but its rows and digest would differ from those of 0; given as a
+    # second token, a value that starts with "-" must still reach the sigma check
+    for flag in (["--sigmas=-0,0.1"], ["--sigmas", "-0,0.1"], ["--sigmas", "-0.1,0.2"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", *flag, "--out", tmp_path / "s.csv")
+        assert exc.value.code == 2
+        value = flag[-1].removeprefix("--sigmas=")
+        assert f"error: argument --sigmas: sigmas must be finite and >= 0, got '{value}'" \
+            in capsys.readouterr().err
     cfg = tmp_path / "c.txt"
     cfg.write_text("sigmas=0.1,-0.0\n")
     with pytest.raises(SystemExit) as exc:

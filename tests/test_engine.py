@@ -887,9 +887,10 @@ class TestStepMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the model, AdamW's two moments and one epoch's step buffers; 7.27
-        # arenas when the buffers outlived the steps and every gate layer
-        # had a scratch set of its own
+        # the model, AdamW's two moments, one epoch's gradient vector and one
+        # step's arrays (5.67 arenas); 5.87 when each gate tape also held four
+        # scratch arrays, 7.27 when preallocated step buffers outlived the
+        # steps and every gate layer had a scratch set of its own
         assert peak < 6.5 * model.arena.values.nbytes, peak / model.arena.values.nbytes
 
     def test_a_wrong_width_is_rejected_before_the_input_is_written(self):
