@@ -235,11 +235,6 @@ class GateTape:
         self.z, self.theta, self.psmall, self.log_odds, self.e, self.v, self.f = arrays
 
 
-def _clip(a: np.ndarray, lo: float, hi: float) -> None:
-    # np.clip's elementwise rule, NaN included, without its per-call wrapper cost
-    np.minimum(np.maximum(a, lo, out=a), hi, out=a)
-
-
 def _columns(eff) -> tuple:
     """The seven parameters: floats, or ``(k, 1)`` columns of a ``(k, 7)`` matrix."""
     return tuple(eff.T[:, :, None]) if isinstance(eff, np.ndarray) else eff
@@ -263,7 +258,7 @@ def batch_eval(x: np.ndarray, eff) -> GateTape:
     ``eff`` is (a, c, p, alpha, beta, gamma, delta) with a, p already
     positive-mapped, or a ``(k, 7)`` array of such rows, each evaluated over
     all of a 1-D ``x`` or its own row of a ``(k, n)`` ``x``: ``(k, n)`` arrays.
-    Returns a fresh tape, for :func:`batch_vjp`; one work array holds the temporaries.
+    Returns a fresh tape, for :func:`_partials`; one work array holds the temporaries.
     """
     x, eff, shape = _operands(x, eff)
     a, c, p, alpha, beta, gamma, delta = _columns(eff)
@@ -271,7 +266,7 @@ def batch_eval(x: np.ndarray, eff) -> GateTape:
     with np.errstate(over="ignore", under="ignore"):
         np.subtract(x, c, out=z)
         z *= a
-        _clip(z, -_Z_CAP, _Z_CAP)
+        np.clip(z, -_Z_CAP, _Z_CAP, out=z)
         az = np.abs(z, out=work)
         np.arctan(az, out=theta)
         np.arctan2(1.0, az, out=psmall)
@@ -292,7 +287,7 @@ def batch_eval(x: np.ndarray, eff) -> GateTape:
         side /= _HALF_PI
         v -= side
         np.abs(v, out=v)
-        _clip(v, GATE_EPS, 1.0 - GATE_EPS)
+        np.clip(v, GATE_EPS, 1.0 - GATE_EPS, out=v)
         np.multiply(alpha, x, out=f)
         f += beta
         f *= v
@@ -340,27 +335,24 @@ def _partials(tape: GateTape) -> tuple[np.ndarray, ...]:
 
 
 def batch_vjp(tape: GateTape, cotangent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through one gate application.
+    """Backward through one gate application of a 7-vector ``eff``.
 
     Returns ``(d_x, d_eff)`` where ``d_x`` matches the shape of the tape and
-    ``d_eff`` holds the cotangent-weighted sums ordered (a, c, p, alpha,
-    beta, gamma, delta): one 7-vector summed over all elements, or for a
-    ``(k, 7)`` tape a ``(k, 7)`` matrix summed along each row.
+    ``d_eff`` is the 7-vector of cotangent-weighted sums over all elements,
+    ordered (a, c, p, alpha, beta, gamma, delta).
     Effective-parameter gradients; the positive-map chain factor is the
     caller's job.  ``d_x`` is a fresh array, and the tape is only read.
     """
     g = np.asarray(cotangent, dtype=np.float64)
-    rows = isinstance(tape.eff, np.ndarray)
-    d_eff = np.empty(tape.eff.shape if rows else 7)
-    axis = -1 if rows else None
+    d_eff = np.empty(7)
     d_x, d_a, d_c, d_p = _partials(tape)
     for j, partial in ((0, d_a), (1, d_c), (2, d_p)):
-        np.add.reduce(np.multiply(g, partial, out=partial), axis=axis, out=d_eff[..., j])
+        d_eff[j] = np.multiply(g, partial, out=partial).sum()
     gx = np.multiply(g, tape.x, out=d_a)
-    np.add.reduce(gx, axis=axis, out=d_eff[..., 5])
-    np.add.reduce(np.multiply(gx, tape.v, out=gx), axis=axis, out=d_eff[..., 3])
-    np.add.reduce(np.multiply(g, tape.v, out=d_c), axis=axis, out=d_eff[..., 4])
-    np.add.reduce(g, axis=axis, out=d_eff[..., 6])
+    d_eff[5] = gx.sum()
+    d_eff[3] = np.multiply(gx, tape.v, out=gx).sum()
+    d_eff[4] = np.multiply(g, tape.v, out=d_c).sum()
+    d_eff[6] = g.sum()
     return np.multiply(g, d_x, out=d_x), d_eff
 
 

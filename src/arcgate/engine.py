@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -432,7 +432,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 # ---------------------------------------------------------------------------
 
 # Elements per AdamW pass: five 256 KiB vectors (parameters, gradient, both
-# moments, one scratch) stay in a core's L2 cache between the passes.
+# moments, the step's scratch) stay in a core's L2 cache between the passes.
 _ADAM_CHUNK = 1 << 15
 # AdamW's published defaults (Loshchilov & Hutter, arXiv:1711.05101)
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -440,7 +440,7 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """AdamW's rescaled moments laid out like the arena, plus one chunk-sized scratch vector.
+    """AdamW's rescaled moments, laid out like the arena.
 
     ``m`` holds the first moment divided by ``1 - beta1`` and ``v`` the second
     divided by ``1 - beta2``, so each step adds the gradient and its square
@@ -449,10 +449,6 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    scratch: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.scratch = np.empty(min(_ADAM_CHUNK, self.m.size))
 
     @classmethod
     def init_like(cls, arena: Arena) -> "AdamState":
@@ -460,7 +456,7 @@ class AdamState:
 
 
 def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
-               lr: float, weight_decay: float, step: int) -> AdamState:
+               lr: float, weight_decay: float, step: int) -> None:
     """One decoupled-decay Adam update of the whole arena, in place.
 
     ``grad`` is a vector with the arena's layout.  Decay multiplies the
@@ -473,7 +469,7 @@ def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
     ``lr * (m_t / bc1) / (sqrt(v_t / bc2) + eps)`` is
     ``lr * (1 - b1) * r / bc1 * m / (sqrt(v) + eps * r)`` with
     ``r = sqrt(bc2 / (1 - b2))``: the same in real arithmetic, in 11 passes
-    over a chunk with one divide and one square root.
+    over a chunk with one divide and one square root, in a scratch chunk of its own.
     """
     if step < 1:
         raise ValueError("step count starts at 1")
@@ -494,6 +490,7 @@ def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
     step_size = lr * (1.0 - _BETA1) * r / bc1
     keep = 1.0 - lr * weight_decay
     n_decay = arena.n_decay
+    scratch = np.empty(min(_ADAM_CHUNK, arena.size))
     for lo, hi, decay in ((0, n_decay, weight_decay > 0.0), (n_decay, arena.size, False)):
         for start in range(lo, hi, _ADAM_CHUNK):
             stop = min(start + _ADAM_CHUNK, hi)
@@ -501,10 +498,10 @@ def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
             m = state.m[start:stop]
             v = state.v[start:stop]
             p = arena.values[start:stop]
-            s = state.scratch[:stop - start]
+            s = scratch[:stop - start]
             m *= _BETA1
             m += g
-            np.multiply(g, g, out=s)
+            np.square(g, out=s)
             v *= _BETA2
             v += s
             if decay:
@@ -514,7 +511,6 @@ def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
             np.divide(m, s, out=s)
             s *= step_size
             p -= s
-    return state
 
 
 # ---------------------------------------------------------------------------

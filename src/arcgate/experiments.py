@@ -16,9 +16,10 @@ sweep's ArcGate training: six trainings, six configurations.
 
 A study call's unrecorded trainings run in ``min(trainings, usable cores)``
 persistent worker processes at one BLAS thread each: one worker on one core,
-macOS and Windows.  Each job carries its dataset, so a worker keeps nothing
-between jobs.  Only summaries come back, in plan order, so any number of
-workers gives the same bytes.
+and on macOS and Windows, which have no affinity mask to read (neither has
+been run; CI is Linux only).  Each job carries its dataset, so a worker
+keeps nothing between jobs.  Only summaries come back, in plan order, so any
+number of workers gives the same bytes.
 
 Accuracy numbers here are desk-scale analogs: they preserve the structural
 comparisons (which variant beats which) but not the absolute values of

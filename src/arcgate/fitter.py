@@ -183,16 +183,15 @@ def _effective_rows(raws: np.ndarray) -> np.ndarray:
     return eff
 
 
-def _units(values: np.ndarray) -> np.ndarray | None:
-    """Per row of ``values``, the unit its squared residuals are summed in; None if all are 1.
+def _units(values: np.ndarray) -> np.ndarray:
+    """Per row of ``values``, the unit its squared residuals are summed in.
 
     A row whose ``n * max|y|**2`` overflows gets 2**e, with e from
-    ``frexp(max|y|)``; dividing by a power of two is exact.  Every other row gets 1.
+    ``frexp(max|y|)``; every other row gets 1.  Dividing or multiplying by
+    either is exact.
     """
     peak = np.max(np.abs(values), axis=1)
     big = peak > math.sqrt(sys.float_info.max / values.shape[1])
-    if not big.any():
-        return None
     return np.where(big, np.ldexp(1.0, np.frexp(peak)[1]), 1.0)
 
 
@@ -205,13 +204,10 @@ def _errors(grid: np.ndarray, raws: np.ndarray,
     resid = core.batch_value(grid, _effective_rows(raws)) - values
     l_inf = np.max(np.abs(resid), axis=-1).tolist()
     unit = _units(values)
-    if unit is not None:
-        resid /= unit[:, None]
+    resid /= unit[:, None]
     with np.errstate(over="ignore"):    # a loss past the double range is inf
         l2 = np.sqrt(np.sum(resid * resid, axis=-1))
-    if unit is not None:
-        l2 *= unit
-    return list(zip(l_inf, l2.tolist()))
+    return list(zip(l_inf, (l2 * unit).tolist()))
 
 
 def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
@@ -229,17 +225,16 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
     exactly 0: a loss cannot go below 0 and the tie goes to the earlier row,
     so the stopped row could never be picked.
 
-    A row with a :func:`_units` unit u other than 1 descends on ``values / u``
-    from a start whose alpha, beta, gamma and delta are divided by u.  F is
-    linear in those four, so its residuals and the a, c, p columns of its
-    Jacobian are divided by u exactly, and its loss no longer overflows.  The
-    loss returned is in that unit; the raw point is scaled back.
+    Each row descends on ``values / u``, u its :func:`_units` unit, from a start
+    whose alpha, beta, gamma and delta are divided by u.  F is linear in those
+    four, so its residuals and the a, c, p columns of its Jacobian are divided
+    by u exactly, and its loss does not overflow.  The loss returned is in that
+    unit; the raw point is scaled back.
     """
     unit = _units(values)
-    if unit is not None:
-        values = values / unit[:, None]
-        starts = starts.copy()
-        starts[:, 3:] /= unit[:, None]
+    values = values / unit[:, None]
+    starts = starts.copy()
+    starts[:, 3:] /= unit[:, None]
     k_all, n = values.shape
     outcomes: list = [None] * k_all
     # d(residual)/d(raw) of the rows that moved, in its first rows; the gamma and delta
@@ -299,10 +294,9 @@ def _descend_rows(grid: np.ndarray, values: np.ndarray, starts: np.ndarray,
         damped = jtj + (lam[:, None] * damp)[:, :, None] * eye
         with np.errstate(invalid="ignore", over="ignore"):
             trial = raw - np.linalg.solve(damped, jtr[:, :, None])[:, :, 0]
-    if unit is not None:
-        for u, outcome in zip(unit.tolist(), outcomes):
-            if outcome is not None:
-                outcome[1][3:] *= u
+    for u, outcome in zip(unit.tolist(), outcomes):
+        if outcome is not None:
+            outcome[1][3:] *= u
     return outcomes
 
 
