@@ -199,20 +199,34 @@ def _read_config_file(path: str, command: str, parser) -> dict:
     return overrides
 
 
+def _unread(opts) -> tuple[str, tuple[str, ...]]:
+    """The mode a command runs in, and the options that mode never reads."""
+    if opts["command"] == "fit" and opts["target"].startswith("file:"):
+        return "--target file:PATH", ("range", "points")
+    if opts["command"] == "sweep" and opts["model"]:
+        return "--model", ("test_images", "test_labels", "epochs")
+    return "", ()
+
+
 def _merge(args: argparse.Namespace, parser) -> dict:
     command = args.command
     opts = {dest: spec[2] for dest, spec in _OPTIONS[command].items()}
+    given = {}
     if getattr(args, "config", None):
-        opts.update(_read_config_file(args.config, command, parser))
-    for dest in _OPTIONS[command]:
-        if hasattr(args, dest):
-            opts[dest] = getattr(args, dest)
+        given.update(_read_config_file(args.config, command, parser))
+    given.update((dest, getattr(args, dest)) for dest in _OPTIONS[command]
+                 if hasattr(args, dest))
+    opts.update(given)
     missing = [dest for dest, spec in _OPTIONS[command].items()
                if spec[2] is None and opts[dest] in (None, "")]
     if missing:
         flags = ", ".join(_OPTIONS[command][d][0] for d in missing)
         parser.error(f"missing required option(s): {flags}")
     opts["command"] = command
+    mode, unread = _unread(opts)
+    ignored = [_OPTIONS[command][d][0] for d in unread if d in given]
+    if ignored:
+        parser.error(f"{command} with {mode} never reads {', '.join(ignored)}")
     return opts
 
 

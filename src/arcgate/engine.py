@@ -16,6 +16,7 @@ pass; only the gradient vector is kept for a whole epoch.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,7 @@ from .zoo import ActivationKind
 
 __all__ = [
     "GRANULARITIES", "INIT_STRATEGIES",
-    "AdamState", "Arena", "DenseLayer", "FixedActivation", "GateLayer", "MLPModel",
+    "Arena", "DenseLayer", "FixedActivation", "GateLayer", "MLPModel",
     "ModelSpec", "ModelFormatError", "NonFiniteGradientError", "Slot",
     "TrainingDivergedError",
     "TraceRow", "TrainConfig",
@@ -77,6 +78,14 @@ class ModelFormatError(ValueError):
 # model
 # ---------------------------------------------------------------------------
 
+def _check_integer(name: str, value) -> None:
+    """Refuse ``value`` unless ``operator.index`` takes it; a field keeps it as given."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class ModelSpec:
     """Architecture description: dense widths with a gate after each hidden layer."""
@@ -87,8 +96,11 @@ class ModelSpec:
 
     def __post_init__(self):
         for name in ("in_dim", "n_classes"):
+            _check_integer(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for width in self.hidden:
+            _check_integer("each hidden width", width)
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
 
@@ -104,6 +116,8 @@ class TrainConfig:
     granularity: str = "layer_wise"
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -438,34 +452,19 @@ _ADAM_CHUNK = 1 << 15
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
-class AdamState:
-    """AdamW's rescaled moments, laid out like the arena.
-
-    ``m`` holds the first moment divided by ``1 - beta1`` and ``v`` the second
-    divided by ``1 - beta2``, so each step adds the gradient and its square
-    to them unscaled (see :func:`adamw_step`).
-    """
-
-    m: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def init_like(cls, arena: Arena) -> "AdamState":
-        return cls(m=np.zeros(arena.size), v=np.zeros(arena.size))
-
-
-def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
+def adamw_step(arena: Arena, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
                lr: float, weight_decay: float, step: int) -> None:
     """One decoupled-decay Adam update of the whole arena, in place.
 
-    ``grad`` is a vector with the arena's layout.  Decay multiplies the
+    ``grad`` and AdamW's moments ``m`` and ``v`` are vectors with the
+    arena's layout; the moments are updated in place.  Decay multiplies the
     parameter directly (never routed through the moments) and only touches
     slots flagged for decay: dense weights; biases and gate raw parameters
     are exempt.  Nothing is updated if any gradient is NaN/Inf.
 
-    With the rescaled moments ``m = m_t / (1 - b1)`` and ``v = v_t / (1 - b2)``
-    of :class:`AdamState`, the published step
+    The moments are rescaled, ``m = m_t / (1 - b1)`` and ``v = v_t / (1 - b2)``,
+    so each step adds the gradient and its square to them unscaled (a new
+    training starts both at zero), and the published step
     ``lr * (m_t / bc1) / (sqrt(v_t / bc2) + eps)`` is
     ``lr * (1 - b1) * r / bc1 * m / (sqrt(v) + eps * r)`` with
     ``r = sqrt(bc2 / (1 - b2))``: the same in real arithmetic, in 11 passes
@@ -495,20 +494,20 @@ def adamw_step(arena: Arena, grad: np.ndarray, state: AdamState,
         for start in range(lo, hi, _ADAM_CHUNK):
             stop = min(start + _ADAM_CHUNK, hi)
             g = grad[start:stop]
-            m = state.m[start:stop]
-            v = state.v[start:stop]
+            mc = m[start:stop]
+            vc = v[start:stop]
             p = arena.values[start:stop]
             s = scratch[:stop - start]
-            m *= _BETA1
-            m += g
+            mc *= _BETA1
+            mc += g
             np.square(g, out=s)
-            v *= _BETA2
-            v += s
+            vc *= _BETA2
+            vc += s
             if decay:
                 p *= keep
-            np.sqrt(v, out=s)
+            np.sqrt(vc, out=s)
             s += eps
-            np.divide(m, s, out=s)
+            np.divide(mc, s, out=s)
             s *= step_size
             p -= s
 
@@ -548,22 +547,22 @@ def train(model_spec: ModelSpec, dataset, config: TrainConfig) -> tuple[MLPModel
     model = build_model(model_spec, config, np.random.default_rng(init_ss))
     shuffle_rng = np.random.default_rng(shuffle_ss)
 
-    state = AdamState.init_like(model.arena)
+    m, v = np.zeros(model.arena.size), np.zeros(model.arena.size)
     n = x_train.shape[0]
     step = 0
     trace: list[TraceRow] = []
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
-        loss_sum, correct, step = _epoch_steps(model, state, x_train, y_train, order,
+        loss_sum, correct, step = _epoch_steps(model, m, v, x_train, y_train, order,
                                                config, epoch, step)
         test_acc = evaluate(model, (x_test, y_test), 0.0, 0)
         trace.append(TraceRow(epoch, loss_sum / n, correct / n, test_acc))
     return model, trace
 
 
-def _epoch_steps(model: MLPModel, state: AdamState, x_train, y_train: np.ndarray,
-                 order: np.ndarray, config: TrainConfig, epoch: int,
-                 step: int) -> tuple[float, int, int]:
+def _epoch_steps(model: MLPModel, m: np.ndarray, v: np.ndarray, x_train,
+                 y_train: np.ndarray, order: np.ndarray, config: TrainConfig,
+                 epoch: int, step: int) -> tuple[float, int, int]:
     """One epoch's steps over the rows in ``order``: loss sum, correct count, last step.
 
     One gradient vector serves every step and is gone before the epoch's
@@ -584,7 +583,7 @@ def _epoch_steps(model: MLPModel, state: AdamState, x_train, y_train: np.ndarray
         backward(model, cache, grad_logits, grad)
         del logits, cache
         step += 1
-        adamw_step(model.arena, grad, state, config.learning_rate,
+        adamw_step(model.arena, grad, m, v, config.learning_rate,
                    config.weight_decay, step)
         loss_sum += loss * len(rows)
     return loss_sum, correct, step

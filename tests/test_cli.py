@@ -393,6 +393,38 @@ def test_sweep_of_a_model_needs_its_images_and_labels(tmp_path, capsys):
         assert not (tmp_path / "s.csv").exists()
 
 
+_FIT_FILE = ["fit", "--target", "file:samples.csv"]
+_SWEEP_MODEL = ["sweep", "--model", "model.agm1", "--images", "i", "--labels", "l"]
+
+
+@pytest.mark.parametrize("argv, config, flags", [
+    (_FIT_FILE + ["--range", "-1", "1"], "", "--range"),
+    (_FIT_FILE + ["--points", "50"], "", "--points"),
+    (_FIT_FILE + ["--range", "-1", "1", "--points", "50"], "", "--range, --points"),
+    (_FIT_FILE, "range=-1 1\n", "--range"),
+    (_SWEEP_MODEL + ["--epochs", "9"], "", "--epochs"),
+    (_SWEEP_MODEL + ["--test-images", "nope"], "", "--test-images"),
+    (_SWEEP_MODEL, "test_labels=nope\nepochs=9\n", "--test-labels, --epochs"),
+], ids=["fit-range", "fit-points", "fit-both", "fit-config", "sweep-epochs",
+        "sweep-test-images", "sweep-config"])
+def test_a_flag_its_mode_never_reads_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                      argv, config, flags):
+    # fit on a sample file takes its window from the file, and sweep --model trains
+    # nothing; the flag is refused before any file is read
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ARCGATE_OUT", raising=False)
+    write_samples(tmp_path / "samples.csv", np.linspace(-3, 3, 20), np.linspace(-3, 3, 20))
+    (tmp_path / "model.agm1").write_bytes(agm1(dense(2, 3), gate(), dense(3, 2)))
+    (tmp_path / "c.txt").write_text(config)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(["--config", "c.txt"] if config else []), *argv, "--out", "out.csv")
+    assert exc.value.code == 2
+    mode = "--model" if argv[0] == "sweep" else "--target file:PATH"
+    assert capsys.readouterr().err.endswith(
+        f"error: {argv[0]} with {mode} never reads {flags}\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("command, key", [("sweep", "full"), ("plot", "figure")])
 def test_a_removed_switch_is_an_unknown_config_key(tmp_path, capsys, command, key):
     cfg = tmp_path / "c.txt"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from agm1_files import BAD_MODELS
 from arcgate import core, engine, experiments, idx, zoo
-from arcgate.engine import (AdamState, Arena, DenseLayer, FixedActivation, GateLayer,
+from arcgate.engine import (Arena, DenseLayer, FixedActivation, GateLayer,
                             MLPModel, ModelSpec, Slot, TrainConfig, adamw_step,
                             backward, build_model, evaluate, forward, load_model,
                             save_model, softmax_cross_entropy, train)
@@ -92,6 +92,15 @@ class TestModelSpec:
         with pytest.raises(ValueError, match=message):
             ModelSpec(*fields)
 
+    @pytest.mark.parametrize("fields, message", [
+        ((784.0, (8,), 10), "in_dim must be an integer, got 784.0"),
+        ((784, (8.0,), 10), "each hidden width must be an integer, got 8.0"),
+        ((784, (8, "4"), 10), "each hidden width must be an integer, got '4'"),
+        ((784, (8,), 10.0), "n_classes must be an integer, got 10.0")])
+    def test_a_non_integer_width_is_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelSpec(*fields)
+
 
 class TestModelStructure:
     @pytest.mark.parametrize("layers, message", [
@@ -159,12 +168,13 @@ def adamw_steps(model: MLPModel, steps: int = 5) -> MLPModel:
     """``steps`` seeded AdamW steps on 16-row random batches, in place, with one gradient
     vector as training keeps it."""
     rng = np.random.default_rng(8)
-    state, grad = AdamState.init_like(model.arena), np.empty(model.arena.size)
+    m, v = np.zeros(model.arena.size), np.zeros(model.arena.size)
+    grad = np.empty(model.arena.size)
     for step in range(1, steps + 1):
         logits, cache = forward(model, rng.normal(size=(16, model.in_dim)))
         _, grad_logits = softmax_cross_entropy(logits, rng.integers(0, 2, 16))
         backward_into(model, cache, grad_logits, grad)
-        adamw_step(model.arena, grad, state, 0.01, 0.01, step)
+        adamw_step(model.arena, grad, m, v, 0.01, 0.01, step)
     return model
 
 
@@ -301,34 +311,33 @@ class TestBackward:
 class TestAdamW:
     def test_zero_grad_zero_decay_is_noop(self):
         arena = Arena([Slot(np.array([2.5]), True, "w")])
-        state = AdamState.init_like(arena)
-        adamw_step(arena, np.array([0.0]), state, lr=0.1, weight_decay=0.0, step=1)
+        adamw_step(arena, np.array([0.0]), np.zeros(1), np.zeros(1),
+                   lr=0.1, weight_decay=0.0, step=1)
         assert arena.slots[0].array[0] == 2.5
 
     def test_first_step_magnitude(self):
         arena = Arena([Slot(np.array([0.0]), False, "w")])
-        state = AdamState.init_like(arena)
-        adamw_step(arena, np.array([1.0]), state, lr=0.1, weight_decay=0.0, step=1)
+        adamw_step(arena, np.array([1.0]), np.zeros(1), np.zeros(1),
+                   lr=0.1, weight_decay=0.0, step=1)
         assert arena.slots[0].array[0] == pytest.approx(-0.1, rel=1e-7)
 
     def test_decoupled_decay(self):
         arena = Arena([Slot(np.array([1.0]), True, "w")])
-        state = AdamState.init_like(arena)
-        adamw_step(arena, np.array([0.0]), state, lr=0.1, weight_decay=0.01, step=1)
+        adamw_step(arena, np.array([0.0]), np.zeros(1), np.zeros(1),
+                   lr=0.1, weight_decay=0.01, step=1)
         assert arena.slots[0].array[0] == pytest.approx(0.999, rel=1e-14)
 
     def test_decay_skips_exempt_slots(self):
         arena = Arena([Slot(np.array([1.0]), False, "b")])
-        state = AdamState.init_like(arena)
-        adamw_step(arena, np.array([0.0]), state, lr=0.1, weight_decay=0.01, step=1)
+        adamw_step(arena, np.array([0.0]), np.zeros(1), np.zeros(1),
+                   lr=0.1, weight_decay=0.01, step=1)
         assert arena.slots[0].array[0] == 1.0
 
     def test_non_finite_gradient_aborts(self):
         arena = Arena([Slot(np.array([1.0]), True, "w")])
-        state = AdamState.init_like(arena)
         with pytest.raises(engine.NonFiniteGradientError):
-            adamw_step(arena, np.array([math.nan]), state, lr=0.1,
-                       weight_decay=0.0, step=1)
+            adamw_step(arena, np.array([math.nan]), np.zeros(1), np.zeros(1),
+                       lr=0.1, weight_decay=0.0, step=1)
 
 
 def _gradient_bank(size, seed):
@@ -359,14 +368,14 @@ class TestArenaAdamW:
         arena = model.arena
         oracles = {oracle_step: self.fresh_oracle(arena)
                    for oracle_step in (per_slot_rescaled_adamw_step, per_slot_adamw_step)}
-        state = AdamState.init_like(arena)
+        m, v = np.zeros(arena.size), np.zeros(arena.size)
         bank = _gradient_bank(arena.size, seed=arena.size)
         for step in range(1, self.STEPS + 1):
             grad = bank[step % 3]
-            adamw_step(arena, grad, state, lr, weight_decay, step)
+            adamw_step(arena, grad, m, v, lr, weight_decay, step)
             for oracle_step, (slots, m_ref, v_ref) in oracles.items():
                 oracle_step(slots, arena.views(grad), m_ref, v_ref, lr, weight_decay, step)
-        got = list(zip(arena.slots, arena.views(state.m), arena.views(state.v)))
+        got = list(zip(arena.slots, arena.views(m), arena.views(v)))
         slots, m_ref, v_ref = oracles[per_slot_rescaled_adamw_step]
         for (slot, got_m, got_v), ref, m, v in zip(got, slots, m_ref, v_ref):
             assert slot.array.tobytes() == ref.array.tobytes(), slot.label
@@ -398,16 +407,16 @@ class TestArenaAdamW:
     def test_non_finite_gradient_names_its_slot(self, granularity):
         model = tiny_model(granularity=granularity)
         before = model.arena.values.copy()
-        state = AdamState.init_like(model.arena)
+        m, v = np.zeros(model.arena.size), np.zeros(model.arena.size)
         for k, slot in enumerate(model.arena.slots):
             for bad in (math.nan, math.inf, -math.inf):
                 grad = np.ones(model.arena.size)
                 model.arena.views(grad)[k].flat[-1] = bad
                 with pytest.raises(engine.NonFiniteGradientError,
                                    match=rf"non-finite gradient for {slot.label} at step 3"):
-                    adamw_step(model.arena, grad, state, 0.1, 0.01, 3)
+                    adamw_step(model.arena, grad, m, v, 0.1, 0.01, 3)
         assert model.arena.values.tobytes() == before.tobytes()
-        assert not state.m.any() and not state.v.any()
+        assert not m.any() and not v.any()
 
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
@@ -416,8 +425,8 @@ class TestArenaAdamW:
         model = tiny_model()
         oracle, m_ref, v_ref = self.fresh_oracle(model.arena)
         grad = np.full(model.arena.size, 1e308)
-        state = AdamState.init_like(model.arena)
-        adamw_step(model.arena, grad, state, 1e-3, 1e-2, 1)
+        adamw_step(model.arena, grad, np.zeros(model.arena.size),
+                   np.zeros(model.arena.size), 1e-3, 1e-2, 1)
         per_slot_rescaled_adamw_step(oracle, model.arena.views(grad), m_ref, v_ref,
                                      1e-3, 1e-2, 1)
         for slot, ref in zip(model.arena.slots, oracle):
@@ -609,6 +618,14 @@ class TestTrain:
     def test_negative_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("epochs", 2.0), ("epochs", math.nan), ("batch_size", 32.0),
+        ("seed", 1.5), ("seed", "1")])
+    def test_a_non_integer_count_or_seed_rejected(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            TrainConfig(**{field: value})
 
     def test_empty_dataset_rejected(self):
         empty = (np.zeros((0, 2)), np.zeros(0, dtype=int),
