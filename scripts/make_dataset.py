@@ -14,8 +14,11 @@ def main() -> None:
     parser.add_argument("--n-train", type=int, default=5000)
     parser.add_argument("--n-test", type=int, default=1000)
     args = parser.parse_args()
-    paths = idx.synthesize_idx_files(Path(args.out_dir), seed=args.seed,
-                                     n_train=args.n_train, n_test=args.n_test)
+    try:
+        paths = idx.synthesize_idx_files(Path(args.out_dir), seed=args.seed,
+                                         n_train=args.n_train, n_test=args.n_test)
+    except ValueError as exc:
+        parser.error(str(exc))
     for name, path in paths.items():
         print(f"{name}: {path}")
 

@@ -346,9 +346,9 @@ def _cmd_sweep(opts) -> int:
             raise ValueError("sweep --model needs --images and --labels")
         model = engine.load_model(opts["model"])
         x, y = idx.load_idx(opts["images"], opts["labels"])
-        counts = experiments._noisy_counts(model, x, y, sigmas, opts["seed"])
-        report = experiments._sweep_report({Path(opts["model"]).stem: counts}, len(y),
-                                           sigmas, opts["seed"], ("eval-only", opts["model"]))
+        accuracies = experiments._accuracies(model, (x, y), sigmas, opts["seed"])
+        report = experiments._sweep_report({Path(opts["model"]).stem: accuracies}, sigmas,
+                                           opts["seed"], ("eval-only", opts["model"]))
         experiments.write_sweep_csv(report, out)
     print(f"sweep -> {out}", file=sys.stderr)
     return 0

@@ -78,12 +78,12 @@ class ModelFormatError(ValueError):
 # model
 # ---------------------------------------------------------------------------
 
-def _check_integer(name: str, value) -> None:
-    """Refuse ``value`` unless ``operator.index`` takes it; a field keeps it as given."""
+def _check_field(name: str, value, read=operator.index, kind: str = "an integer") -> None:
+    """Refuse ``value`` unless ``read`` takes it; a field keeps it as given."""
     try:
-        operator.index(value)
+        read(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be {kind}, got {value!r}") from None
 
 
 @dataclass
@@ -96,11 +96,12 @@ class ModelSpec:
 
     def __post_init__(self):
         for name in ("in_dim", "n_classes"):
-            _check_integer(name, getattr(self, name))
+            _check_field(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_field("hidden", self.hidden, iter, "a sequence of widths")
         for width in self.hidden:
-            _check_integer("each hidden width", width)
+            _check_field("each hidden width", width)
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
 
@@ -117,7 +118,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed"):
-            _check_integer(name, getattr(self, name))
+            _check_field(name, getattr(self, name))
+        for name in ("learning_rate", "weight_decay"):
+            _check_field(name, getattr(self, name), math.isfinite, "a real number")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -284,6 +287,10 @@ class MLPModel:
     def in_dim(self) -> int:
         return self.layers[0].w.shape[0]
 
+    @property
+    def n_classes(self) -> int:
+        return self.layers[-1].w.shape[1]
+
     def activation_layers(self) -> list[GateLayer]:
         """The gate layers, by depth; a fixed activation is not one."""
         return [l for l in self.layers if isinstance(l, GateLayer)]
@@ -372,24 +379,32 @@ def _split(x):
     return x if isinstance(x, idx.PixelRows) else np.asarray(x, dtype=np.float64)
 
 
-def _labels(y) -> np.ndarray:
-    """Labels as int64; a non-integer dtype is rejected rather than truncated."""
-    y = np.asarray(y)
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ValueError(f"labels must have an integer dtype, got {y.dtype}")
-    return y.astype(np.int64, copy=False)
-
-
 def _check_width(model: MLPModel | ModelSpec, x, what: str = "batch"):
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ValueError(f"{what} shape {x.shape} does not match input width {model.in_dim}")
     return x
 
 
-def _check_rows(x, y: np.ndarray, what: str = "") -> None:
+def _labelled_split(model: MLPModel | ModelSpec, x, y, what: str = ""):
+    """``x`` and ``y`` as :func:`evaluate` reads them, once they pass its split rule.
+
+    A refusal is a ``ValueError`` that names the split by ``what``: "training ", "test " or "".
+    """
+    x, y = _check_width(model, _split(x), f"{what}input"), np.asarray(y)
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"{what}labels must have an integer dtype, got {y.dtype}")
+    y = y.astype(np.int64, copy=False)
+    if x.shape[0] == 0:
+        raise ValueError(f"empty {what + 'set' if what else 'split'}: x has shape {x.shape}, "
+                         f"y has shape {y.shape}")
     if y.shape != x.shape[:1]:
         raise ValueError(f"{what}labels of shape {y.shape} do not match inputs of shape "
                          f"{x.shape}: expected one label per row, shape {x.shape[:1]}")
+    bad = np.flatnonzero((y < 0) | (y >= model.n_classes))
+    if bad.size:
+        raise ValueError(f"{what}label {y[bad[0]]} at row {bad[0]} is outside "
+                         f"[0, {model.n_classes}) for {model.n_classes} classes")
+    return x, y
 
 
 def _input_batch(model: MLPModel, batch: np.ndarray) -> np.ndarray:
@@ -527,21 +542,10 @@ class TraceRow:
 def train(model_spec: ModelSpec, dataset, config: TrainConfig) -> tuple[MLPModel, list[TraceRow]]:
     """Train on ``dataset`` (x_train, y_train, x_test, y_test); fully seeded.
 
-    Both splits are checked before the model is built: each is non-empty,
-    ``model_spec.in_dim`` wide and has one label per row, and labels must
-    have an integer dtype and lie in ``[0, n_classes)``.
+    Both splits pass :func:`evaluate`'s split rule before the model is built.
     """
-    x_train, x_test = _split(dataset[0]), _split(dataset[2])
-    y_train, y_test = _labels(dataset[1]), _labels(dataset[3])
-    for split, x, y in (("training", x_train, y_train), ("test", x_test, y_test)):
-        if x.shape[0] == 0:
-            raise ValueError(f"empty {split} set")
-        _check_width(model_spec, x, f"{split} input")
-        _check_rows(x, y, f"{split} ")
-        bad = np.flatnonzero((y < 0) | (y >= model_spec.n_classes))
-        if bad.size:
-            raise ValueError(f"{split} label {y[bad[0]]} at row {bad[0]} is outside "
-                             f"[0, {model_spec.n_classes}) for {model_spec.n_classes} classes")
+    x_train, y_train = _labelled_split(model_spec, dataset[0], dataset[1], "training ")
+    x_test, y_test = _labelled_split(model_spec, dataset[2], dataset[3], "test ")
 
     init_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(2)
     model = build_model(model_spec, config, np.random.default_rng(init_ss))
@@ -649,26 +653,17 @@ def predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
 def evaluate(model: MLPModel, dataset, noise_sigma: float = 0.0, seed: int = 0) -> float:
     """Accuracy on (x, y), optionally under additive Gaussian input noise.
 
-    Noise is added to the already [0,1]-scaled inputs and not re-clamped:
-    ``x + default_rng(seed).normal(0, noise_sigma, x.shape)``, drawn per row
-    block.  ``noise_sigma=0`` touches no generator, so clean evaluation is
-    identical regardless of seed.
+    The split rule, checked before any model runs: ``x`` is ``model.in_dim``
+    wide and has rows, ``y`` has an integer dtype and one label per row, and
+    each label lies in ``[0, n_classes)``.  Noise is added to the already
+    [0,1]-scaled inputs and not re-clamped: ``x + default_rng(seed).normal(0,
+    noise_sigma, x.shape)``, drawn per row block.  ``noise_sigma=0`` touches
+    no generator, so clean evaluation is identical regardless of seed.
     """
-    x, y = dataset[0], dataset[1]
-    return _correct_counts(model, x, y, noise_sigma, seed) / len(y)
-
-
-def _correct_counts(model: MLPModel, x, y, noise_sigma: float, seed: int) -> int:
-    """How many of :func:`_noisy_labels`' labels for ``x`` equal ``y``, after every input check."""
-    x = _check_width(model, _split(x))
-    y = _labels(y)
-    if x.shape[0] == 0:
-        raise ValueError(f"cannot evaluate on an empty split: x has shape {x.shape}, "
-                         f"y has shape {y.shape}")
-    _check_rows(x, y)
+    x, y = _labelled_split(model, dataset[0], dataset[1])
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
-    return int(np.count_nonzero(_noisy_labels(model, x, noise_sigma, seed) == y))
+    return int(np.count_nonzero(_noisy_labels(model, x, noise_sigma, seed) == y)) / len(y)
 
 
 def net_gradcheck(seed: int) -> float:

@@ -9,7 +9,7 @@ Every study runner gets its trainings from :func:`_study_summaries`, which
 shares them in one process by content key: the model spec, every
 ``TrainConfig`` field and a SHA-256 digest of the four dataset arrays.  Only
 a training's summary is kept (final test accuracy, learnable activation
-parameter count, effective gate parameters per layer and correct test rows
+parameter count, effective gate parameters per layer and test accuracies
 at the noise grid it was made for, or a divergence mark), never the model.
 :func:`run_round` runs every study once and reads its layer report from the
 sweep's ArcGate training: six trainings, six configurations.
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import core, fitter, idx
 from .engine import (GRANULARITIES, MLPModel, ModelSpec, TrainConfig,
-                     TrainingDivergedError, _correct_counts, train)
+                     TrainingDivergedError, evaluate, train)
 
 __all__ = [
     "DEFAULT_SIGMAS", "Round", "SWEEP_COLUMNS", "SweepReport",
@@ -97,7 +97,7 @@ class _Summary(NamedTuple):
     gate_count: int                              # learnable activation parameters
     gate_params: tuple[tuple[float, ...], ...]   # effective, per gate layer
     sigmas: tuple[float, ...] = ()               # the noise grid it was trained for
-    counts: tuple[int, ...] = ()                 # its correct test rows at each sigma
+    accuracies: tuple[float, ...] = ()           # its test accuracy at each sigma
 
     @property
     def diverged(self) -> bool:
@@ -138,23 +138,25 @@ def _summary_key(spec: ModelSpec, config: TrainConfig, data_digest: str) -> tupl
 
 def _train_summary(spec: ModelSpec, dataset, config: TrainConfig,
                    sigmas: Sequence[float] = ()) -> _Summary:
-    """Train ``config``: its summary, with its :func:`_noisy_counts` at ``sigmas``.
+    """Train ``config``: its summary, with its :func:`_accuracies` at ``sigmas``.
 
-    A diverged run gives ``_DIVERGED``.  A study worker calls this; the
-    model never leaves it.
+    Sigma 0 reads the clean test accuracy of ``train``'s last epoch.  A
+    diverged run gives ``_DIVERGED``.  A study worker calls this; the model
+    never leaves it.
     """
     try:
         model, trace = train(spec, dataset, config)
     except TrainingDivergedError:
         return _DIVERGED
-    return _Summary(trace[-1].test_acc, model.learnable_activation_parameter_count(),
+    test_acc = trace[-1].test_acc
+    return _Summary(test_acc, model.learnable_activation_parameter_count(),
                     tuple(layer.effective_params() for layer in model.activation_layers()),
-                    tuple(sigmas), tuple(_noisy_counts(model, *dataset[2:], sigmas, config.seed)))
+                    tuple(sigmas), _accuracies(model, dataset[2:], sigmas, config.seed, test_acc))
 
 
 def _study_summaries(dataset, config: TrainConfig | None, seed: int, variants: list[dict],
                      sigmas: Sequence[float] = ()) -> list[_Summary]:
-    """The summary of ``config`` at ``seed`` under each override, with counts at ``sigmas``.
+    """The summary of ``config`` at ``seed`` under each override, with accuracies at ``sigmas``.
 
     Trains and records only what no record serves: a record serves the grid
     it was made for, any grid if it diverged, and a study with no sigmas.
@@ -312,35 +314,32 @@ def noise_sweep(dataset, sigmas: Sequence[float] = DEFAULT_SIGMAS,
     config = config or TrainConfig()
     runs = _study_summaries(dataset, config, seed,
                             [_ARCGATE, {"init_strategy": "relu_baseline"}], sigmas)
-    counts = {label: run.counts for label, run in zip(("arcgate", "relu"), runs)
-              if not run.diverged}
-    key = (_spec_for(dataset), config)
-    return _sweep_report(counts, len(dataset[3]), sigmas, seed, key, len(counts) < 2)
+    accuracies = {label: run.accuracies for label, run in zip(("arcgate", "relu"), runs)
+                  if not run.diverged}
+    return _sweep_report(accuracies, sigmas, seed, (_spec_for(dataset), config),
+                         len(accuracies) < 2)
 
 
-def _noisy_counts(model: MLPModel, x, y, sigmas: Sequence[float], seed: int) -> list[int]:
-    """How many rows of ``x`` ``model`` labels ``y`` at each sigma.
-
-    Sigma ``i`` draws from seed ``seed * 1000 + i``, one row block at a
-    time, so no noisy copy of ``x`` is made.
-    """
-    return [_correct_counts(model, x, y, s, seed * 1000 + i) for i, s in enumerate(sigmas)]
+def _noise_seeds(sigmas: Sequence[float], seed: int) -> dict[float, int]:
+    """Each sigma's noise seed: ``seed * 1000 + i`` for the ``i``-th."""
+    return {s: seed * 1000 + i for i, s in enumerate(sigmas)}
 
 
-def _sweep_report(counts: dict[str, Sequence[int]], n_rows: int, sigmas: list[float], seed: int,
+def _accuracies(model: MLPModel, test, sigmas: Sequence[float], seed: int,
+                clean: float | None = None) -> tuple[float, ...]:
+    """:func:`evaluate` at each sigma and its noise seed; ``clean``, if given, is sigma 0's."""
+    return tuple(clean if s == 0 and clean is not None else evaluate(model, test, s, noise_seed)
+                 for s, noise_seed in _noise_seeds(sigmas, seed).items())
+
+
+def _sweep_report(accuracies: dict[str, Sequence[float]], sigmas: list[float], seed: int,
                   key: tuple, partial: bool = False) -> SweepReport:
-    """The report of each ``label -> counts`` from :func:`_noisy_counts` over ``n_rows``.
-
-    The digest covers ``key``, the sigmas and the seed.
-    """
-    noise_seeds = {s: seed * 1000 + i for i, s in enumerate(sigmas)}
-    rows = [SweepRow(label, s, c[i] / n_rows) for i, s in enumerate(sigmas)
-            for label, c in counts.items()]
-    gains = []
-    if len(counts) == 2:
-        acc = {(r.model, r.sigma): r.accuracy for r in rows}
-        gains = [(s, acc[("arcgate", s)] - acc[("relu", s)]) for s in sigmas]
-    return SweepReport(rows=rows, gains=gains, seed=seed, noise_seeds=noise_seeds,
+    """The rows of each ``label -> accuracies``; the digest covers ``key``, sigmas and seed."""
+    rows = [SweepRow(label, s, acc[i]) for i, s in enumerate(sigmas)
+            for label, acc in accuracies.items()]
+    gains = ([(s, a - r) for s, a, r in zip(sigmas, accuracies["arcgate"], accuracies["relu"])]
+             if len(accuracies) == 2 else [])
+    return SweepReport(rows=rows, gains=gains, seed=seed, noise_seeds=_noise_seeds(sigmas, seed),
                        config_digest=_digest(*key, sigmas, seed), partial=partial)
 
 

@@ -237,8 +237,12 @@ def synthesize_arrays(n_train: int = 5000, n_test: int = 1000, seed: int = 2024)
     class-specific sparse signed mask; samples add Gaussian pixel noise and
     quantize to 28 x 28 bytes, held as :class:`PixelRows` exactly as an IDX
     read holds them.  Contrast and mask size are tuned so accuracy degrades
-    across evaluation noise levels up to 0.5 instead of saturating.
+    across evaluation noise levels up to 0.5 instead of saturating.  A
+    negative count or seed is a ``ValueError`` that names it.
     """
+    for name, value in (("n_train", n_train), ("n_test", n_test), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng(seed)
     d = _SYNTH_SIDE * _SYNTH_SIDE
     base = rng.uniform(0.35, 0.65, size=d)
@@ -270,9 +274,9 @@ def synthesize_arrays(n_train: int = 5000, n_test: int = 1000, seed: int = 2024)
 
 def synthesize_idx_files(out_dir, **kwargs) -> dict[str, Path]:
     """Write the synthetic fixture as four IDX files; returns their paths."""
+    data = synthesize_arrays(**kwargs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = synthesize_arrays(**kwargs)
     paths = {
         "train_images": out_dir / "train-images-idx3-ubyte",
         "train_labels": out_dir / "train-labels-idx1-ubyte",

@@ -393,6 +393,17 @@ def test_sweep_of_a_model_needs_its_images_and_labels(tmp_path, capsys):
         assert not (tmp_path / "s.csv").exists()
 
 
+def test_sweep_of_a_model_rejects_a_label_outside_its_classes(tmp_path, capsys):
+    model = tmp_path / "model.agm1"
+    model.write_bytes(agm1(dense(2, 3), gate(), dense(3, 2)))
+    idx.write_idx_images(tmp_path / "imgs", np.zeros((3, 1, 2), dtype=np.uint8))
+    idx.write_idx_labels(tmp_path / "labels", [0, 2, 1])
+    assert run_cli("sweep", "--model", model, "--images", tmp_path / "imgs",
+                   "--labels", tmp_path / "labels", "--out", tmp_path / "s.csv") == 1
+    assert capsys.readouterr().err == "error: label 2 at row 1 is outside [0, 2) for 2 classes\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 _FIT_FILE = ["fit", "--target", "file:samples.csv"]
 _SWEEP_MODEL = ["sweep", "--model", "model.agm1", "--images", "i", "--labels", "l"]
 

@@ -101,6 +101,12 @@ class TestModelSpec:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ModelSpec(*fields)
 
+    @pytest.mark.parametrize("hidden", [8, None])
+    def test_hidden_that_is_not_a_sequence_is_rejected(self, hidden):
+        with pytest.raises(ValueError,
+                           match=f"^hidden must be a sequence of widths, got {hidden!r}$"):
+            ModelSpec(hidden=hidden)
+
 
 class TestModelStructure:
     @pytest.mark.parametrize("layers, message", [
@@ -627,6 +633,14 @@ class TestTrain:
                            match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", "0.1"), ("learning_rate", None),
+        ("weight_decay", "0.01"), ("weight_decay", 1j)])
+    def test_a_non_real_step_size_rejected(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+            TrainConfig(**{field: value})
+
     def test_empty_dataset_rejected(self):
         empty = (np.zeros((0, 2)), np.zeros(0, dtype=int),
                  np.zeros((0, 2)), np.zeros(0, dtype=int))
@@ -672,7 +686,7 @@ class TestLabels:
     def test_inference_rejects_non_integer_labels(self, trained, blob_dataset):
         x, y = blob_dataset.x_test, blob_dataset.y_test
         for call in (lambda labels: evaluate(trained, (x, labels)),
-                     lambda labels: engine._correct_counts(trained, x, labels, 0.3, 1)):
+                     lambda labels: evaluate(trained, (x, labels), 0.3, 1)):
             with pytest.raises(ValueError, match="integer dtype, got float64"):
                 call(y + 0.7)
 
@@ -711,6 +725,17 @@ class TestLabels:
         data[split][[4, 9]] = label, 7
         with pytest.raises(ValueError, match=rf"label {label} at row 4 .* for 2 classes"):
             train(self.SPEC, data, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_inference_rejects_labels_outside_the_classes(self, trained, blob_dataset,
+                                                          monkeypatch, label):
+        monkeypatch.setattr(engine, "_logits", None)   # rejected before the model runs
+        y = blob_dataset.y_test.copy()
+        y[[4, 9]] = label, 7
+        for sigma in (0.0, 0.3):
+            with pytest.raises(ValueError,
+                               match=rf"^label {label} at row 4 is outside \[0, 2\) for 2 classes$"):
+                evaluate(trained, (blob_dataset.x_test, y), sigma, 1)
 
 
 @pytest.fixture(scope="module")
@@ -834,9 +859,9 @@ class TestPredict:
                 assert np.array_equal(engine.predict(model, batch), np.argmax(logits, axis=1))
             for sigma, seed in ((0.0, 0), (0.4, 9)):
                 assert evaluate(model, (x, y), sigma, seed) == reference(model, x, y, sigma, seed)
-            counts = {label: experiments._noisy_counts(m, x, y, [0.0, 0.4], 3)
-                      for label, m in models.items()}
-            report = experiments._sweep_report(counts, n, [0.0, 0.4], 3, ("rows", n))
+            accuracies = {label: experiments._accuracies(m, (x, y), [0.0, 0.4], 3)
+                          for label, m in models.items()}
+            report = experiments._sweep_report(accuracies, [0.0, 0.4], 3, ("rows", n))
             assert [(r.model, r.sigma) for r in report.rows] == [
                 (label, s) for s in (0.0, 0.4) for label in models]
             for row in report.rows:

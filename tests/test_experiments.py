@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from arcgate import core, engine, experiments, idx
-from arcgate.engine import ModelSpec, TrainConfig
-from arcgate.experiments import (granularity_ablation, init_ablation,
+from arcgate.engine import ModelSpec, TrainConfig, evaluate
+from arcgate.experiments import (DEFAULT_SIGMAS, granularity_ablation, init_ablation,
                                  layer_evolution_report, noise_sweep,
                                  sensitivity_curves, write_granularity_csv,
                                  write_init_csv, write_sweep_csv)
@@ -239,7 +239,7 @@ class TestSharedTrainings:
         assert ([r for r in first.rows if r.sigma == 0.0]
                 == [r for r in other.rows if r.sigma == 0.0])
 
-    def test_a_record_holds_the_counts_of_a_fresh_training(self, small_dataset):
+    def test_a_record_holds_the_accuracies_of_a_fresh_training(self, small_dataset):
         experiments._summaries.clear()
         sigmas = (0.0, 0.2, 0.5)
         noise_sweep(small_dataset, sigmas=sigmas, config=FAST, seed=STUDY_SEED)
@@ -250,8 +250,38 @@ class TestSharedTrainings:
             model, _ = engine.train(spec, small_dataset, cfg)
             record = experiments._summaries[experiments._summary_key(spec, cfg, digest)]
             assert record.sigmas == sigmas
-            assert record.counts == tuple(experiments._noisy_counts(
-                model, small_dataset.x_test, small_dataset.y_test, sigmas, STUDY_SEED))
+            test = (small_dataset.x_test, small_dataset.y_test)
+            assert record.accuracies == tuple(evaluate(model, test, s, STUDY_SEED * 1000 + i)
+                                              for i, s in enumerate(sigmas))
+
+    def test_a_record_scores_the_clean_test_split_only_in_training(self, small_dataset,
+                                                                    monkeypatch):
+        calls, in_train = [], []
+        noisy_labels, train = engine._noisy_labels, experiments.train
+
+        def spy(model, x, noise_sigma, seed):
+            calls.append((noise_sigma, bool(in_train)))
+            return noisy_labels(model, x, noise_sigma, seed)
+
+        def spied_train(*args):
+            in_train.append(True)
+            try:
+                return train(*args)
+            finally:
+                in_train.pop()
+
+        monkeypatch.setattr(engine, "_noisy_labels", spy)
+        monkeypatch.setattr(experiments, "train", spied_train)
+        spec = experiments._spec_for(small_dataset)
+        config = replace(FAST, seed=STUDY_SEED)
+        record = experiments._train_summary(spec, small_dataset, config, DEFAULT_SIGMAS)
+        assert calls == ([(0.0, True)] * FAST.epochs
+                         + [(s, False) for s in DEFAULT_SIGMAS if s > 0])
+        monkeypatch.undo()
+        model, _ = engine.train(spec, small_dataset, config)
+        test = (small_dataset.x_test, small_dataset.y_test)
+        assert record.accuracies == tuple(evaluate(model, test, s, STUDY_SEED * 1000 + i)
+                                          for i, s in enumerate(DEFAULT_SIGMAS))
 
     def test_changed_pixel_forces_a_retrain(self, small_dataset, monkeypatch):
         pixels = small_dataset.x_train.pixels.copy()
@@ -638,6 +668,58 @@ def test_the_script_rejects_a_negative_seed_before_it_builds_the_fixture(tmp_pat
     done = _run_script("--seed", "-1", "--epochs", "1", "--out-dir", tmp_path / "out")
     assert done.returncode == 2
     assert done.stderr.endswith("error: seed must be >= 0\n")
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def _serve_pids() -> set[int]:
+    """Process ids of the running study workers, read from ``/proc`` (Linux)."""
+    pids = set()
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            if b"experiments._serve()" in cmdline.read_bytes():
+                pids.add(int(cmdline.parent.name))
+        except OSError:         # the process ended while it was read
+            pass
+    return pids
+
+
+def test_the_script_writes_every_table_and_chart_and_stops_its_workers(tmp_path):
+    before = _serve_pids()
+    done = _run_script("--epochs", "1", "--out-dir", tmp_path)
+    assert done.returncode == 0, done.stderr
+    tables = {"noise_sweep", "init_ablation", "granularity_ablation", "layer_evolution",
+              *(f"sensitivity_{name}" for name in ("steepness", "sharpness", "shift", "mode",
+                                                    "leak", "classics"))}
+    charts = {"steepness", "sharpness", "shift", "mode", "leak", "classics", "noise_sweep"}
+    assert {p.name for p in tmp_path.iterdir()} == ({f"{t}.csv" for t in tables}
+                                                    | {f"{c}.svg" for c in charts})
+    assert done.stdout.endswith(f"-> {tmp_path}/\n")
+    assert not _serve_pids() - before
+
+
+def _make_dataset(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, ROOT / "scripts" / "make_dataset.py", *args],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+
+
+def test_the_dataset_script_writes_the_fixture_files(tmp_path):
+    done = _make_dataset("--out-dir", tmp_path / "script")
+    assert done.returncode == 0, done.stderr
+    paths = idx.synthesize_idx_files(tmp_path / "library")
+    assert done.stdout == "".join(f"{name}: {tmp_path / 'script' / path.name}\n"
+                                  for name, path in paths.items())
+    for path in paths.values():
+        assert (tmp_path / "script" / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, name", [("--n-train", "-5", "n_train"),
+                                               ("--n-test", "-1", "n_test"),
+                                               ("--seed", "-1", "seed")])
+def test_the_dataset_script_rejects_a_negative_count_or_seed(tmp_path, flag, value, name):
+    done = _make_dataset("--out-dir", tmp_path / "out", flag, value)
+    assert done.returncode == 2
+    assert done.stderr.endswith(f"error: {name} must be >= 0, got {value}\n")
     assert "Traceback" not in done.stderr and done.stdout == ""
     assert not (tmp_path / "out").exists()
 

@@ -191,6 +191,24 @@ def test_synthesized_files_round_trip(tmp_path):
     assert np.array_equal(data.y_train, direct.y_train)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_train": -5}, "n_train must be >= 0, got -5"),
+    ({"n_test": -1}, "n_test must be >= 0, got -1"),
+    ({"seed": -1}, "seed must be >= 0, got -1")])
+def test_synthesis_rejects_a_negative_count_or_seed(tmp_path, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        idx.synthesize_arrays(**kwargs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        idx.synthesize_idx_files(tmp_path / "out", **kwargs)
+    assert not (tmp_path / "out").exists()
+
+
+def test_synthesis_allows_zero_rows():
+    data = idx.synthesize_arrays(n_train=0, n_test=0)
+    assert data.x_train.shape == data.x_test.shape == (0, 784)
+    assert data.y_train.shape == data.y_test.shape == (0,)
+
+
 def test_load_or_synthesize_rejects_partial_paths(tmp_path):
     with pytest.raises(ValueError):
         idx.load_or_synthesize(train_images=tmp_path / "x")
