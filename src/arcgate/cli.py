@@ -356,17 +356,17 @@ def _cmd_sweep(opts) -> int:
 
 def _cmd_ablate(opts) -> int:
     study = opts["study"]
+    if study not in ("init", "granularity"):
+        raise ValueError(f"unknown ablation {study!r}; expected init or granularity")
     config = _train_config(opts)
     dataset = _load_dataset(opts)
     out = _out_path(opts["out"])
     if study == "init":
         rows = experiments.init_ablation(dataset, config, seed=opts["seed"])
         experiments.write_init_csv(rows, out, config, opts["seed"])
-    elif study == "granularity":
+    else:
         rows = experiments.granularity_ablation(dataset, config, seed=opts["seed"])
         experiments.write_granularity_csv(rows, out, config, opts["seed"])
-    else:
-        raise ValueError(f"unknown ablation {study!r}; expected init or granularity")
     print(f"ablate {study} -> {out}", file=sys.stderr)
     return 0
 
@@ -380,10 +380,11 @@ def _cmd_report(opts) -> int:
     return 0
 
 
-# a table's header row -> its chart and the fields that chart reads as numbers; any
-# other table gets the sensitivity chart, its first column against each of the others
-_CHARTS = {fitter.FIT_COLUMNS: ("fit", slice(2, 9)),
-           experiments.SWEEP_COLUMNS: ("sweep", slice(1, 3))}
+# a table's header row -> its chart, the fields that chart reads as numbers and its x
+# column, if it has one; any other table gets the sensitivity chart, its first column
+# against each of the others
+_CHARTS = {fitter.FIT_COLUMNS: ("fit", slice(2, 9), None),
+           experiments.SWEEP_COLUMNS: ("sweep", slice(1, 3), 1)}
 
 
 def _cmd_plot(opts) -> int:
@@ -418,13 +419,15 @@ def _cmd_plot(opts) -> int:
 def _read_table(path) -> tuple[str, list[str], list[list]]:
     """The chart of a CSV without its blank and ``#`` lines, with its header and rows.
 
-    Every row must have the header's width; the fields its chart reads are read as floats.
+    Every row must have the header's width; the fields its chart reads are read as floats,
+    and its x column must be finite.  A non-finite y, such as a diverged run's accuracy,
+    is kept; the chart skips it.
     """
     rows = _csv_rows(path)
     if len(rows) < 2:
         raise ValueError(f"{path}:{rows[0][0] + 1 if rows else 1}: the table has no data rows")
     header = rows[0][1]
-    chart, numeric = _CHARTS.get(tuple(header), ("sensitivity", slice(None)))
+    chart, numeric, x_col = _CHARTS.get(tuple(header), ("sensitivity", slice(None), 0))
     for line, row in rows[1:]:
         if len(row) != len(header):
             raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
@@ -432,6 +435,8 @@ def _read_table(path) -> tuple[str, list[str], list[list]]:
             row[numeric] = [float(v) for v in row[numeric]]
         except ValueError:
             raise ValueError(f"{path}:{line}: not a number in {row!r}") from None
+        if x_col is not None and not math.isfinite(row[x_col]):
+            raise ValueError(f"{path}:{line}: {header[x_col]} must be finite, got {row[x_col]!r}")
     return chart, header, [row for _, row in rows[1:]]
 
 

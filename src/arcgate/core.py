@@ -502,12 +502,21 @@ def _worst_error(estimate, analytic, floor: float) -> float:
 # presets
 # ---------------------------------------------------------------------------
 
-#: Default starting shape for training: a soft rectifier (gating mode with a
-#: moderate transition) whose output is x * v(x).
-SOFT_RELU_INIT = (5.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-
-PRESET_KINDS = ("soft_relu_init", "identity", "relu_like", "sigmoid_like",
-                "tanh_like", "leaky")
+# preset kind -> its effective (a, c, p, alpha, beta, gamma, delta), in the order
+# PRESET_KINDS lists them; None for a kind that builds its tuple from its argument
+_PRESETS: dict[str, tuple[float, ...] | None] = {
+    # the default training start: a soft rectifier (gating mode with a moderate
+    # transition) whose output is x * v(x)
+    "soft_relu_init": (5.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0),
+    "identity": (5.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0),
+    "relu_like": None,
+    # a = 2 minimizes the sup-distance to the logistic sigmoid on [-6, 6]
+    # among small integer steepness values
+    "sigmoid_like": (2.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0),
+    "tanh_like": (2.0, 0.0, 1.0, 0.0, 2.0, 0.0, -1.0),
+    "leaky": None,
+}
+PRESET_KINDS = tuple(_PRESETS)
 
 
 def preset(kind: str, arg: float | None = None) -> ArcGateParams:
@@ -517,31 +526,27 @@ def preset(kind: str, arg: float | None = None) -> ArcGateParams:
     ``leaky`` takes a negative-side slope in (0, 1).  The other kinds take no
     argument.
     """
-    if kind == "soft_relu_init":
-        _reject_arg(kind, arg)
-        return ArcGateParams.from_effective(*SOFT_RELU_INIT)
-    if kind == "identity":
-        _reject_arg(kind, arg)
-        return ArcGateParams.from_effective(5.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0)
+    if kind not in PRESET_KINDS:
+        raise ValueError(f"unknown preset kind {kind!r}; expected one of {PRESET_KINDS}")
+    if _PRESETS[kind] is not None:
+        if arg is not None:
+            raise ValueError(f"preset {kind!r} takes no argument")
+        return ArcGateParams.from_effective(*_PRESETS[kind])
+    if arg is None:
+        raise ValueError(f"preset {kind!r} requires a numeric argument")
+    try:
+        value = float(arg)
+    except (TypeError, ValueError):
+        raise ValueError(f"preset {kind!r} argument must be a number, got {arg!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"preset {kind!r} argument must be finite, got {arg!r}")
     if kind == "relu_like":
-        scale = _require_arg(kind, arg)
-        if scale < 1.0:
-            raise ValueError(f"relu_like scale must be >= 1, got {scale!r}")
-        return ArcGateParams.from_effective(scale, 0.0, scale, 1.0, 0.0, 0.0, 0.0)
-    if kind == "sigmoid_like":
-        _reject_arg(kind, arg)
-        # a = 2 minimizes the sup-distance to the logistic sigmoid on [-6, 6]
-        # among small integer steepness values
-        return ArcGateParams.from_effective(2.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0)
-    if kind == "tanh_like":
-        _reject_arg(kind, arg)
-        return ArcGateParams.from_effective(2.0, 0.0, 1.0, 0.0, 2.0, 0.0, -1.0)
-    if kind == "leaky":
-        slope = _require_arg(kind, arg)
-        if not 0.0 < slope < 1.0:
-            raise ValueError(f"leaky slope must be in (0, 1), got {slope!r}")
-        return ArcGateParams.from_effective(1e4, 0.0, 1e4, 1.0, 0.0, slope, 0.0)
-    raise ValueError(f"unknown preset kind {kind!r}; expected one of {PRESET_KINDS}")
+        if value < 1.0:
+            raise ValueError(f"relu_like scale must be >= 1, got {value!r}")
+        return ArcGateParams.from_effective(value, 0.0, value, 1.0, 0.0, 0.0, 0.0)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"leaky slope must be in (0, 1), got {value!r}")
+    return ArcGateParams.from_effective(1e4, 0.0, 1e4, 1.0, 0.0, value, 0.0)
 
 
 def random_raw(rng: np.random.Generator) -> np.ndarray:
@@ -558,16 +563,3 @@ def random_raw(rng: np.random.Generator) -> np.ndarray:
     alpha = rng.uniform(0.5, 1.5)
     return np.array([a_raw, c, p_raw, alpha, beta, gamma, delta])
 
-
-def _require_arg(kind: str, arg: float | None) -> float:
-    if arg is None:
-        raise ValueError(f"preset {kind!r} requires a numeric argument")
-    value = float(arg)
-    if not math.isfinite(value):
-        raise ValueError(f"preset {kind!r} argument must be finite, got {arg!r}")
-    return value
-
-
-def _reject_arg(kind: str, arg: float | None) -> None:
-    if arg is not None:
-        raise ValueError(f"preset {kind!r} takes no argument")

@@ -24,8 +24,7 @@ def _escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """About ``n`` round values in ``[lo, hi]``; the caller widens an empty range."""
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / n))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -4,6 +4,8 @@ import io
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -453,6 +455,45 @@ def test_flags_override_config_file(tmp_path):
     assert cli.run(["--config", str(cfg), "gradcheck", "--samples", "25"]) == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gradcheck", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["gradcheck", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+    (["sweep", "--sigmas", "0,abc"], "argument --sigmas: malformed sigma list '0,abc': "
+                                     "could not convert string to float: 'abc'")],
+    ids=["seed", "tol", "sigmas"])
+def test_a_flag_value_that_is_not_a_number_is_a_usage_error(argv, message, tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr(core, "gate_gradcheck", None)      # rejected before any work
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *(["--out", tmp_path / "s.csv"] if argv[0] == "sweep" else []))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_gradcheck_with_a_valid_tolerance_passes(capsys):
+    assert run_cli("gradcheck", "--samples", 5, "--tol", "1e-3") == 0
+    assert capsys.readouterr().err.endswith("\nPASS\n")
+
+
+def test_an_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", tmp_path / "missing.txt", "gradcheck")
+    assert exc.value.code == 2
+    assert "error: cannot read config file: [Errno 2] No such file or directory" in \
+        capsys.readouterr().err
+
+
+def test_a_config_line_without_equals_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("# comment\nseed 3\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", cfg, "gradcheck")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {cfg}:2: expected key=value, "
+                                            "got 'seed 3'\n")
+
+
 def test_unknown_config_key_is_usage_error(tmp_path):
     cfg = tmp_path / "c.txt"
     cfg.write_text("bogus=1\n")
@@ -552,6 +593,32 @@ def test_ablate_with_negative_epochs_fails_with_a_message(study, tmp_path, capsy
 
 def test_ablate_unknown_study_fails(tmp_path):
     assert run_cli("ablate", "nonsense", "--out", tmp_path / "x.csv") == 1
+
+
+def test_ablate_refuses_an_unknown_study_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(idx, "load_or_synthesize", mock.Mock(side_effect=AssertionError))
+    assert run_cli("ablate", "nonsense", "--out", tmp_path / "new" / "sub" / "x.csv") == 1
+    assert capsys.readouterr().err == ("error: unknown ablation 'nonsense'; "
+                                       "expected init or granularity\n")
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("study, runner, writer", [
+    ("init", "init_ablation", "write_init_csv"),
+    ("granularity", "granularity_ablation", "write_granularity_csv"),
+])
+def test_ablate_writes_the_study_of_a_fresh_run(tmp_path, idx_files, study, runner, writer):
+    from arcgate import experiments
+    paths = [idx_files[k] for k in ("train_images", "train_labels", "test_images", "test_labels")]
+    out = tmp_path / "cli.csv"
+    assert run_cli("ablate", study, "--images", paths[0], "--labels", paths[1],
+                   "--test-images", paths[2], "--test-labels", paths[3],
+                   "--epochs", 1, "--seed", 5, "--out", out) == 0
+    experiments._summaries.clear()      # the fresh run trains again
+    config = engine.TrainConfig(epochs=1, seed=5)
+    rows = getattr(experiments, runner)(idx.load_or_synthesize(*paths), config, seed=5)
+    getattr(experiments, writer)(rows, tmp_path / "fresh.csv", config, 5)
+    assert out.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch, idx_files):
@@ -715,6 +782,36 @@ def test_plot_rejects_a_bad_table(tmp_path, capsys, text, message):
     assert not chart.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("text, x_name", [
+    ("# digest\nx,a=1\n0.0,0.5\n{},0.25\n", "x"),
+    ("# digest\nmodel,sigma,accuracy,seed\narcgate,0.0,0.5,0\narcgate,{},0.25,0\n", "sigma"),
+], ids=["sensitivity", "sweep"])
+def test_plot_refuses_a_non_finite_x(tmp_path, capsys, text, x_name, value):
+    table = tmp_path / "t.csv"
+    table.write_text(text.format(value))
+    chart = tmp_path / "t.svg"
+    assert run_cli("plot", "--in", table, "--out", chart) == 1
+    assert capsys.readouterr().err == (f"error: {table}:4: {x_name} must be finite, "
+                                       f"got {float(value)!r}\n")
+    assert not chart.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("text", [
+    "x,a=1\n0.0,0.5\n1.0,{}\n2.0,0.75\n",
+    "model,sigma,accuracy,seed\narcgate,0.0,0.5,0\narcgate,1.0,{},0\narcgate,2.0,0.75,0\n",
+], ids=["sensitivity", "sweep"])
+def test_plot_skips_a_non_finite_y(tmp_path, text, value):
+    # a diverged run's accuracy is NaN: its point is left out of the line
+    table = tmp_path / "t.csv"
+    table.write_text(text.format(value))
+    chart = tmp_path / "t.svg"
+    assert run_cli("plot", "--in", table, "--out", chart) == 0
+    points, = re.findall(r'points="([^"]*)"', chart.read_text())
+    assert points == "70.00,479.55 690.00,70.45"
+
+
 # Junk put in place of one token of a valid command; "MISSING" stands for a
 # path that does not exist.
 _JUNK = ("", "-1", "nan", "inf", "x", "--bogus", "MISSING")
@@ -765,3 +862,19 @@ def test_a_broken_command_exits_0_1_or_2(cheap_commands, data):
     assert bad is None or code == 2, (argv, code, message)
     assert (code == 2) == ("usage:" in message), (argv, code, message)
     assert (code == 1) == message.startswith("error: "), (argv, code, message)
+
+
+@pytest.mark.parametrize("argv, code, last_line", [
+    (["gradcheck", "--samples", "5"], 0, "PASS"),
+    (["report", "--model", "missing.agm1", "--out", "r.csv"], 1,
+     "error: [Errno 2] No such file or directory: 'missing.agm1'"),
+    (["gradcheck", "--bogus"], 2, "arcgate: error: unrecognized arguments: --bogus"),
+], ids=["pass", "runtime_failure", "usage_error"])
+def test_the_console_entry_point_exits_with_the_commands_code(tmp_path, argv, code, last_line):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("ARCGATE_OUT", None)
+    done = subprocess.run([sys.executable, "-m", "arcgate.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (code, "")
+    assert done.stderr.splitlines()[-1] == last_line
+    assert not (tmp_path / "r.csv").exists()

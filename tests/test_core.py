@@ -502,17 +502,65 @@ class TestPresets:
         params = preset("leaky", 0.05)
         assert eval_F(-4.0, params).f == pytest.approx(-0.2, rel=1e-6)
 
+    # each kind's raw vector, as the six-branch preset before the table built it
+    RAW_HEX = {
+        ("soft_relu_init",): "df75387213f9134000000000000000008218112f8552e13f000000000000f03f"
+                             "000000000000000000000000000000000000000000000000",
+        ("identity",): "df75387213f9134000000000000000008218112f8552e13f0000000000000000"
+                       "0000000000000000000000000000f03f0000000000000000",
+        ("relu_like", 1.0): "8218112f8552e13f00000000000000008218112f8552e13f000000000000f03f"
+                            "000000000000000000000000000000000000000000000000",
+        ("relu_like", 4.0): "70a59ac423da0f40000000000000000070a59ac423da0f40000000000000f03f"
+                            "000000000000000000000000000000000000000000000000",
+        ("relu_like", 1e4): "849cf7ffff87c3400000000000000000849cf7ffff87c340000000000000f03f"
+                            "000000000000000000000000000000000000000000000000",
+        ("sigmoid_like",): "0f96adb961acfd3f00000000000000008218112f8552e13f0000000000000000"
+                           "000000000000f03f00000000000000000000000000000000",
+        ("tanh_like",): "0f96adb961acfd3f00000000000000008218112f8552e13f0000000000000000"
+                        "00000000000000400000000000000000000000000000f0bf",
+        ("leaky", 0.01): "849cf7ffff87c3400000000000000000849cf7ffff87c340000000000000f03f"
+                         "00000000000000007b14ae47e17a843f0000000000000000",
+        ("leaky", 0.05): "849cf7ffff87c3400000000000000000849cf7ffff87c340000000000000f03f"
+                         "00000000000000009a9999999999a93f0000000000000000",
+    }
+
+    @pytest.mark.parametrize("args", list(RAW_HEX), ids=str)
+    def test_raw_vector_bytes_unchanged(self, args):
+        assert preset(*args).raw_vector().tobytes().hex() == self.RAW_HEX[args]
+
+    def test_every_kind_is_listed_once(self):
+        assert core.PRESET_KINDS == ("soft_relu_init", "identity", "relu_like",
+                                     "sigmoid_like", "tanh_like", "leaky")
+        assert {args[0] for args in self.RAW_HEX} == set(core.PRESET_KINDS)
+
     def test_invalid_payloads(self):
-        with pytest.raises(ValueError):
-            preset("relu_like", 0.5)
-        with pytest.raises(ValueError):
-            preset("relu_like")
-        with pytest.raises(ValueError):
-            preset("leaky", 1.5)
-        with pytest.raises(ValueError):
-            preset("soft_relu_init", 2.0)
-        with pytest.raises(ValueError):
-            preset("swish")
+        # each refusal's full message, as the six-branch preset before the table wrote it
+        unknown = ("unknown preset kind 'swish'; expected one of ('soft_relu_init', "
+                   "'identity', 'relu_like', 'sigmoid_like', 'tanh_like', 'leaky')")
+        for args, message in [
+                (("relu_like", 0.5), "relu_like scale must be >= 1, got 0.5"),
+                (("relu_like",), "preset 'relu_like' requires a numeric argument"),
+                (("leaky", 1.5), "leaky slope must be in (0, 1), got 1.5"),
+                (("leaky", 0.0), "leaky slope must be in (0, 1), got 0.0"),
+                (("leaky",), "preset 'leaky' requires a numeric argument"),
+                (("leaky", math.nan), "preset 'leaky' argument must be finite, got nan"),
+                (("relu_like", math.inf), "preset 'relu_like' argument must be finite, got inf"),
+                (("soft_relu_init", 2.0), "preset 'soft_relu_init' takes no argument"),
+                (("identity", 0), "preset 'identity' takes no argument"),
+                (("swish",), unknown),
+                (("swish", 3), unknown)]:
+            with pytest.raises(ValueError) as info:
+                preset(*args)
+            assert str(info.value) == message, args
+
+    @pytest.mark.parametrize("args, message", [
+        (("relu_like", [1]), "preset 'relu_like' argument must be a number, got [1]"),
+        (("leaky", "abc"), "preset 'leaky' argument must be a number, got 'abc'"),
+    ], ids=str)
+    def test_non_numeric_argument_names_the_preset(self, args, message):
+        with pytest.raises(ValueError) as info:
+            preset(*args)
+        assert str(info.value) == message
 
 
 class TestInvariants:

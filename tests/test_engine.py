@@ -184,6 +184,42 @@ def adamw_steps(model: MLPModel, steps: int = 5) -> MLPModel:
     return model
 
 
+class TestRefusals:
+    """Refusals of the engine's constructors and steps, each with its full message."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("init_strategy", "bogus", f"init_strategy must be one of {engine.INIT_STRATEGIES}"),
+        ("granularity", "bogus", f"granularity must be one of {engine.GRANULARITIES}")])
+    def test_train_config_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("layer, args, message", [
+        (GateLayer, (np.zeros(7), "bogus"), f"granularity must be one of {engine.GRANULARITIES}"),
+        (GateLayer, (np.zeros(6),), "gate layer needs a 7-vector of raw parameters"),
+        (DenseLayer, (np.eye(3), np.zeros(2)), "inconsistent dense shapes (3, 3) / (2,)")],
+        ids=["gate_granularity", "gate_raw_length", "dense_bias_length"])
+    def test_layer(self, layer, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            layer(*args)
+
+    def test_adamw_step_zero(self):
+        arena = Arena([Slot(np.array([1.0]), True, "w")])
+        with pytest.raises(ValueError, match="^step count starts at 1$"):
+            adamw_step(arena, np.zeros(1), np.zeros(1), np.zeros(1),
+                       lr=0.1, weight_decay=0.0, step=0)
+        assert arena.slots[0].array[0] == 1.0
+
+    def test_backward_with_a_gate_entry_that_is_no_tape(self):
+        model = tiny_model()
+        _, cache = forward(model, np.zeros((2, 3)))
+        assert isinstance(model.layers[3], GateLayer)
+        cache[3] = cache[2]     # the dense layer's input, not a GateTape
+        with pytest.raises(ValueError, match="^cache does not match model"):
+            backward(model, cache, np.zeros((2, 3)))
+
+
 class TestGlobalSharedTie:
     """The model ties every global_shared gate to the first one, however it was built."""
 

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -497,6 +498,25 @@ class TestStudyWorkers:
         rows = granularity_ablation(small_dataset, FAST, seed=STUDY_SEED + 1)
         assert [r.learnable_activation_params for r in rows] == [0, 7, 21]
         assert len(experiments._workers) == 2 and victim not in experiments._workers
+
+    def test_an_interrupt_while_talking_to_a_worker_stops_the_workers(self, small_dataset,
+                                                                      monkeypatch):
+        on_cores(monkeypatch, 2)
+        interrupt = KeyboardInterrupt()
+        talked_to = []
+
+        def load(stream):            # the first answer is read only after both jobs went out
+            talked_to.extend(experiments._workers)
+            raise interrupt
+
+        monkeypatch.setattr(experiments, "pickle", types.SimpleNamespace(
+            load=load, dump=pickle.dump, UnpicklingError=pickle.UnpicklingError))
+        spec = experiments._spec_for(small_dataset)
+        with pytest.raises(KeyboardInterrupt) as info:
+            experiments._run_jobs([(spec, small_dataset, FAST, ())] * 2)
+        assert info.value is interrupt and info.value.__cause__ is None
+        assert len(talked_to) == 2 and experiments._workers == []
+        assert all(worker.returncode is not None for worker in talked_to)
 
     def test_a_warning_in_a_worker_is_issued_again_here(self, monkeypatch):
         rng = np.random.default_rng(0)

@@ -326,6 +326,8 @@ def test_synthesis_matches_the_whole_split_oracle(seed, n_train, n_test):
      r"value -2 at index \(1, 0, 0\)"),
     (idx.write_idx_labels, np.zeros((3, 2), dtype=np.uint8),
      r"expected \(n,\) labels, got shape \(3, 2\)"),
+    (idx.write_idx_images, np.zeros((3, 4), dtype=np.uint8),
+     r"expected \(n, rows, cols\) array, got shape \(3, 4\)"),
 ])
 def test_writers_refuse_values_a_byte_does_not_hold(tmp_path, writer, values, message):
     with pytest.raises(ValueError, match=message):
