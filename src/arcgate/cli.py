@@ -394,7 +394,7 @@ def _cmd_plot(opts) -> int:
     if chart == "sensitivity":
         data = np.array(rows)
         series = [(name, data[:, 0], data[:, i + 1]) for i, name in enumerate(header[1:])]
-        svg.write_line_chart(out, Path(infile).stem, header[0], "F(x)", series)
+        labels = Path(infile).stem, header[0], "F(x)"
     elif chart == "fit":
         with open(infile, newline="") as f:
             window = re.fullmatch(r"# range=([-+.\deE]+),([-+.\deE]+) budget=\d+ seed=-?\d+\s*",
@@ -402,16 +402,24 @@ def _cmd_plot(opts) -> int:
         if window is None:
             raise ValueError(f"{infile}: no leading '# range=LO,HI budget=B seed=S' line; "
                              "rewrite the table with `arcgate fit`")
-        grid = np.linspace(float(window[1]), float(window[2]), 601)
+        lo, hi = float(window[1]), float(window[2])
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"{infile}: the x axis from {lo!r} to {hi!r} spans more than "
+                             "a double holds")
+        grid = np.linspace(lo, hi, 601)
         series = [(row[1], grid, core.batch_value(grid, row[2:9])) for row in rows]
-        svg.write_line_chart(out, "fitted classics", "x", "F(x)", series)
+        labels = "fitted classics", "x", "F(x)"
     else:
         by_model: dict[str, list[tuple[float, float]]] = {}
         for row in rows:
             by_model.setdefault(row[0], []).append((row[1], row[2]))
         series = [(m, [p[0] for p in pts], [p[1] for p in pts])
                   for m, pts in by_model.items()]
-        svg.write_line_chart(out, "accuracy under input noise", "sigma", "accuracy", series)
+        labels = "accuracy under input noise", "sigma", "accuracy"
+    try:
+        svg.write_line_chart(out, *labels, series)
+    except ValueError as exc:
+        raise ValueError(f"{infile}: {exc}") from None
     print(f"plot {chart} -> {out}", file=sys.stderr)
     return 0
 

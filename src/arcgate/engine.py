@@ -496,7 +496,7 @@ def adamw_step(arena: Arena, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradientError(
                     f"non-finite gradient for {slot.label} at step {step}: "
-                    f"max|g|={np.max(np.abs(g))!r}")
+                    f"max|g|={float(np.max(np.abs(g)))!r}")
     bc1 = 1.0 - _BETA1 ** step
     bc2 = 1.0 - _BETA2 ** step
     r = math.sqrt(bc2 / (1.0 - _BETA2))
@@ -709,6 +709,20 @@ _MAGIC = b"AGM1"
 _GRAN_CODES = {g: i for i, g in enumerate(GRANULARITIES)}
 # the slope stored for every fixed kind but leaky ReLU, which stores its own
 _FIXED_SLOPE = ActivationKind("relu").slope
+# the fields of an activation record that load_model names, in the order it checks them
+_RECORD_FIELDS = (("granularity", slice(1, 2)), ("gate vector", slice(11, 67)),
+                  ("slope", slice(3, 11)))
+
+
+def _activation_record(layer: GateLayer | FixedActivation) -> bytes:
+    """The 67-byte AGM1 record of a gate or a fixed activation, the one form
+    :func:`load_model` accepts: tag 1, granularity and baseline codes, slope, gate vector."""
+    if isinstance(layer, GateLayer):
+        return struct.pack("<BBBd", 1, _GRAN_CODES[layer.granularity], 0, 0.0) \
+            + layer.raw.astype("<f8").tobytes()
+    kind = layer.kind
+    return struct.pack("<BBBd", 1, _GRAN_CODES["fixed"], _BASELINE_CODES[kind.tag],
+                       kind.slope if kind.tag == "leaky_relu" else _FIXED_SLOPE) + _FIXED_RAW
 
 
 def save_model(model: MLPModel, path) -> None:
@@ -722,14 +736,8 @@ def save_model(model: MLPModel, path) -> None:
             blob += struct.pack("<II", *layer.w.shape)
             blob += layer.w.astype("<f8").tobytes()
             blob += layer.b.astype("<f8").tobytes()
-        elif isinstance(layer, GateLayer):
-            blob += struct.pack("<BBBd", 1, _GRAN_CODES[layer.granularity], 0, 0.0)
-            blob += layer.raw.astype("<f8").tobytes()
         else:
-            kind = layer.kind
-            blob += struct.pack("<BBBd", 1, _GRAN_CODES["fixed"], _BASELINE_CODES[kind.tag],
-                                kind.slope if kind.tag == "leaky_relu" else _FIXED_SLOPE)
-            blob += _FIXED_RAW
+            blob += _activation_record(layer)
     Path(path).write_bytes(bytes(blob))
 
 
@@ -737,11 +745,10 @@ def load_model(path) -> MLPModel:
     """Read an ``AGM1`` container.
 
     Raises :class:`ModelFormatError` for a malformed container, non-finite
-    weights or gate values, global-shared layers whose stored vectors
-    differ, a fixed activation not stored as :func:`save_model` writes it,
-    a bad leaky slope, a stored slope other than 0.01 for any other fixed
-    kind or other than 0.0 for a gate, or a layer structure
-    :class:`MLPModel` rejects.
+    weights or gate values, a bad leaky slope, a gate or fixed activation
+    stored other than as :func:`save_model` writes it, global-shared layers
+    whose stored vectors differ, or a layer structure :class:`MLPModel`
+    rejects.
     """
     data = Path(path).read_bytes()
     view = memoryview(data)
@@ -770,39 +777,28 @@ def load_model(path) -> MLPModel:
                 raise ModelFormatError(f"{path}: layer {k} has non-finite dense weights")
             layers.append(DenseLayer(w, b))
         elif tag == 1:
-            (gran_code,) = struct.unpack("<B", take(1))
-            (base_code,) = struct.unpack("<B", take(1))
-            slope_bytes = bytes(take(8))
-            (slope,) = struct.unpack("<d", slope_bytes)
-            raw = np.frombuffer(take(7 * 8), dtype="<f8").copy()
+            record = b"\x01" + bytes(take(66))
+            gran_code, base_code, slope = struct.unpack_from("<BBd", record, 1)
+            raw = np.frombuffer(record, dtype="<f8", offset=11).copy()
             if gran_code >= len(GRANULARITIES):
                 raise ModelFormatError(f"{path}: unknown granularity code {gran_code}")
             if base_code not in _BASELINE_TAGS:
                 raise ModelFormatError(f"{path}: unknown baseline code {base_code}")
             if not np.isfinite(raw).all():
                 raise ModelFormatError(f"{path}: layer {k} has non-finite gate values")
-            granularity = GRANULARITIES[gran_code]
             base_tag = _BASELINE_TAGS[base_code]
-            if base_tag is None:
-                if slope_bytes != bytes(8):   # the bytes of +0.0
-                    raise ModelFormatError(f"{path}: layer {k} stores a gate with slope "
-                                           f"{slope!r}, not 0.0")
-                layers.append(GateLayer(raw, granularity))
-                continue
-            if granularity != "fixed":
-                raise ModelFormatError(f"{path}: layer {k} stores a fixed activation "
-                                       f"with granularity {granularity}, not fixed")
-            if raw.tobytes() != _FIXED_RAW:
-                raise ModelFormatError(f"{path}: layer {k} stores a fixed activation "
-                                       f"with a gate vector other than soft_relu_init")
-            if base_tag != "leaky_relu" and slope != _FIXED_SLOPE:
-                raise ModelFormatError(f"{path}: layer {k} stores a fixed {base_tag} "
-                                       f"activation with slope {slope!r}, not {_FIXED_SLOPE!r}")
             try:
-                kind = ActivationKind(base_tag, slope)
+                layer = GateLayer(raw, GRANULARITIES[gran_code]) if base_tag is None \
+                    else FixedActivation(ActivationKind(base_tag, slope))
             except ValueError as exc:
                 raise ModelFormatError(f"{path}: layer {k}: {exc}") from exc
-            layers.append(FixedActivation(kind))
+            written = _activation_record(layer)
+            if written != record:
+                what = "a gate" if base_tag is None else f"a fixed {base_tag} activation"
+                field = next(name for name, at in _RECORD_FIELDS if written[at] != record[at])
+                raise ModelFormatError(f"{path}: layer {k} stores {what} whose {field} "
+                                       f"is not the one save_model writes")
+            layers.append(layer)
         else:
             raise ModelFormatError(f"{path}: unknown layer tag {tag}")
     if off != len(data):

@@ -46,8 +46,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import core, fitter, idx
-from .engine import (GRANULARITIES, MLPModel, ModelSpec, TrainConfig,
-                     TrainingDivergedError, evaluate, train)
+from .engine import (GRANULARITIES, MLPModel, ModelSpec, NonFiniteGradientError,
+                     TrainConfig, TrainingDivergedError, evaluate, train)
 
 __all__ = [
     "DEFAULT_SIGMAS", "Round", "SWEEP_COLUMNS", "SweepReport",
@@ -140,13 +140,13 @@ def _train_summary(spec: ModelSpec, dataset, config: TrainConfig,
                    sigmas: Sequence[float] = ()) -> _Summary:
     """Train ``config``: its summary, with its :func:`_accuracies` at ``sigmas``.
 
-    Sigma 0 reads the clean test accuracy of ``train``'s last epoch.  A
-    diverged run gives ``_DIVERGED``.  A study worker calls this; the model
-    never leaves it.
+    Sigma 0 reads the clean test accuracy of ``train``'s last epoch.  A run
+    whose loss or gradient turns non-finite gives ``_DIVERGED``.  A study
+    worker calls this; the model never leaves it.
     """
     try:
         model, trace = train(spec, dataset, config)
-    except TrainingDivergedError:
+    except (TrainingDivergedError, NonFiniteGradientError):
         return _DIVERGED
     test_acc = trace[-1].test_acc
     return _Summary(test_acc, model.learnable_activation_parameter_count(),

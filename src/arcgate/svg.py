@@ -7,6 +7,7 @@ Output is deterministic for identical inputs, so charts diff cleanly.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -16,6 +17,11 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#1
 
 _WIDTH, _HEIGHT = 860, 560
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 170, 50, 60
+_BIG = sys.float_info.max
+# An axis narrower than this share of its largest value is widened, so that its tick step
+# spans hundreds of a double's steps and adding it moves a tick (a constant column of
+# 2**52, widened by 1, took steps of 0.2 that never did).
+_MIN_SHARE = 2.0 ** -40
 
 
 def _escape(text: str) -> str:
@@ -34,10 +40,30 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-12 * span:
+    end = min(hi + 1e-12 * span, _BIG)
+    while t <= end:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
         t += step
     return ticks
+
+
+def _axis(values: list, pad: float, name: str) -> tuple[float, float]:
+    """The ends of the ``name`` axis over finite ``values``, ``pad`` of its span past each end.
+
+    A span a double cannot hold, padding included, is a ``ValueError`` naming
+    the axis.  A range of one value, or narrower than ``_MIN_SHARE`` of its
+    largest magnitude, is widened to ``max(1, that share)``: upward, or
+    downward where upward would pass the largest double.  Padding stops there.
+    """
+    lo, hi = float(min(values)), float(max(values))
+    if not math.isfinite((hi - lo) * (1.0 + 2.0 * pad)):
+        raise ValueError(f"the {name} axis from {lo!r} to {hi!r} spans more than a double holds")
+    floor = _MIN_SHARE * max(abs(lo), abs(hi), sys.float_info.min)
+    if hi - lo <= floor:
+        width = max(1.0, floor)
+        lo, hi = (lo, lo + width) if lo + width <= _BIG else (lo - width, lo)
+    margin = pad * (hi - lo)
+    return max(lo - margin, -_BIG), min(hi + margin, _BIG)
 
 
 def write_line_chart(path, title: str, x_label: str, y_label: str,
@@ -49,15 +75,8 @@ def write_line_chart(path, title: str, x_label: str, y_label: str,
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     if not xs_all or not ys_all:
         raise ValueError("series contain no finite points")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    x_lo, x_hi = _axis(xs_all, 0.0, x_label)
+    y_lo, y_hi = _axis(ys_all, 0.05, y_label)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B

@@ -51,15 +51,17 @@ BAD_MODELS = {
                         "leaky slope must be in (0, 1)"),
     "shared_fixed_activation": (agm1(dense(), gate(granularity="global_shared"), dense(),
                                      gate(_OTHER_RAW, "global_shared", baseline_code=5), dense()),
-                                "layer 3 stores a fixed activation with granularity "
-                                "global_shared, not fixed"),
+                                "layer 3 stores a fixed silu activation whose granularity "
+                                "is not the one save_model writes"),
     "fixed_activation_with_a_gate_vector": (agm1(dense(), gate(_OTHER_RAW, "fixed",
                                                                baseline_code=1), dense()),
-                                            "layer 1 stores a fixed activation with a gate "
-                                            "vector other than soft_relu_init"),
+                                            "layer 1 stores a fixed relu activation whose "
+                                            "gate vector is not the one save_model writes"),
     "relu_with_a_slope": (agm1(dense(), gate(granularity="fixed", baseline_code=1, slope=0.5),
                                dense()),
-                          "layer 1 stores a fixed relu activation with slope 0.5, not 0.01"),
+                          "layer 1 stores a fixed relu activation whose slope is not the "
+                          "one save_model writes"),
     "gate_with_a_slope": (agm1(dense(), gate(slope=0.5), dense()),
-                          "layer 1 stores a gate with slope 0.5, not 0.0"),
+                          "layer 1 stores a gate whose slope is not the one save_model "
+                          "writes"),
 }

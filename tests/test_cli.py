@@ -812,6 +812,51 @@ def test_plot_skips_a_non_finite_y(tmp_path, text, value):
     assert points == "70.00,479.55 690.00,70.45"
 
 
+# each chart's table with x values {lo} and {hi}
+_X_TABLES = {
+    "sensitivity": "x,a\n{lo},0.5\n{hi},0.25\n",
+    "fit": f"# range={{lo}},{{hi}} budget=1 seed=0\n{FIT_HEADER}\n"
+           "relu,relu_like,5,0,1,1,0,0,0,0,0,1,True\n",
+    "sweep": "model,sigma,accuracy,seed\narcgate,{lo},0.5,0\nrelu,{hi},0.25,0\n",
+}
+
+
+def _plot_without_warnings(table, chart) -> int:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli("plot", "--in", table, "--out", chart)
+
+
+# 1e20 + 1.0 is 1e20, so the axis stayed empty; ticks 0.2 apart never moved past 2**52
+@pytest.mark.parametrize("value", ["1e20", "4503599627370496", "-1.7976931348623157e308",
+                                   "1.7976931348623157e308"])
+@pytest.mark.parametrize("name", sorted(_X_TABLES))
+def test_plot_draws_a_constant_x_column_of_any_size(tmp_path, capsys, name, value):
+    table = tmp_path / "t.csv"
+    table.write_text(_X_TABLES[name].format(lo=value, hi=value))
+    chart = tmp_path / "t.svg"
+    assert _plot_without_warnings(table, chart) == 0
+    assert capsys.readouterr().err == f"plot {name} -> {chart}\n"
+    assert "nan" not in chart.read_text() and "inf" not in chart.read_text()
+
+
+@pytest.mark.parametrize("text, axis", [
+    (_X_TABLES["sensitivity"].format(lo="-1e308", hi="1e308"), "x"),
+    (_X_TABLES["fit"].format(lo="-1e308", hi="1e308"), "x"),
+    (_X_TABLES["sweep"].format(lo="-1e308", hi="1e308"), "sigma"),
+    ("x,a\n0.0,-1e308\n1.0,1e308\n", "F(x)"),
+    ("model,sigma,accuracy,seed\narcgate,0.0,-1e308,0\narcgate,1.0,1e308,0\n", "accuracy"),
+], ids=["sensitivity_x", "fit_x", "sweep_x", "sensitivity_y", "sweep_y"])
+def test_plot_refuses_a_span_wider_than_a_double(tmp_path, capsys, text, axis):
+    table = tmp_path / "t.csv"
+    table.write_text(text)
+    chart = tmp_path / "t.svg"
+    assert _plot_without_warnings(table, chart) == 1
+    assert capsys.readouterr().err == (f"error: {table}: the {axis} axis from -1e+308 to "
+                                       f"1e+308 spans more than a double holds\n")
+    assert not chart.exists()
+
+
 # Junk put in place of one token of a valid command; "MISSING" stands for a
 # path that does not exist.
 _JUNK = ("", "-1", "nan", "inf", "x", "--bogus", "MISSING")

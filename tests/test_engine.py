@@ -454,8 +454,10 @@ class TestArenaAdamW:
             for bad in (math.nan, math.inf, -math.inf):
                 grad = np.ones(model.arena.size)
                 model.arena.views(grad)[k].flat[-1] = bad
+                peak = "nan" if math.isnan(bad) else "inf"
                 with pytest.raises(engine.NonFiniteGradientError,
-                                   match=rf"non-finite gradient for {slot.label} at step 3"):
+                                   match=rf"^non-finite gradient for {re.escape(slot.label)} "
+                                         rf"at step 3: max\|g\|={peak}$"):
                     adamw_step(model.arena, grad, m, v, 0.1, 0.01, 3)
         assert model.arena.values.tobytes() == before.tobytes()
         assert not m.any() and not v.any()
@@ -1181,8 +1183,9 @@ class TestAGM1Properties:
     @given(agm1_models(), st.integers(0, 255))
     @settings(max_examples=25, deadline=None)
     def test_every_byte_mutation_loads_or_is_rejected(self, model, value):
+        # a file that loads is in the one form save_model writes: it saves back to itself
         with tempfile.TemporaryDirectory() as td:
-            path = Path(td, "model.agm")
+            path, again = Path(td, "model.agm"), Path(td, "again.agm")
             save_model(model, path)
             whole = path.read_bytes()
             for at in range(len(whole)):
@@ -1195,6 +1198,8 @@ class TestAGM1Properties:
                     continue
                 labels = engine.predict(back, np.zeros((3, back.in_dim)))
                 assert labels.shape == (3,)
+                save_model(back, again)
+                assert again.read_bytes() == mutated
 
 
 def test_parameter_count_traversal():

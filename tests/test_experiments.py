@@ -145,6 +145,21 @@ class TestGranularityAblation:
         assert lines[1] == "granularity,learnable_activation_params,test_accuracy,seed"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_gradient_is_recorded_as_a_diverged_run():
+    data = idx.synthesize_arrays(n_train=640, n_test=100)
+    diverging = TrainConfig(epochs=2, learning_rate=1e12)
+    # the gradient turns NaN while the loss is still finite
+    with pytest.raises(engine.NonFiniteGradientError, match="act1.raw at step 7"):
+        engine.train(experiments._spec_for(data), data, diverging)
+    report = noise_sweep(data, sigmas=(0.0, 0.1), config=diverging, seed=0)
+    assert report.partial and report.rows == []
+    assert all(math.isnan(r.test_accuracy) for r in init_ablation(data, diverging, seed=0))
+    grans = granularity_ablation(data, diverging, seed=0)
+    assert all(math.isnan(r.test_accuracy) and r.learnable_activation_params == -1
+               for r in grans)
+
+
 # The saved files were written before the study runners shared trainings.
 STUDY_SEED = 6
 STUDIES = {
